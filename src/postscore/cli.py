@@ -27,10 +27,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p, threads=False, seed=None):
     p.add_argument("--output-dir", required=True, help="directory for outputs and the manifest")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker threads (default 1)")
     if seed is not None:
         p.add_argument("--seed", type=int, default=seed, help=f"random seed (default {seed})")
 
@@ -72,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="ridge coefficient")
-    p.add_argument("--top-terms", type=int, default=1000, help="tfidf vocabulary size")
+    p.add_argument("--top-terms", type=_positive_int, default=1000, help="tfidf vocabulary size")
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_train)
 
@@ -83,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--top-terms", type=int, default=1000)
+    p.add_argument("--top-terms", type=_positive_int, default=1000)
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posts", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings")
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("aggregate", help="institution means and reference comparison")
@@ -110,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", help="frequency sidecar CSV (count-source=sidecar)")
     p.add_argument("--count-source", choices=["training", "sidecar"], default="training")
     p.add_argument("--min-count", type=int, default=0)
-    p.add_argument("--top", type=int, help="export only the N best-scoring words")
-    p.add_argument("--bottom", type=int, help="export only the N worst-scoring words")
+    p.add_argument("--top", type=_positive_int, help="export only the N best-scoring words")
+    p.add_argument("--bottom", type=_positive_int, help="export only the N worst-scoring words")
     p.add_argument("--project-2d", action="store_true", help="also write 2-d plot coordinates")
     _add_common(p)
     p.set_defaults(func=cmd_rank_words)
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posts", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_positive_int, default=20)
     p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates")
     p.add_argument("--level", type=float, default=0.90, help="confidence level")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
@@ -239,36 +247,49 @@ def cmd_correlate(args) -> int:
 
 
 def _load_training(args):
+    """Clean posts, labels, filter stats, and the manifest inputs so far."""
     posts_path = _check_input(args.posts)
     labels_path = _check_input(args.labels)
-    stats_filter = pipeline.FilterStats()
-    clean = pipeline.load_clean_posts(posts_path, stats_filter)
+    fstats = pipeline.FilterStats()
+    clean = pipeline.load_clean_posts(posts_path, fstats)
     labels = dataio.read_labels_csv(labels_path)
-    inputs = {"posts": posts_path, "labels": labels_path}
-    return posts_path, labels_path, clean, labels, stats_filter, inputs
+    return clean, labels, fstats, {"posts": posts_path, "labels": labels_path}
+
+
+def _embedding_training(args, clean, labels, inputs):
+    """Post-vector training set and its table; records the table in inputs."""
+    table = _load_table(args)
+    inputs["embeddings"] = Path(args.embeddings)
+    ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
+    return ts, astats, table
+
+
+def _tfidf_training(args, clean, labels, inputs):
+    """tf-idf training set, its vocabulary and stopwords; records the
+    stopword file in inputs."""
+    stopwords = frozenset()
+    if args.stopwords:
+        stopwords_path = _check_input(args.stopwords)
+        stopwords = tfidf.load_stopwords(stopwords_path)
+        inputs["stopwords"] = stopwords_path
+    labeled = [tp for tp in clean if tp.user_id in labels]
+    if not labeled:
+        raise DataFormatError("no labeled posts")
+    vocab = tfidf.build_vocab((tp.tokens for tp in labeled), stopwords, k=args.top_terms)
+    ts, astats = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)
+    return ts, astats, vocab, stopwords
 
 
 def cmd_train(args) -> int:
     out = _outdir(args)
-    _, _, clean, labels, fstats, inputs = _load_training(args)
+    clean, labels, fstats, inputs = _load_training(args)
     outputs = {}
     if args.vectorizer == "embedding":
-        table = _load_table(args)
-        inputs["embeddings"] = Path(args.embeddings)
-        ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
+        ts, astats, table = _embedding_training(args, clean, labels, inputs)
         model = fit(ts, lam=args.lam, embedding_fingerprint=table.fingerprint())
         extra = None
     else:
-        stopwords = frozenset()
-        if args.stopwords:
-            stopwords_path = _check_input(args.stopwords)
-            stopwords = tfidf.load_stopwords(stopwords_path)
-            inputs["stopwords"] = stopwords_path
-        labeled = [tp for tp in clean if tp.user_id in labels]
-        if not labeled:
-            raise DataFormatError("no labeled posts to train on")
-        vocab = tfidf.build_vocab((tp.tokens for tp in labeled), stopwords, k=args.top_terms)
-        ts, astats = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)
+        ts, astats, vocab, stopwords = _tfidf_training(args, clean, labels, inputs)
         model = fit(ts, lam=args.lam)
         vocab_path = out / "tfidf_vocab.csv"
         vocab.save_csv(vocab_path)
@@ -303,22 +324,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _outdir(args)
-    _, _, clean, labels, _, inputs = _load_training(args)
-    if args.vectorizer == "embedding":
-        table = _load_table(args)
-        inputs["embeddings"] = Path(args.embeddings)
-        ts, _ = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
-    else:
-        stopwords = frozenset()
-        if args.stopwords:
-            stopwords_path = _check_input(args.stopwords)
-            stopwords = tfidf.load_stopwords(stopwords_path)
-            inputs["stopwords"] = stopwords_path
-        labeled = [tp for tp in clean if tp.user_id in labels]
-        if not labeled:
-            raise DataFormatError("no labeled posts to evaluate on")
-        vocab = tfidf.build_vocab((tp.tokens for tp in labeled), stopwords, k=args.top_terms)
-        ts, _ = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)
+    clean, labels, _, inputs = _load_training(args)
+    build = _embedding_training if args.vectorizer == "embedding" else _tfidf_training
+    ts = build(args, clean, labels, inputs)[0]
     predictions = loo_user_cv(ts, lam=args.lam)
     truth = {u: labels[u] for u in {p.user_id for p in predictions}}
     rep = stats.pearson(
@@ -372,7 +380,7 @@ def cmd_predict(args) -> int:
     dataio.write_manifest(
         out,
         "predict",
-        params={"threads": args.threads},
+        params={},
         inputs=inputs,
         outputs={"predictions": predictions_path},
         seed=None,
@@ -441,7 +449,7 @@ def cmd_rank_words(args) -> int:
     out = _outdir(args)
     model_path = _check_input(args.model)
     model, _ = dataio.load_model_json(model_path)
-    table = EmbeddingTable.load_vec(_check_input(args.embeddings))
+    table = _load_table(args)
     inputs = {"model": model_path, "embeddings": Path(args.embeddings)}
     counts = None
     if args.count_source == "sidecar":
@@ -494,10 +502,8 @@ def cmd_rank_words(args) -> int:
 def cmd_curve(args) -> int:
     out = _outdir(args)
     _print_seed(args.seed)
-    _, _, clean, labels, _, inputs = _load_training(args)
-    table = _load_table(args)
-    inputs["embeddings"] = Path(args.embeddings)
-    ts, _ = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
+    clean, labels, _, inputs = _load_training(args)
+    ts = _embedding_training(args, clean, labels, inputs)[0]
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .embeddings import flat_token_ids
 from .errors import SingularSystemError
 from .stats import pearson, bootstrap_ci
 
@@ -36,7 +37,6 @@ __all__ = [
     "predict_post",
     "predict_posts",
     "predict_user",
-    "predict_users",
     "score_tokenized_posts",
     "loo_user_cv",
     "posts_curve",
@@ -132,9 +132,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def user_ids(self) -> list:
-        return sorted(set(self.groups.tolist()))
 
     def rows_by_user(self) -> dict:
         rows: dict = {}
@@ -236,17 +233,6 @@ def predict_user(model: LinearModel, post_vectors, user_id: str = "") -> UserPre
     return UserPrediction(user_id, float(scores.mean()), int(scores.size))
 
 
-def predict_users(model: LinearModel, X, groups) -> list[UserPrediction]:
-    """Per-user mean predictions for a matrix of post vectors, sorted by user."""
-    ts = TrainingSet(X=np.asarray(X, dtype=np.float64), y=np.zeros(len(groups)), groups=groups)
-    rows = ts.rows_by_user()
-    scores = predict_posts(model, ts.X)
-    return [
-        UserPrediction(u, float(scores[rows[u]].mean()), int(rows[u].size))
-        for u in sorted(rows)
-    ]
-
-
 def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=None):
     """Scores for already-tokenized posts, the high-throughput path.
 
@@ -258,8 +244,6 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
 
     Returns (scores, n_matched) as float64/int64 arrays.
     """
-    from .embeddings import flat_token_ids
-
     if table.dim != model.d:
         raise ValueError(f"table dim {table.dim} does not match model d {model.d}")
     if word_scores is None:

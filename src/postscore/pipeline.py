@@ -1,8 +1,8 @@
 """Glue between file ingestion and the model: filtering, vectorization,
 training-set assembly, and per-user prediction.
 
-Ingestion is chunked so memory stays proportional to the assembled matrices,
-never to raw line buffering.
+Posts are read and tokenized in one pass; vectorization and scoring then run
+over the whole list at once (``post_vectors_matrix`` batches internally).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 from . import dataio, embeddings, textproc, tfidf
 from .model import LinearModel, TrainingSet, UserPrediction, score_tokenized_posts
-
-CHUNK_POSTS = 20_000
 
 
 @dataclass
@@ -57,11 +55,6 @@ class AssemblyStats:
     unlabeled: int = 0  # posts dropped: author has no target
 
 
-def _chunks(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]
-
-
 def build_embedding_training(
     clean_posts,
     labels: dict,
@@ -70,30 +63,21 @@ def build_embedding_training(
 ) -> tuple[TrainingSet, AssemblyStats]:
     """Post-vector training set; each row carries its author's score."""
     stats = AssemblyStats()
-    blocks = []
-    y_parts = []
-    group_parts = []
-    for chunk in _chunks(clean_posts, CHUNK_POSTS):
-        labeled = [tp for tp in chunk if tp.user_id in labels]
-        stats.unlabeled += len(chunk) - len(labeled)
-        if not labeled:
-            continue
-        means, n_matched, _ = embeddings.post_vectors_matrix(
-            table, [tp.tokens for tp in labeled], threads=threads
-        )
-        usable = n_matched > 0
-        stats.no_vector += int((~usable).sum())
-        blocks.append(means[usable])
-        y_parts.append(np.asarray([labels[tp.user_id] for tp, ok in zip(labeled, usable) if ok]))
-        group_parts.extend(tp.user_id for tp, ok in zip(labeled, usable) if ok)
-    if not blocks or sum(b.shape[0] for b in blocks) == 0:
+    labeled = [tp for tp in clean_posts if tp.user_id in labels]
+    stats.unlabeled = len(clean_posts) - len(labeled)
+    means, n_matched, _ = embeddings.post_vectors_matrix(
+        table, [tp.tokens for tp in labeled], threads=threads
+    )
+    usable = n_matched > 0
+    stats.no_vector = int((~usable).sum())
+    users = [tp.user_id for tp, ok in zip(labeled, usable) if ok]
+    if not users:
         raise ValueError("no usable training posts (all filtered, unlabeled, or out of vocabulary)")
-    X = np.vstack(blocks)
-    y = np.concatenate(y_parts)
-    groups = np.asarray(group_parts, dtype=object)
-    stats.n_posts = X.shape[0]
-    stats.n_users = len(set(group_parts))
-    return TrainingSet(X=X, y=y, groups=groups), stats
+    y = np.asarray([labels[u] for u in users])
+    groups = np.asarray(users, dtype=object)
+    stats.n_posts = len(users)
+    stats.n_users = len(set(users))
+    return TrainingSet(X=means[usable], y=y, groups=groups), stats
 
 
 def build_tfidf_training(
@@ -136,17 +120,13 @@ def predict_users_from_posts(
     """
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    seen: dict[str, int] = {}
-    word_scores = table.vectors.astype(np.float64) @ model.weights + model.bias
-    for chunk in _chunks(clean_posts, CHUNK_POSTS):
-        scores, n_matched = score_tokenized_posts(
-            model, table, [tp.tokens for tp in chunk], word_scores=word_scores
-        )
-        for tp, score, matched in zip(chunk, scores, n_matched):
-            seen[tp.user_id] = seen.get(tp.user_id, 0) + 1
-            if matched > 0:
-                sums[tp.user_id] = sums.get(tp.user_id, 0.0) + float(score)
-                counts[tp.user_id] = counts.get(tp.user_id, 0) + 1
+    seen: set[str] = set()
+    scores, n_matched = score_tokenized_posts(model, table, [tp.tokens for tp in clean_posts])
+    for tp, score, matched in zip(clean_posts, scores, n_matched):
+        seen.add(tp.user_id)
+        if matched > 0:
+            sums[tp.user_id] = sums.get(tp.user_id, 0.0) + float(score)
+            counts[tp.user_id] = counts.get(tp.user_id, 0) + 1
     predictions = []
     fallback = []
     for user_id in sorted(seen):

@@ -30,26 +30,16 @@ __all__ = [
 # [^\W_] is "word character except underscore" = Unicode letters and digits.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*", re.UNICODE)
 
-# Emoji blocks counted by count_emoji: Miscellaneous Symbols and Pictographs,
-# Emoticons, Transport and Map Symbols, Supplemental Symbols and Pictographs.
-# ZWJ sequences contribute their base code points; U+200D itself never counts.
-_EMOJI_RANGES = (
-    (0x1F300, 0x1F5FF),
-    (0x1F600, 0x1F64F),
-    (0x1F680, 0x1F6FF),
-    (0x1F900, 0x1F9FF),
+# Emoji blocks: Miscellaneous Symbols and Pictographs, Emoticons, Transport
+# and Map Symbols, Supplemental Symbols and Pictographs. ZWJ sequences
+# contribute their base code points; U+200D itself never counts.
+_EMOJI_RE = re.compile(
+    "[\U0001F300-\U0001F5FF\U0001F600-\U0001F64F\U0001F680-\U0001F6FF\U0001F900-\U0001F9FF]"
 )
 
-# Latin-script letter ranges: ASCII, Latin-1 letters (minus × ÷), Latin
-# Extended-A/B, Latin Extended Additional.
-_LATIN_RANGES = (
-    (0x0041, 0x005A),
-    (0x0061, 0x007A),
-    (0x00C0, 0x00D6),
-    (0x00D8, 0x00F6),
-    (0x00F8, 0x024F),
-    (0x1E00, 0x1EFF),
-)
+# Latin-script letters: ASCII, Latin-1 letters (minus × ÷), Latin Extended-A/B,
+# Latin Extended Additional. Every code point in these ranges is alphabetic.
+_LATIN_RE = re.compile("[A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F\u1E00-\u1EFF]")
 
 
 @dataclass(frozen=True)
@@ -109,43 +99,19 @@ def tokenize(text: str) -> list[str]:
     return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
 
 
-def _in_ranges(cp: int, ranges) -> bool:
-    for lo, hi in ranges:
-        if lo <= cp <= hi:
-            return True
-    return False
-
-
-def count_emoji(text: str) -> int:
-    return sum(1 for ch in text if _in_ranges(ord(ch), _EMOJI_RANGES))
-
-
-def _script_counts(text: str) -> tuple[int, int]:
-    """(latin, alphabetic) character counts over the raw text."""
-    n_latin = 0
-    n_alpha = 0
-    for ch in text:
-        if ch.isalpha():
-            n_alpha += 1
-            if _in_ranges(ord(ch), _LATIN_RANGES):
-                n_latin += 1
-    return n_latin, n_alpha
-
-
 def tokenize_post(post: RawPost) -> TokenizedPost:
     """Tokenize one post and record its surface counts."""
     raw_tokens = [m.group(0) for m in _TOKEN_RE.finditer(post.text)]
     n_cap = sum(1 for t in raw_tokens if t[0].isupper())
-    n_latin, n_alpha = _script_counts(post.text)
     return TokenizedPost(
         user_id=post.user_id,
         post_id=post.post_id,
         tokens=[t.lower() for t in raw_tokens],
         n_capitalized=n_cap,
-        n_emoji=count_emoji(post.text),
+        n_emoji=len(_EMOJI_RE.findall(post.text)),
         n_exclaim=post.text.count("!"),
-        n_latin_chars=n_latin,
-        n_alpha_chars=n_alpha,
+        n_latin_chars=len(_LATIN_RE.findall(post.text)),
+        n_alpha_chars=sum(map(str.isalpha, post.text)),
         char_len=len(post.text),
     )
 

@@ -283,6 +283,35 @@ class TestExitCodes:
         proc = run_cli_subprocess("featurize")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rank-words", "--model", "m.json", "--embeddings", "e.vec", "--top", "-3"],
+             "--top: must be a positive integer, got -3"),
+            (["rank-words", "--model", "m.json", "--embeddings", "e.vec", "--bottom", "0"],
+             "--bottom: must be a positive integer, got 0"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--n-max", "0"], "--n-max: must be a positive integer, got 0"),
+            (["train", "--posts", "p.jsonl", "--labels", "l.csv", "--threads", "0"],
+             "--threads: must be a positive integer, got 0"),
+            (["evaluate", "--posts", "p.jsonl", "--labels", "l.csv", "--threads", "-2"],
+             "--threads: must be a positive integer, got -2"),
+            (["evaluate", "--posts", "p.jsonl", "--labels", "l.csv", "--vectorizer", "tfidf",
+              "--top-terms", "0"], "--top-terms: must be a positive integer, got 0"),
+            (["predict", "--posts", "p.jsonl", "--model", "m.json", "--threads", "2"],
+             "unrecognized arguments: --threads 2"),
+        ],
+        ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
+             "predict-threads"],
+    )
+    def test_out_of_range_size_is_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--output-dir", out)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_2_and_names_path(self, dataset, tmp_path, capsys):
         code = run_cli(
             "train", "--posts", dataset / "posts.jsonl", "--labels", tmp_path / "nope.csv",

@@ -71,6 +71,59 @@ class TestTokenizePost:
         tp = tokenize_post(RawPost("u", "p", "ab😀"))
         assert tp.char_len == 3
 
+    @pytest.mark.parametrize(
+        "cp, expected",
+        [
+            # emoji blocks: first, last, and the neighbour just outside
+            (0x1F2FF, (0, 0, 0)),
+            (0x1F300, (1, 0, 0)),
+            (0x1F5FF, (1, 0, 0)),
+            (0x1F600, (1, 0, 0)),
+            (0x1F64F, (1, 0, 0)),
+            (0x1F650, (0, 0, 0)),
+            (0x1F67F, (0, 0, 0)),
+            (0x1F680, (1, 0, 0)),
+            (0x1F6FF, (1, 0, 0)),
+            (0x1F700, (0, 0, 0)),
+            (0x1F8FF, (0, 0, 0)),
+            (0x1F900, (1, 0, 0)),
+            (0x1F9FF, (1, 0, 0)),
+            (0x1FA00, (0, 0, 0)),
+            (0x200D, (0, 0, 0)),
+            # Latin letter ranges: first, last, and the neighbour just outside
+            (0x0040, (0, 0, 0)),
+            (0x0041, (0, 1, 1)),
+            (0x005A, (0, 1, 1)),
+            (0x005B, (0, 0, 0)),
+            (0x0060, (0, 0, 0)),
+            (0x0061, (0, 1, 1)),
+            (0x007A, (0, 1, 1)),
+            (0x007B, (0, 0, 0)),
+            (0x00BF, (0, 0, 0)),
+            (0x00C0, (0, 1, 1)),
+            (0x00D6, (0, 1, 1)),
+            (0x00D7, (0, 0, 0)),  # ×
+            (0x00D8, (0, 1, 1)),
+            (0x00F6, (0, 1, 1)),
+            (0x00F7, (0, 0, 0)),  # ÷
+            (0x00F8, (0, 1, 1)),
+            (0x024F, (0, 1, 1)),
+            (0x0250, (0, 0, 1)),
+            (0x1DFF, (0, 0, 0)),
+            (0x1E00, (0, 1, 1)),
+            (0x1EFF, (0, 1, 1)),
+            (0x1F00, (0, 0, 1)),
+            # alphabetic outside the Latin ranges; numeric but not alphabetic
+            (0x00AA, (0, 0, 1)),  # ª
+            (0x00B2, (0, 0, 0)),  # ²
+            (0x216B, (0, 0, 0)),  # Ⅻ
+        ],
+        ids=lambda v: f"U+{v:04X}" if isinstance(v, int) else None,
+    )
+    def test_range_edges(self, cp, expected):
+        tp = tokenize_post(RawPost("u", "p", chr(cp)))
+        assert (tp.n_emoji, tp.n_latin_chars, tp.n_alpha_chars) == expected
+
 
 class TestShouldFilter:
     def test_url_http(self):
