@@ -8,6 +8,7 @@ and line when known), 3 numerical failure with a remediation hint.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,30 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _ridge(text: str) -> float:
+    """argparse type for --lambda: a finite number >= 0."""
+    value = float(text)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _bootstrap_count(text: str) -> int:
+    """argparse type for --bootstrap: at least 100 replicates."""
+    value = int(text)
+    if value < 100:
+        raise argparse.ArgumentTypeError(f"must be at least 100, got {value}")
+    return value
+
+
+def _level(text: str) -> float:
+    """argparse type for --level: a confidence level in (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
     return value
 
 
@@ -79,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="text .vec table (embedding vectorizer)")
     p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="ridge coefficient")
+    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0, help="ridge coefficient")
     p.add_argument("--top-terms", type=_positive_int, default=1000, help="tfidf vocabulary size")
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_train)
@@ -90,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--stopwords")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0)
     p.add_argument("--top-terms", type=_positive_int, default=1000)
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_evaluate)
@@ -129,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--n-max", type=_positive_int, default=20)
-    p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates")
-    p.add_argument("--level", type=float, default=0.90, help="confidence level")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--bootstrap", type=_bootstrap_count, default=1000, help="bootstrap replicates")
+    p.add_argument("--level", type=_level, default=0.90, help="confidence level")
+    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0)
     _add_common(p, threads=True, seed=0)
     p.set_defaults(func=cmd_curve)
 
@@ -161,9 +186,8 @@ def _load_table(args) -> EmbeddingTable:
     return EmbeddingTable.load_vec(_check_input(args.embeddings))
 
 
-def cmd_synth(args) -> int:
-    out = _outdir(args)
-    _print_seed(args.seed)
+def _synth_config(args) -> synth.SynthConfig:
+    """The synth sizes as a validated config; ValueError when out of range."""
     cfg = synth.SynthConfig(
         vocab_size=args.vocab_size,
         dim=args.dim,
@@ -177,10 +201,14 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         heldout_per_topic=args.heldout_per_topic,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise DataFormatError(f"invalid synth configuration: {exc}") from None
+    cfg.validate()
+    return cfg
+
+
+def cmd_synth(args) -> int:
+    cfg = _synth_config(args)
+    out = _outdir(args)
+    _print_seed(args.seed)
     data = synth.generate(cfg, out_dir=out)
     print(f"wrote {len(data.posts)} posts for {cfg.n_users} users to {out}")
     dataio.write_manifest(
@@ -525,6 +553,13 @@ def cmd_curve(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_synth:
+        # The sizes constrain each other, so they are checked together here,
+        # before any output exists.
+        try:
+            _synth_config(args)
+        except ValueError as exc:
+            parser.error(f"invalid synth configuration: {exc}")
     try:
         return args.func(args)
     except DataFormatError as exc:

@@ -25,7 +25,9 @@ from .errors import DataFormatError
 
 __all__ = ["EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix", "load_freq_csv"]
 
-_BATCH_CHUNK = 8192
+# Matched token rows gathered at once by post_vectors_matrix (as float32 and
+# float64: ~12*dim bytes a row); chunks end on post boundaries.
+_CHUNK_ROWS = 16384
 
 
 class EmbeddingTable:
@@ -306,9 +308,12 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     """Post vectors for many posts at once.
 
     Returns (means, n_matched, n_tokens): ``means`` is n_posts x dim float64
-    with NaN rows where no token matched. Work is chunked; with threads > 1
-    chunks run on a thread pool but land in preallocated, disjoint slices, so
-    the result is bit-identical for any thread count.
+    with NaN rows where no token matched. Posts go in chunks of about 16k
+    matched tokens that never split a post, so the rows gathered at once stay
+    bounded whatever the number or length of the posts. Each post is summed
+    over its own rows in token order, and chunks (on a thread pool when
+    threads > 1) land in disjoint slices of the preallocated output, so the
+    result is bit-identical for any chunking and any thread count.
     """
     flat, n_matched, n_tokens = flat_token_ids(table, token_lists)
     n = len(token_lists)
@@ -316,7 +321,18 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(n_matched, out=bounds[1:])
 
-    def work(start: int, end: int) -> None:
+    chunks = []
+    start = 0
+    while start < n:
+        # The last post boundary within _CHUNK_ROWS rows of start; a post
+        # longer than that is a chunk of its own.
+        end = int(np.searchsorted(bounds, bounds[start] + _CHUNK_ROWS, side="right")) - 1
+        end = max(end, start + 1)
+        chunks.append((start, end))
+        start = end
+
+    def work(chunk) -> None:
+        start, end = chunk
         lo, hi = bounds[start], bounds[end]
         _mean_rows(
             table.vectors,
@@ -326,11 +342,10 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
             means[start:end],
         )
 
-    starts = list(range(0, n, _BATCH_CHUNK))
-    if threads > 1 and len(starts) > 1:
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: work(s, min(s + _BATCH_CHUNK, n)), starts))
+            list(pool.map(work, chunks))
     else:
-        for s in starts:
-            work(s, min(s + _BATCH_CHUNK, n))
+        for chunk in chunks:
+            work(chunk)
     return means, n_matched, n_tokens

@@ -12,6 +12,10 @@ it never cancels a user's contribution against itself, and the system solved
 for user u contains no floating-point trace of u's rows at all, so u's
 held-out prediction is bit-identical no matter what u's training rows hold.
 Cost stays O(posts*d^2 + users*d^3) instead of a full retrain per user.
+Memory is about 3*sqrt(users) + 4 Gram matrices of (d+2)^2 float64 plus one
+block's rows [X, 1, y]: the suffix sums over blocks of users, the prefix and
+suffix sums within the current block (its user Grams are recomputed there,
+never kept for all users), the running block prefix and the system solved.
 """
 
 from __future__ import annotations
@@ -264,21 +268,6 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
     return scores, n_matched
 
 
-def _augmented_user_grams(ts: TrainingSet, users: list, rows: dict):
-    """Per-user Gram partials of the augmented system [X, 1]."""
-    d1 = ts.d + 1
-    grams = np.empty((len(users), d1, d1), dtype=np.float64)
-    rhs = np.empty((len(users), d1), dtype=np.float64)
-    for k, u in enumerate(users):
-        idx = rows[u]
-        Z = np.empty((idx.size, d1), dtype=np.float64)
-        Z[:, : ts.d] = ts.X[idx]
-        Z[:, ts.d] = 1.0
-        grams[k] = Z.T @ Z
-        rhs[k] = Z.T @ ts.y[idx]
-    return grams, rhs
-
-
 def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
     """Grouped leave-one-user-out predictions, sorted by user id.
 
@@ -293,53 +282,68 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
     if len(users) < 2:
         raise ValueError("grouped LOOCV requires at least 2 users")
     d = ts.d
-    d1 = d + 1
+    d1, d2 = d + 1, d + 2
     U = len(users)
-    # Block prefix/suffix sums keep memory at O(sqrt(U)) Gram matrices even
-    # when d is large (the tfidf route), while preserving a fixed order.
-    m = max(1, math.isqrt(U - 1) + 1)
-    n_blocks = (U + m - 1) // m
+    # Each Gram here is the moment matrix of rows [X, 1, y]: its leading
+    # (d+1) x (d+1) block is the augmented system's matrix and the first d+1
+    # entries of its last column the right-hand side. Users go in blocks of
+    # m = ceil(sqrt(U)). Held at once: the block suffix sums (ceil(U/m) + 1
+    # Grams), the in-block prefix and suffix sums (m + 1 Grams each), the
+    # running block prefix and the system being solved, so about
+    # 3*sqrt(U) + 4 Grams of (d+2)^2 float64 plus one block's rows, whatever
+    # U. No user's Gram outlives its block.
+    m = math.isqrt(U - 1) + 1
+    blocks = [users[s : s + m] for s in range(0, U, m)]
 
-    block_slices = [slice(b * m, min((b + 1) * m, U)) for b in range(n_blocks)]
-    block_gram = np.zeros((n_blocks, d1, d1), dtype=np.float64)
-    block_rhs = np.zeros((n_blocks, d1), dtype=np.float64)
-    per_block = []
-    for b, sl in enumerate(block_slices):
-        grams, rhs = _augmented_user_grams(ts, users[sl], rows)
-        per_block.append((grams, rhs))
-        for g in grams:
-            block_gram[b] += g
-        for r in rhs:
-            block_rhs[b] += r
+    def block_rows(block):
+        """The block's rows [X, 1, y] and each user's row range in them."""
+        idx = np.concatenate([rows[u] for u in block])
+        Z = np.empty((idx.size, d2), dtype=np.float64)
+        Z[:, :d] = ts.X[idx]
+        Z[:, d] = 1.0
+        Z[:, d1] = ts.y[idx]
+        ends = np.cumsum([rows[u].size for u in block]).tolist()
+        return Z, [0] + ends[:-1], ends
 
-    suffix_gram = np.zeros((n_blocks + 1, d1, d1), dtype=np.float64)
-    suffix_rhs = np.zeros((n_blocks + 1, d1), dtype=np.float64)
-    for b in range(n_blocks - 1, -1, -1):
-        suffix_gram[b] = block_gram[b] + suffix_gram[b + 1]
-        suffix_rhs[b] = block_rhs[b] + suffix_rhs[b + 1]
+    # Pass 1: suffix[b] sums blocks b.. ; one GEMM per block.
+    suffix = np.zeros((len(blocks) + 1, d2, d2), dtype=np.float64)
+    for b in range(len(blocks) - 1, -1, -1):
+        Z, _, _ = block_rows(blocks[b])
+        np.matmul(Z.T, Z, out=suffix[b])
+        suffix[b] += suffix[b + 1]
 
-    lam_diag = np.zeros(d1)
+    # Pass 2: per block, recompute the user Grams into the in-block suffix
+    # buffer, then turn it into in-block prefix (before[j] = users < j) and
+    # suffix (after[j] = users >= j) sums. User j's system is
+    # prefix-of-blocks + suffix-of-blocks + before[j] + after[j + 1], so j's
+    # own rows never enter it.
+    before = np.zeros((m + 1, d2, d2), dtype=np.float64)
+    after = np.zeros((m + 1, d2, d2), dtype=np.float64)
+    prefix = np.zeros((d2, d2), dtype=np.float64)
+    G = np.empty((d2, d2), dtype=np.float64)
+    lam_diag = np.zeros(d2)
     lam_diag[:d] = lam
+    diag = np.diag_indices(d2)
     predictions = []
-    prefix_gram = np.zeros((d1, d1), dtype=np.float64)
-    prefix_rhs = np.zeros(d1, dtype=np.float64)
-    for b, sl in enumerate(block_slices):
-        grams, rhs = per_block[b]
-        block_users = users[sl]
-        for j, u in enumerate(block_users):
-            G = prefix_gram + suffix_gram[b + 1]
-            c = prefix_rhs + suffix_rhs[b + 1]
-            for k in range(len(block_users)):
-                if k != j:
-                    G += grams[k]
-                    c += rhs[k]
-            G[np.diag_indices_from(G)] += lam_diag
-            theta = _solve_spd(G, c)
-            idx = rows[u]
-            scores = ts.X[idx] @ theta[:d] + theta[d]
-            predictions.append(UserPrediction(u, float(scores.mean()), int(idx.size)))
-        prefix_gram += block_gram[b]
-        prefix_rhs += block_rhs[b]
+    for b, block in enumerate(blocks):
+        Z, starts, ends = block_rows(block)
+        k = len(block)
+        after[k] = 0.0
+        for j in range(k):
+            Zu = Z[starts[j] : ends[j]]
+            np.matmul(Zu.T, Zu, out=after[j])
+            np.add(before[j], after[j], out=before[j + 1])
+        for j in range(k - 1, -1, -1):
+            after[j] += after[j + 1]
+        for j, u in enumerate(block):
+            np.add(prefix, suffix[b + 1], out=G)
+            G += before[j]
+            G += after[j + 1]
+            G[diag] += lam_diag
+            theta = _solve_spd(G[:d1, :d1], G[:d1, d1])
+            scores = Z[starts[j] : ends[j], :d] @ theta[:d] + theta[d]
+            predictions.append(UserPrediction(u, float(scores.mean()), ends[j] - starts[j]))
+        prefix += before[k]
     return predictions
 
 

@@ -300,16 +300,35 @@ class TestExitCodes:
               "--top-terms", "0"], "--top-terms: must be a positive integer, got 0"),
             (["predict", "--posts", "p.jsonl", "--model", "m.json", "--threads", "2"],
              "unrecognized arguments: --threads 2"),
+            (["synth", "--users", "0"],
+             "invalid synth configuration: n_users must be positive"),
+            (["synth", "--users", "20", "--institutions", "5", "--users-per-institution", "5"],
+             "invalid synth configuration: institution assignment needs more users"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--bootstrap", "99"], "--bootstrap: must be at least 100, got 99"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--level", "1"], "--level: must be in (0, 1), got 1"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--level", "nan"], "--level: must be in (0, 1), got nan"),
+            (["evaluate", "--posts", "p.jsonl", "--labels", "l.csv", "--lambda", "-1"],
+             "--lambda: must be a finite number >= 0, got -1"),
+            (["train", "--posts", "p.jsonl", "--labels", "l.csv", "--lambda", "nan"],
+             "--lambda: must be a finite number >= 0, got nan"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--lambda", "inf"], "--lambda: must be a finite number >= 0, got inf"),
         ],
         ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
-             "predict-threads"],
+             "predict-threads", "synth-users", "synth-institutions", "bootstrap", "level",
+             "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda"],
     )
     def test_out_of_range_size_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--output-dir", out)
         assert exc.value.code == 1
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "seed:" not in captured.out
         assert not out.exists()
 
     def test_missing_file_is_2_and_names_path(self, dataset, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from postscore import embeddings
 from postscore.embeddings import (
     EmbeddingTable,
     _load_vec_fast,
@@ -253,6 +256,51 @@ class TestPostVectorsMatrix:
         assert n_matched.tolist() == [1, 0, 0, 2, 0]
         assert np.isnan(means[[1, 2, 4]]).all()
         assert means[3] == pytest.approx([0.5, 0.5, 0.0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    def test_chunking_bit_identical(self, monkeypatch, chunk_rows, threads):
+        """Means and match counts do not depend on where chunks are cut."""
+        rng = np.random.default_rng(6)
+        words = [f"w{i}" for i in range(9)]
+        table = EmbeddingTable(words, rng.standard_normal((9, 5)).astype(np.float32))
+        posts = [["oov"], []]  # zero-match posts open the list
+        posts += [[words[i] for i in rng.integers(0, 9, int(rng.integers(0, 5)))] for _ in range(40)]
+        posts += [["w1", "oov"], ["oov"], [], words * 2, ["oov"]]  # an 18-row post, zero-match tail
+        posts += [[words[i] for i in rng.integers(0, 9, 4)] + ["oov"] for _ in range(10)]
+        posts += [[], ["oov"]]
+
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 10**9)
+        base, base_matched, base_tokens = post_vectors_matrix(table, posts)
+        assert (base_matched == 0).sum() >= 8 and base_matched.max() > 7
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk_rows)
+        means, n_matched, n_tokens = post_vectors_matrix(table, posts, threads=threads)
+        assert np.array_equal(means, base, equal_nan=True)
+        assert np.array_equal(n_matched, base_matched)
+        assert np.array_equal(n_tokens, base_tokens)
+        empty, n_empty, _ = post_vectors_matrix(table, [], threads=threads)
+        assert empty.shape == (0, 5) and n_empty.shape == (0,)
+
+    def test_gathered_rows_do_not_grow_with_posts(self, monkeypatch):
+        """Beyond the n x d output, memory grows only by the per-token index
+        arrays (a few int64s a token), not by gathered rows (12*d bytes)."""
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 32)
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(40)]
+        table = EmbeddingTable(words, rng.standard_normal((40, 256)).astype(np.float32))
+
+        def transient(n_posts):
+            posts = [[words[(i * k) % 40] for k in range(1, 5)] for i in range(n_posts)]
+            tracemalloc.start()
+            try:
+                means, _, _ = post_vectors_matrix(table, posts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - means.nbytes
+
+        small, large = transient(250), transient(1000)
+        assert large - small < 64 * 4 * 750
 
     def test_flat_token_ids_matches_per_post_lookup(self, tiny_table):
         posts = self._random_posts(tiny_table, 200, seed=5) + [[], ["oov1"]]

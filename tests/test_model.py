@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +265,20 @@ class TestLooUserCV:
                 model = fit(_ts(ts.X[keep], ts.y[keep], ts.groups[keep]), lam=0.1)
                 naive = float((ts.X[~keep] @ model.weights + model.bias).mean())
                 assert abs(naive - fast[u]) < 1e-8
+
+    def test_memory_is_sqrt_users_grams(self):
+        """Peak memory stays within 4*(sqrt(U)+2) Grams of (d+1)^2 float64,
+        not one Gram per user; U = 401 is not a perfect square."""
+        n_users, d = 401, 60
+        ts = _random_grouped(16, n_users=n_users, posts_per_user=2, d=d)
+        tracemalloc.start()
+        try:
+            loo_user_cv(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram_bytes = (d + 1) ** 2 * 8
+        assert peak <= 4 * (math.sqrt(n_users) + 2) * gram_bytes
 
 
 class TestScoreTokenizedPosts:
