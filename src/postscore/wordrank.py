@@ -136,17 +136,19 @@ def project_2d(selected: list[WordScore], table: EmbeddingTable):
     fixes the output up to nothing: it is fully deterministic. A rank-1
     selection yields an exactly-zero second coordinate; a rank-0 selection
     (all vectors identical) is an error, as is a selection of fewer than 3
-    words or any out-of-vocabulary word.
+    words or any word the table does not store exactly as given.
     """
     if len(selected) < 3:
         raise ValueError("2-d projection requires at least 3 words")
     rows = []
     for ws in selected:
-        vec = table.lookup(ws.word)
-        if vec is None:
+        # Exact rows: ranked words are table.words verbatim, so no case
+        # folding applies (a stored "Apple" is the row "Apple").
+        idx = table.vocab.get(ws.word)
+        if idx is None:
             raise ValueError(f"word {ws.word!r} is not in the embedding table")
-        rows.append(vec.astype(np.float64))
-    M = np.vstack(rows)
+        rows.append(idx)
+    M = table.vectors[rows].astype(np.float64)
     M -= M.mean(axis=0)
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
     tol = max(M.shape) * np.finfo(np.float64).eps * (S[0] if S.size else 0.0)

@@ -1,11 +1,14 @@
 import csv
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import postscore
 from postscore import dataio
 from postscore.cli import main
 
@@ -249,6 +252,31 @@ class TestRankWordsCommand:
         assert len(plot) == 30
         assert {r["word"] for r in plot} == {r["word"] for r in rows}
 
+    def test_projection_on_cased_table(self, dataset, trained, tmp_path):
+        """A table that stores capitalized words: every selected word is
+        projected from its own row, none is re-looked-up lowercased."""
+        lines = (dataset / "embeddings.vec").read_text(encoding="utf-8").splitlines(True)
+        cased = []
+        for i in (1, 2, 3):
+            word, rest = lines[i].split(" ", 1)
+            lines[i] = f"{word.capitalize()} {rest}"
+            cased.append(word.capitalize())
+        table_path = tmp_path / "cased.vec"
+        table_path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "rank_cased"
+        code = run_cli(
+            "rank-words", "--model", trained / "model.json", "--embeddings", table_path,
+            "--top", 2000, "--bottom", 5, "--project-2d", "--output-dir", out,
+        )
+        assert code == 0
+        with open(out / "ranking.csv", encoding="utf-8", newline="") as f:
+            ranked = [r["word"] for r in csv.DictReader(f)]
+        with open(out / "plot.csv", encoding="utf-8", newline="") as f:
+            plotted = [r["word"] for r in csv.DictReader(f)]
+        assert len(ranked) == 900
+        assert plotted == ranked
+        assert set(cased) <= set(plotted)
+
     def test_min_count_without_source_is_data_error(self, dataset, trained, tmp_path):
         code = run_cli(
             "rank-words", "--model", trained / "model.json",
@@ -404,3 +432,59 @@ class TestDeterminism:
         w1, w4 = outs[0]["weights"], outs[1]["weights"]
         assert max(abs(a - b) for a, b in zip(w1, w4)) <= 1e-9
         assert abs(outs[0]["bias"] - outs[1]["bias"]) <= 1e-9
+
+
+# Runs CLI commands in one fresh interpreter and prints, after each, its exit
+# code and the scipy modules loaded so far.
+_SCIPY_PROBE = """
+import json, sys
+import postscore, postscore.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+loaded = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [postscore.cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyLoadedOnlyBySolves:
+    def test_commands_that_never_solve_never_import_scipy(self, dataset, trained, tmp_path):
+        d, model = dataset, trained / "model.json"
+        steps = [
+            ("synth", ["synth", "--output-dir", tmp_path / "synth", "--vocab-size", 50,
+                       "--dim", 4, "--topics", 2, "--users", 4, "--posts-per-user", 2,
+                       "--tokens-per-post", 3, "--institutions", 1,
+                       "--users-per-institution", 1]),
+            ("featurize", ["featurize", "--posts", d / "posts.jsonl",
+                           "--output-dir", tmp_path / "features"]),
+            ("correlate", ["correlate", "--features", tmp_path / "features" / "features.csv",
+                           "--labels", d / "labels.csv", "--output-dir", tmp_path / "corr"]),
+            ("predict", ["predict", "--posts", d / "posts.jsonl", "--model", model,
+                         "--embeddings", d / "embeddings.vec", "--output-dir", tmp_path / "pred"]),
+            ("rank-words", ["rank-words", "--model", model, "--embeddings", d / "embeddings.vec",
+                            "--top", 15, "--bottom", 15, "--project-2d",
+                            "--output-dir", tmp_path / "rank"]),
+            ("aggregate", ["aggregate", "--predictions", tmp_path / "pred" / "predictions.csv",
+                           "--mapping", d / "mapping.csv", "--reference", d / "reference.csv",
+                           "--min-users", 3, "--output-dir", tmp_path / "agg"]),
+            ("evaluate", ["evaluate", "--posts", d / "posts.jsonl", "--labels", d / "labels.csv",
+                          "--embeddings", d / "embeddings.vec", "--output-dir", tmp_path / "eval"]),
+        ]
+        payload = json.dumps([(name, [str(a) for a in argv]) for name, argv in steps])
+        src = str(Path(postscore.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, payload], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        for name in ["import"] + [name for name, _ in steps[:-1]]:
+            assert loaded[name] == [0, []], name
+        # evaluate solves, so the probe sees scipy when it is loaded
+        code, modules = loaded["evaluate"]
+        assert code == 0
+        assert "scipy.linalg" in modules

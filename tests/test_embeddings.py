@@ -180,6 +180,16 @@ class TestLookup:
         assert "a" in tiny_table
         assert "zzz" not in tiny_table
 
+    def test_stored_case_found_before_lowercased(self):
+        vectors = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
+        table = EmbeddingTable(["Apple", "apple", "Pear"], vectors)
+        assert tuple(table.lookup("Apple")) == (1.0,)
+        assert tuple(table.lookup("apple")) == (2.0,)
+        assert tuple(table.lookup("APPLE")) == (2.0,)
+        assert tuple(table.lookup("Pear")) == (3.0,)
+        assert "Pear" in table
+        assert "pear" not in table  # a lowercase query never reaches "Pear"
+
 
 class TestPostVector:
     def test_two_word_mean(self, tiny_table):

@@ -7,6 +7,7 @@ from postscore.stats import (
     betainc_regularized,
     bootstrap_ci,
     pearson,
+    pearson_r,
     rankdata,
     spearman,
     student_t_two_sided_p,
@@ -56,6 +57,19 @@ class TestPearson:
         base = pearson(x, y).r
         assert pearson(2.5 * x + 7, y).r == pytest.approx(base, abs=1e-12)
         assert pearson(-3.0 * x + 1, y).r == pytest.approx(-base, abs=1e-12)
+
+    def test_pearson_r_is_pearsons_r_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(3, 60))
+            x = rng.normal(size=n)
+            y = 0.3 * x + rng.normal(size=n)
+            assert pearson_r(x, y) == pearson(x, y).r
+            assert pearson_r(list(x), list(x)) == 1.0
+        with pytest.raises(ValueError):
+            pearson_r([1.0, 1.0, 1.0], [1, 2, 3])
+        with pytest.raises(ValueError):
+            pearson_r([1, 2], [3, 4])
 
     def test_p_monotone_in_abs_r_and_n(self):
         ps = [student_t_two_sided_p(r, 50) for r in (0.1, 0.2, 0.4, 0.6, 0.8)]

@@ -38,6 +38,13 @@ class TestScoreWord:
         model = _model([1.0, 0.0, 0.0])
         assert score_word(model, tiny_table, "zzz") is None
 
+    def test_stored_capitalized_word_is_scored(self):
+        table = EmbeddingTable(["Apple", "pear"], np.array([[2.0], [3.0]], dtype=np.float32))
+        model = _model([10.0], b=1.0)
+        assert score_word(model, table, "Apple") == 21.0
+        assert score_word(model, table, "PEAR") == 31.0
+        assert score_word(model, table, "apple") is None
+
     def test_zero_weights_score_bias(self, tiny_table):
         model = _model([0.0, 0.0, 0.0], b=77.0)
         assert score_word(model, tiny_table, "a") == 77.0
@@ -152,6 +159,17 @@ class TestProject2d:
         sel = [WordScore("a", 0.0, None, 0.0), WordScore("b", 0.0, None, 0.0)]
         with pytest.raises(ValueError, match="at least 3"):
             project_2d(sel, tiny_table)
+
+    def test_cased_words_take_their_own_rows(self):
+        words = ["Apple", "apple", "Pear", "fig"]
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [-1.0, 3.0]], dtype=np.float32)
+        cased = EmbeddingTable(words, vectors)
+        plain = EmbeddingTable(["w0", "w1", "w2", "w3"], vectors)
+        sel = [WordScore(w, 0.0, None, 0.0) for w in words]
+        rows = project_2d(sel, cased)
+        ref = project_2d([WordScore(f"w{i}", 0.0, None, 0.0) for i in range(4)], plain)
+        assert [r[0] for r in rows] == words
+        assert [r[1:] for r in rows] == [r[1:] for r in ref]
 
     def test_oov_word_rejected(self, tiny_table):
         sel = [WordScore(w, 0.0, None, 0.0) for w in ("a", "b", "zzz")]
