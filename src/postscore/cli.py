@@ -28,12 +28,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, wording: str):
+    """argparse type for an integer of at least ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {value}")
+        return value
+    return integer
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
+_bootstrap_count = _int_at_least(100, "at least 100")
 
 
 def _ridge(text: str) -> float:
@@ -41,14 +48,6 @@ def _ridge(text: str) -> float:
     value = float(text)
     if not (value >= 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
-
-
-def _bootstrap_count(text: str) -> int:
-    """argparse type for --bootstrap: at least 100 replicates."""
-    value = int(text)
-    if value < 100:
-        raise argparse.ArgumentTypeError(f"must be at least 100, got {value}")
     return value
 
 
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--mapping", required=True)
     p.add_argument("--reference")
-    p.add_argument("--min-users", type=int, default=5)
+    p.add_argument("--min-users", type=_positive_int, default=5)
     p.add_argument("--exclude-users", help="labels CSV naming users to exclude (leakage control)")
     _add_common(p)
     p.set_defaults(func=cmd_aggregate)
@@ -142,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posts", help="training posts (count-source=training)")
     p.add_argument("--freq", help="frequency sidecar CSV (count-source=sidecar)")
     p.add_argument("--count-source", choices=["training", "sidecar"], default="training")
-    p.add_argument("--min-count", type=int, default=0)
+    p.add_argument("--min-count", type=_nonnegative_int, default=0)
     p.add_argument("--top", type=_positive_int, help="export only the N best-scoring words")
     p.add_argument("--bottom", type=_positive_int, help="export only the N worst-scoring words")
     p.add_argument("--project-2d", action="store_true", help="also write 2-d plot coordinates")
@@ -183,7 +182,12 @@ def _print_seed(seed: int) -> None:
 def _load_table(args) -> EmbeddingTable:
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
-    return EmbeddingTable.load_vec(_check_input(args.embeddings))
+    table = EmbeddingTable.load_vec(_check_input(args.embeddings))
+    # Post tokens are lowercased, so only direct lookups reach a cased row.
+    unreachable = sum(w != w.lower() for w in table.words)
+    if unreachable:
+        print(f"warning: {unreachable} table words are not lowercase; no post token matches them", file=sys.stderr)
+    return table
 
 
 def _synth_config(args) -> synth.SynthConfig:
@@ -322,16 +326,7 @@ def cmd_train(args) -> int:
         vocab_path = out / "tfidf_vocab.csv"
         vocab.save_csv(vocab_path)
         outputs["tfidf_vocab"] = vocab_path
-        extra = {
-            "vectorizer": "tfidf",
-            "tfidf": {
-                "terms": vocab.terms,
-                "df": vocab.df,
-                "idf": vocab.idf,
-                "n_docs": vocab.n_docs,
-                "stopwords": sorted(stopwords),
-            },
-        }
+        extra = {"vectorizer": "tfidf", "tfidf": vocab.to_dict(stopwords)}
     model_path = out / "model.json"
     dataio.save_model_json(model_path, model, extra=extra)
     outputs["model"] = model_path
@@ -384,16 +379,10 @@ def cmd_predict(args) -> int:
     clean = pipeline.load_clean_posts(posts_path)
     inputs = {"posts": posts_path, "model": model_path}
     if payload.get("vectorizer") == "tfidf":
-        block = payload["tfidf"]
-        vocab = tfidf.TfidfVocabulary(
-            terms=list(block["terms"]),
-            df={k: int(v) for k, v in block["df"].items()},
-            idf={k: float(v) for k, v in block["idf"].items()},
-            n_docs=int(block.get("n_docs", 0)),
-        )
-        result = pipeline.predict_users_tfidf(
-            model, vocab, clean, frozenset(block.get("stopwords", []))
-        )
+        vocab, stopwords = tfidf.TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
+        if len(vocab) != model.d:
+            raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=model_path)
+        result = pipeline.predict_users_tfidf(model, vocab, clean, stopwords)
     else:
         table = _load_table(args)
         inputs["embeddings"] = Path(args.embeddings)

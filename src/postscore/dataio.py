@@ -141,6 +141,8 @@ def write_mapping_csv(path, mapping: dict) -> None:
 def read_reference_csv(path) -> dict[str, float]:
     reference: dict[str, float] = {}
     for lineno, row in _read_csv_rows(path, REFERENCE_HEADER):
+        if row[0] in reference:
+            raise DataFormatError(f"duplicate institution {row[0]!r}", path=path, line=lineno)
         try:
             reference[row[0]] = float(row[1])
         except ValueError:

@@ -384,10 +384,7 @@ def posts_curve(
         rng = np.random.default_rng((seed, n_sel))
         kept = []
         for u in eligible:
-            idx = rows[u]
-            if idx.size < n_sel:
-                continue  # dropped from this N
-            kept.extend(sorted(rng.choice(idx, size=n_sel, replace=False).tolist()))
+            kept.extend(sorted(rng.choice(rows[u], size=n_sel, replace=False).tolist()))
         sub = TrainingSet(X=ts.X[kept], y=ts.y[kept], groups=ts.groups[kept])
         preds = loo_user_cv(sub, lam=lam)
         pairs = [(p.predicted, truth[p.user_id]) for p in preds]

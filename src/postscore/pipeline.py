@@ -7,6 +7,7 @@ over the whole list at once (``post_vectors_matrix`` batches internally).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +159,8 @@ def predict_users_tfidf(
 
 def extract_features(posts) -> list:
     """Per-user surface features from a RawPost stream, sorted by user_id."""
-    accumulators: dict[str, textproc.FeatureAccumulator] = {}
-    for tp in iter_clean_posts(posts):
-        acc = accumulators.get(tp.user_id)
-        if acc is None:
-            acc = accumulators[tp.user_id] = textproc.FeatureAccumulator()
-        acc.add(tp)
+    accumulators = defaultdict(textproc.FeatureAccumulator)
+    for post in posts:
+        if not textproc.should_filter(post)[0]:
+            accumulators[post.user_id].add(post)
     return [accumulators[u].finish(u) for u in sorted(accumulators)]

@@ -1,9 +1,9 @@
 """Tokenization, post filtering, and per-user surface features.
 
 Tokens are maximal runs of Unicode letters/digits with internal apostrophes
-and hyphens preserved ("don't", "re-read"), lowercased. Original-case
-capitalization, emoji, '!' and script counts are recorded per post before
-lowering so that per-user rates can be averaged with equal post weight.
+and hyphens preserved ("don't", "re-read"), lowercased. Only ``featurize``
+reads capitalization, emoji, '!' and script counts: FeatureAccumulator takes
+them from each post's raw text, so the model path only tokenizes.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class TokenizedPost:
     user_id: str
     post_id: str
     tokens: list[str]
-    n_capitalized: int = 0
-    n_emoji: int = 0
-    n_exclaim: int = 0
-    n_latin_chars: int = 0
-    n_alpha_chars: int = 0
-    char_len: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,24 +90,12 @@ FEATURE_COLUMNS = [
 
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens of ``text``; empty input gives an empty list."""
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 def tokenize_post(post: RawPost) -> TokenizedPost:
-    """Tokenize one post and record its surface counts."""
-    raw_tokens = [m.group(0) for m in _TOKEN_RE.finditer(post.text)]
-    n_cap = sum(1 for t in raw_tokens if t[0].isupper())
-    return TokenizedPost(
-        user_id=post.user_id,
-        post_id=post.post_id,
-        tokens=[t.lower() for t in raw_tokens],
-        n_capitalized=n_cap,
-        n_emoji=len(_EMOJI_RE.findall(post.text)),
-        n_exclaim=post.text.count("!"),
-        n_latin_chars=len(_LATIN_RE.findall(post.text)),
-        n_alpha_chars=sum(map(str.isalpha, post.text)),
-        char_len=len(post.text),
-    )
+    """One post's author, id and lowercased tokens."""
+    return TokenizedPost(post.user_id, post.post_id, tokenize(post.text))
 
 
 def should_filter(post: RawPost) -> tuple[bool, str | None]:
@@ -167,19 +149,24 @@ class FeatureAccumulator:
     total_token_chars: int = 0
     counts: Counter = field(default_factory=Counter)
 
-    def add(self, post: TokenizedPost) -> None:
-        n_tok = len(post.tokens)
+    def add(self, post: RawPost) -> None:
+        """Count one unfiltered post from its text. Capitals are counted on
+        the raw-case tokens, before lowering."""
+        text = post.text
+        raw_tokens = _TOKEN_RE.findall(text)
+        n_tok = len(raw_tokens)
         if n_tok == 0:
             raise ValueError("cannot accumulate a post with zero tokens")
+        tokens = [t.lower() for t in raw_tokens]
         self.n_posts += 1
-        self.rate_caps += post.n_capitalized / n_tok
-        self.rate_emoji += post.n_emoji / n_tok
-        self.rate_exclaim += post.n_exclaim / n_tok
-        self.n_latin += post.n_latin_chars
-        self.n_alpha += post.n_alpha_chars
+        self.rate_caps += sum(1 for t in raw_tokens if t[0].isupper()) / n_tok
+        self.rate_emoji += len(_EMOJI_RE.findall(text)) / n_tok
+        self.rate_exclaim += text.count("!") / n_tok
+        self.n_latin += len(_LATIN_RE.findall(text))
+        self.n_alpha += sum(map(str.isalpha, text))
         self.total_tokens += n_tok
-        self.total_token_chars += sum(len(t) for t in post.tokens)
-        self.counts.update(post.tokens)
+        self.total_token_chars += sum(len(t) for t in tokens)
+        self.counts.update(tokens)
 
     def finish(self, user_id: str) -> UserSurfaceFeatures:
         if self.n_posts == 0:
@@ -198,8 +185,8 @@ class FeatureAccumulator:
         )
 
 
-def surface_features(posts: list[TokenizedPost]) -> UserSurfaceFeatures:
-    """Surface features for one user's (non-empty) tokenized posts."""
+def surface_features(posts: list[RawPost]) -> UserSurfaceFeatures:
+    """Surface features for one user's unfiltered posts (at least one)."""
     if not posts:
         raise ValueError("surface_features requires at least one post")
     acc = FeatureAccumulator()

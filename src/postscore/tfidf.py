@@ -57,6 +57,30 @@ class TfidfVocabulary:
             for t in self.terms:
                 writer.writerow([t, self.df[t], repr(self.idf[t])])
 
+    def to_dict(self, stopwords=frozenset()) -> dict:
+        """The ``tfidf`` block of a model file: this vocabulary and the
+        stopwords it was built with."""
+        return {"terms": self.terms, "df": self.df, "idf": self.idf, "n_docs": self.n_docs,
+                "stopwords": sorted(stopwords)}
+
+    @classmethod
+    def from_dict(cls, block, path=None) -> tuple["TfidfVocabulary", frozenset[str]]:
+        """Inverse of to_dict. A missing or malformed block raises
+        DataFormatError naming ``path``, the model file it came from."""
+        if not isinstance(block, dict):
+            raise DataFormatError("tf-idf model has no `tfidf` object", path=path)
+        try:
+            terms = list(block["terms"])
+            df = {t: int(block["df"][t]) for t in terms}
+            idf = {t: float(block["idf"][t]) for t in terms}
+            n_docs = int(block.get("n_docs", 0))
+            stopwords = frozenset(block.get("stopwords", []))
+        except KeyError as exc:
+            raise DataFormatError(f"`tfidf` has no entry {exc.args[0]!r}", path=path) from None
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad `tfidf` object: {exc}", path=path) from None
+        return cls(terms=terms, df=df, idf=idf, n_docs=n_docs), stopwords
+
     @classmethod
     def load_csv(cls, path, n_docs: int = 0) -> "TfidfVocabulary":
         terms, df, idf = [], {}, {}

@@ -50,6 +50,32 @@ def trained(dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def tfidf_trained(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("tfidf_trained")
+    code = run_cli(
+        "train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+        "--vectorizer", "tfidf", "--top-terms", 80, "--lambda", 0.001, "--output-dir", out,
+    )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def cased_table(dataset, tmp_path_factory):
+    """The dataset's table with its first three words capitalized, and those
+    three words."""
+    lines = (dataset / "embeddings.vec").read_text(encoding="utf-8").splitlines(True)
+    cased = []
+    for i in (1, 2, 3):
+        word, rest = lines[i].split(" ", 1)
+        lines[i] = f"{word.capitalize()} {rest}"
+        cased.append(word.capitalize())
+    table_path = tmp_path_factory.mktemp("cased") / "cased.vec"
+    table_path.write_text("".join(lines), encoding="utf-8")
+    return table_path, cased
+
+
 class TestSynthCommand:
     def test_outputs_and_manifest(self, dataset):
         for name in ("embeddings.vec", "posts.jsonl", "labels.csv", "mapping.csv",
@@ -140,6 +166,30 @@ class TestTrainPredictEvaluate:
         )
         assert code == 0
         assert len(dataio.read_predictions_csv(pred_out / "predictions.csv")) == 48
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("tfidf"), "tf-idf model has no `tfidf` object"),
+            (lambda p: p["tfidf"].pop("idf"), "`tfidf` has no entry 'idf'"),
+            (lambda p: p["tfidf"]["terms"].pop(), "`tfidf` has 79 terms, the model d=80"),
+        ],
+        ids=["no-block", "no-idf", "short-terms"],
+    )
+    def test_malformed_tfidf_block_is_data_error(self, dataset, tfidf_trained, tmp_path, capsys,
+                                                  edit, message):
+        payload = json.loads((tfidf_trained / "model.json").read_text(encoding="utf-8"))
+        edit(payload)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--posts", dataset / "posts.jsonl", "--model", bad,
+            "--output-dir", tmp_path / "pred",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad_model.json: {message}" in err
 
 
 class TestFeaturizeCorrelate:
@@ -252,17 +302,10 @@ class TestRankWordsCommand:
         assert len(plot) == 30
         assert {r["word"] for r in plot} == {r["word"] for r in rows}
 
-    def test_projection_on_cased_table(self, dataset, trained, tmp_path):
+    def test_projection_on_cased_table(self, trained, cased_table, tmp_path):
         """A table that stores capitalized words: every selected word is
         projected from its own row, none is re-looked-up lowercased."""
-        lines = (dataset / "embeddings.vec").read_text(encoding="utf-8").splitlines(True)
-        cased = []
-        for i in (1, 2, 3):
-            word, rest = lines[i].split(" ", 1)
-            lines[i] = f"{word.capitalize()} {rest}"
-            cased.append(word.capitalize())
-        table_path = tmp_path / "cased.vec"
-        table_path.write_text("".join(lines), encoding="utf-8")
+        table_path, cased = cased_table
         out = tmp_path / "rank_cased"
         code = run_cli(
             "rank-words", "--model", trained / "model.json", "--embeddings", table_path,
@@ -276,6 +319,19 @@ class TestRankWordsCommand:
         assert len(ranked) == 900
         assert plotted == ranked
         assert set(cased) <= set(plotted)
+
+    def test_cased_table_warns_of_unreachable_words(self, dataset, trained, cased_table, tmp_path,
+                                                    capsys):
+        warning = "warning: 3 table words are not lowercase; no post token matches them"
+        for table_path, expected in ((dataset / "embeddings.vec", []), (cased_table[0], [warning])):
+            capsys.readouterr()
+            code = run_cli(
+                "predict", "--posts", dataset / "posts.jsonl", "--model", trained / "model.json",
+                "--embeddings", table_path, "--output-dir", tmp_path / "pred",
+            )
+            assert code == 0
+            err = capsys.readouterr().err.splitlines()
+            assert [line for line in err if "lowercase" in line] == expected
 
     def test_min_count_without_source_is_data_error(self, dataset, trained, tmp_path):
         code = run_cli(
@@ -344,10 +400,15 @@ class TestExitCodes:
              "--lambda: must be a finite number >= 0, got nan"),
             (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
               "--lambda", "inf"], "--lambda: must be a finite number >= 0, got inf"),
+            (["aggregate", "--predictions", "p.csv", "--mapping", "m.csv", "--min-users", "-3"],
+             "--min-users: must be a positive integer, got -3"),
+            (["rank-words", "--model", "m.json", "--embeddings", "e.vec", "--min-count", "-5"],
+             "--min-count: must be a non-negative integer, got -5"),
         ],
         ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
              "predict-threads", "synth-users", "synth-institutions", "bootstrap", "level",
-             "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda"],
+             "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda", "min-users",
+             "min-count"],
     )
     def test_out_of_range_size_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"

@@ -74,6 +74,15 @@ class TestLabelsCsv:
         assert ":2" in str(err.value)
 
 
+class TestReferenceCsv:
+    def test_duplicate_institution_names_line(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text("institution_id,score\ni1,500\ni2,480\ni1,510\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="duplicate institution 'i1'") as err:
+            dataio.read_reference_csv(path)
+        assert "reference.csv:4" in str(err.value)
+
+
 class TestPredictionsCsv:
     def test_round_trip(self, tmp_path):
         preds = [UserPrediction("u1", 501.5, 3), UserPrediction("u2", 499.0, 0)]

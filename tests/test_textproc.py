@@ -1,11 +1,14 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from postscore.textproc import (
+    FeatureAccumulator,
     RawPost,
+    TokenizedPost,
     shannon_entropy,
     should_filter,
     surface_features,
@@ -46,30 +49,41 @@ class TestTokenize:
             assert tokenize(" ".join(tokens)) == tokens
 
 
+def _counted(text):
+    """The feature accumulator after one post of ``text``."""
+    acc = FeatureAccumulator()
+    acc.add(RawPost("u", "p", text))
+    return acc
+
+
 class TestTokenizePost:
+    """One post: its tokens, and the surface counts that FeatureAccumulator
+    takes from the same raw-case tokens (the model path never counts)."""
+
+    def test_only_author_id_and_tokens(self):
+        tp = tokenize_post(RawPost("u", "p", "Hello WORLD again!"))
+        assert [f.name for f in fields(tp)] == ["user_id", "post_id", "tokens"]
+        assert tp == TokenizedPost("u", "p", ["hello", "world", "again"])
+
     def test_capitalization_counted_before_lowering(self):
-        tp = tokenize_post(RawPost("u", "p", "Hello WORLD again"))
-        assert tp.tokens == ["hello", "world", "again"]
-        assert tp.n_capitalized == 2
+        acc = _counted("Hello WORLD again")
+        assert acc.counts == Counter({"hello": 1, "world": 1, "again": 1})
+        assert acc.rate_caps == 2 / 3
 
     def test_emoji_and_exclaim_counts(self):
-        tp = tokenize_post(RawPost("u", "p", "ура 😀😀! вот 🚀!"))
-        assert tp.n_emoji == 3
-        assert tp.n_exclaim == 2
+        acc = _counted("ура 😀😀! вот 🚀!")  # two tokens
+        assert acc.rate_emoji == 3 / 2
+        assert acc.rate_exclaim == 2 / 2
 
     def test_zwj_sequence_counts_base_code_points(self):
         # man+ZWJ+woman+ZWJ+girl: three emoji code points, ZWJ itself ignored
-        tp = tokenize_post(RawPost("u", "p", "семья \U0001F468‍\U0001F469‍\U0001F467"))
-        assert tp.n_emoji == 3
+        acc = _counted("семья \U0001F468‍\U0001F469‍\U0001F467")  # one token
+        assert acc.rate_emoji == 3
 
     def test_latin_share_counts(self):
-        tp = tokenize_post(RawPost("u", "p", "слово word 123"))
-        assert tp.n_latin_chars == 4
-        assert tp.n_alpha_chars == 9
-
-    def test_char_len_is_code_points(self):
-        tp = tokenize_post(RawPost("u", "p", "ab😀"))
-        assert tp.char_len == 3
+        acc = _counted("слово word 123")
+        assert acc.n_latin == 4
+        assert acc.n_alpha == 9
 
     @pytest.mark.parametrize(
         "cp, expected",
@@ -121,8 +135,10 @@ class TestTokenizePost:
         ids=lambda v: f"U+{v:04X}" if isinstance(v, int) else None,
     )
     def test_range_edges(self, cp, expected):
-        tp = tokenize_post(RawPost("u", "p", chr(cp)))
-        assert (tp.n_emoji, tp.n_latin_chars, tp.n_alpha_chars) == expected
+        # "1" gives the post a token and counts as none of the three; for one
+        # post, rate times tokens is the emoji count (exact for 1 or 2 tokens).
+        acc = _counted("1 " + chr(cp))
+        assert (acc.rate_emoji * acc.total_tokens, acc.n_latin, acc.n_alpha) == expected
 
 
 class TestShouldFilter:
@@ -185,20 +201,13 @@ class TestShannonEntropy:
             assert -1e-12 <= h <= math.log2(len(counts)) + 1e-12
 
 
-def _tp(user, tokens, caps=0, emoji=0, exclaim=0, latin=0, alpha=0):
-    from postscore.textproc import TokenizedPost
-
-    return TokenizedPost(
-        user_id=user,
-        post_id=f"{user}-{id(tokens) % 9999}",
-        tokens=list(tokens),
-        n_capitalized=caps,
-        n_emoji=emoji,
-        n_exclaim=exclaim,
-        n_latin_chars=latin,
-        n_alpha_chars=alpha,
-        char_len=sum(len(t) for t in tokens),
-    )
+def _tp(user, tokens, caps=0, emoji=0, exclaim=0):
+    """A post whose text has ``tokens`` (the first ``caps`` capitalized) and
+    ``emoji`` emoji and ``exclaim`` '!' outside them. Latin and alphabetic
+    characters are those of the tokens."""
+    words = [t.capitalize() if i < caps else t for i, t in enumerate(tokens)]
+    text = " ".join(words + ["😀" * emoji, "!" * exclaim])
+    return RawPost(user_id=user, post_id=f"{user}-{text}", text=text)
 
 
 class TestSurfaceFeatures:
@@ -227,9 +236,8 @@ class TestSurfaceFeatures:
         assert f.avg_word_len == pytest.approx(7 / 3)
 
     def test_latin_rate_pooled_over_posts(self):
-        f = surface_features(
-            [_tp("u", ["x"], latin=2, alpha=4), _tp("u", ["y"], latin=1, alpha=2)]
-        )
+        # (2 + 1) Latin of (4 + 2) alphabetic characters
+        f = surface_features([_tp("u", ["xy", "жз"]), _tp("u", ["z", "ж"])])
         assert f.latin_rate == pytest.approx(0.5)
 
     def test_latin_rate_zero_when_no_alpha(self):
@@ -244,7 +252,7 @@ class TestSurfaceFeatures:
         posts = [
             _tp("u", ["a", "b", "b"], caps=1, emoji=2),
             _tp("u", ["c"], exclaim=3),
-            _tp("u", ["a", "d"], latin=1, alpha=2),
+            _tp("u", ["a", "д"]),
         ]
         rng = np.random.default_rng(3)
         base = surface_features(posts)
@@ -256,11 +264,12 @@ class TestSurfaceFeatures:
         rng = np.random.default_rng(11)
         alphabet = ["a", "bb", "ccc", "dd", "e"]
         for _ in range(30):
-            posts = []
+            posts, n_tokens = [], 0
             for p in range(int(rng.integers(1, 6))):
                 tokens = [alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(1, 9))]
                 posts.append(_tp("u", tokens, caps=int(rng.integers(0, len(tokens) + 1))))
+                n_tokens += len(tokens)
             f = surface_features(posts)
             assert 0.0 <= f.caps_rate <= 1.0
-            assert f.vocab_size <= sum(len(p.tokens) for p in posts)
+            assert f.vocab_size <= n_tokens
             assert -1e-12 <= f.entropy_bits <= math.log2(max(f.vocab_size, 1)) + 1e-12
