@@ -1,5 +1,6 @@
 """Command-line pipeline: synth -> featurize/train/evaluate/predict ->
-aggregate/rank-words/curve, every run writing a provenance manifest.
+aggregate/rank-words/curve. Each command writes its outputs and returns its
+params, inputs and outputs; main writes them to the run's provenance manifest.
 
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
 and line when known), 3 numerical failure with a remediation hint.
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, dataio, pipeline, stats, synth, tfidf, wordrank
-from .embeddings import EmbeddingTable, load_freq_csv
+from .embeddings import EmbeddingTable
 from .errors import DataFormatError, SingularSystemError
 from .model import fit, loo_user_cv, posts_curve
 from .textproc import FEATURE_COLUMNS
@@ -162,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _check_input(path_str: str) -> Path:
     path = Path(path_str)
     if not path.is_file():
@@ -209,25 +204,16 @@ def _synth_config(args) -> synth.SynthConfig:
     return cfg
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, out: Path) -> tuple[dict, dict, dict]:
     cfg = _synth_config(args)
-    out = _outdir(args)
     _print_seed(args.seed)
     data = synth.generate(cfg, out_dir=out)
     print(f"wrote {len(data.posts)} posts for {cfg.n_users} users to {out}")
-    dataio.write_manifest(
-        out,
-        "synth",
-        params={k: v for k, v in vars(args).items() if k not in ("func", "command")},
-        inputs={},
-        outputs=data.paths,
-        seed=args.seed,
-    )
-    return 0
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return params, {}, data.paths
 
 
-def cmd_featurize(args) -> int:
-    out = _outdir(args)
+def cmd_featurize(args, out: Path) -> tuple[dict, dict, dict]:
     posts_path = _check_input(args.posts)
     features = pipeline.extract_features(dataio.iter_posts_jsonl(posts_path))
     if not features:
@@ -235,19 +221,10 @@ def cmd_featurize(args) -> int:
     features_path = out / "features.csv"
     dataio.write_features_csv(features_path, features)
     print(f"featurized {len(features)} users")
-    dataio.write_manifest(
-        out,
-        "featurize",
-        params={},
-        inputs={"posts": posts_path},
-        outputs={"features": features_path},
-        seed=None,
-    )
-    return 0
+    return {}, {"posts": posts_path}, {"features": features_path}
 
 
-def cmd_correlate(args) -> int:
-    out = _outdir(args)
+def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
     features_path = _check_input(args.features)
     labels_path = _check_input(args.labels)
     rows = dataio.read_features_csv(features_path)
@@ -267,15 +244,7 @@ def cmd_correlate(args) -> int:
     dataio.write_report_csv(report_path, report)
     for name, rep in report:
         print(f"{name}: r={rep.r:+.4f} p={rep.p_two_sided:.3g} n={rep.n}")
-    dataio.write_manifest(
-        out,
-        "correlate",
-        params={},
-        inputs={"features": features_path, "labels": labels_path},
-        outputs={"report": report_path},
-        seed=None,
-    )
-    return 0
+    return {}, {"features": features_path, "labels": labels_path}, {"report": report_path}
 
 
 def _load_training(args):
@@ -304,16 +273,22 @@ def _tfidf_training(args, clean, labels, inputs):
         stopwords_path = _check_input(args.stopwords)
         stopwords = tfidf.load_stopwords(stopwords_path)
         inputs["stopwords"] = stopwords_path
-    labeled = [tp for tp in clean if tp.user_id in labels]
-    if not labeled:
-        raise DataFormatError("no labeled posts")
-    vocab = tfidf.build_vocab((tp.tokens for tp in labeled), stopwords, k=args.top_terms)
+    labeled_tokens = (tp.tokens for tp in clean if tp.user_id in labels)
+    vocab = tfidf.build_vocab(labeled_tokens, stopwords, k=args.top_terms)
     ts, astats = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)
     return ts, astats, vocab, stopwords
 
 
-def cmd_train(args) -> int:
-    out = _outdir(args)
+def _fit_params(args) -> dict:
+    """Manifest params of train and evaluate; --top-terms only shapes a
+    tf-idf model."""
+    params = {"vectorizer": args.vectorizer, "lambda": args.lam, "threads": args.threads}
+    if args.vectorizer == "tfidf":
+        params["top_terms"] = args.top_terms
+    return params
+
+
+def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
     clean, labels, fstats, inputs = _load_training(args)
     outputs = {}
     if args.vectorizer == "embedding":
@@ -323,30 +298,19 @@ def cmd_train(args) -> int:
     else:
         ts, astats, vocab, stopwords = _tfidf_training(args, clean, labels, inputs)
         model = fit(ts, lam=args.lam)
-        vocab_path = out / "tfidf_vocab.csv"
-        vocab.save_csv(vocab_path)
-        outputs["tfidf_vocab"] = vocab_path
+        outputs["tfidf_vocab"] = out / "tfidf_vocab.csv"
+        dataio.write_tfidf_vocab_csv(outputs["tfidf_vocab"], vocab)
         extra = {"vectorizer": "tfidf", "tfidf": vocab.to_dict(stopwords)}
-    model_path = out / "model.json"
-    dataio.save_model_json(model_path, model, extra=extra)
-    outputs["model"] = model_path
+    outputs["model"] = out / "model.json"
+    dataio.save_model_json(outputs["model"], model, extra=extra)
     print(
         f"trained on {astats.n_posts} posts from {astats.n_users} users "
         f"(filtered {fstats.removed}, no-vector {astats.no_vector}, unlabeled {astats.unlabeled})"
     )
-    dataio.write_manifest(
-        out,
-        "train",
-        params={"vectorizer": args.vectorizer, "lambda": args.lam, "threads": args.threads},
-        inputs=inputs,
-        outputs=outputs,
-        seed=None,
-    )
-    return 0
+    return _fit_params(args), inputs, outputs
 
 
-def cmd_evaluate(args) -> int:
-    out = _outdir(args)
+def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
     clean, labels, _, inputs = _load_training(args)
     build = _embedding_training if args.vectorizer == "embedding" else _tfidf_training
     ts = build(args, clean, labels, inputs)[0]
@@ -355,33 +319,24 @@ def cmd_evaluate(args) -> int:
     rep = stats.pearson(
         [p.predicted for p in predictions], [truth[p.user_id] for p in predictions]
     )
-    predictions_path = out / "loocv_predictions.csv"
-    report_path = out / "report.csv"
-    dataio.write_predictions_csv(predictions_path, predictions)
-    dataio.write_report_csv(report_path, [("loocv_user_pearson_r", rep)])
+    outputs = {"loocv_predictions": out / "loocv_predictions.csv", "report": out / "report.csv"}
+    dataio.write_predictions_csv(outputs["loocv_predictions"], predictions)
+    dataio.write_report_csv(outputs["report"], [("loocv_user_pearson_r", rep)])
     print(f"grouped LOOCV over {rep.n} users: r={rep.r:.4f} (p={rep.p_two_sided:.3g})")
-    dataio.write_manifest(
-        out,
-        "evaluate",
-        params={"vectorizer": args.vectorizer, "lambda": args.lam, "threads": args.threads},
-        inputs=inputs,
-        outputs={"loocv_predictions": predictions_path, "report": report_path},
-        seed=None,
-    )
-    return 0
+    return _fit_params(args), inputs, outputs
 
 
-def cmd_predict(args) -> int:
-    out = _outdir(args)
+def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
+    """Checks the model and its table before the posts are read."""
     posts_path = _check_input(args.posts)
     model_path = _check_input(args.model)
     model, payload = dataio.load_model_json(model_path)
-    clean = pipeline.load_clean_posts(posts_path)
     inputs = {"posts": posts_path, "model": model_path}
     if payload.get("vectorizer") == "tfidf":
         vocab, stopwords = tfidf.TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
         if len(vocab) != model.d:
             raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=model_path)
+        clean = pipeline.load_clean_posts(posts_path)
         result = pipeline.predict_users_tfidf(model, vocab, clean, stopwords)
     else:
         table = _load_table(args)
@@ -389,24 +344,16 @@ def cmd_predict(args) -> int:
         expected = model.training_meta.embedding_fingerprint
         if expected and expected != table.fingerprint():
             print("warning: embedding table differs from the one used in training", file=sys.stderr)
+        clean = pipeline.load_clean_posts(posts_path)
         result = pipeline.predict_users_from_posts(model, table, clean)
     predictions_path = out / "predictions.csv"
     dataio.write_predictions_csv(predictions_path, result.predictions)
     note = f", {len(result.fallback_users)} fell back to the training mean" if result.fallback_users else ""
     print(f"predicted {len(result.predictions)} users{note}")
-    dataio.write_manifest(
-        out,
-        "predict",
-        params={},
-        inputs=inputs,
-        outputs={"predictions": predictions_path},
-        seed=None,
-    )
-    return 0
+    return {}, inputs, {"predictions": predictions_path}
 
 
-def cmd_aggregate(args) -> int:
-    out = _outdir(args)
+def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
     predictions_path = _check_input(args.predictions)
     mapping_path = _check_input(args.mapping)
     predictions = dataio.read_predictions_csv(predictions_path)
@@ -432,47 +379,37 @@ def cmd_aggregate(args) -> int:
             comparison.matched + [s for s in result.scores if s.institution_id not in reference],
             key=lambda s: s.institution_id,
         )
-        report_path = out / "report.csv"
+        outputs["report"] = out / "report.csv"
         dataio.write_report_csv(
-            report_path,
+            outputs["report"],
             [("institution_pearson", comparison.pearson), ("institution_spearman", comparison.spearman)],
         )
-        outputs["report"] = report_path
         print(
             f"{len(comparison.matched)} institutions matched: "
             f"pearson r={comparison.pearson.r:.4f} (r^2={comparison.pearson.r_squared:.4f}), "
             f"spearman r={comparison.spearman.r:.4f}"
         )
-    institutions_path = out / "institutions.csv"
-    dataio.write_institutions_csv(institutions_path, scores)
-    outputs["institutions"] = institutions_path
+    outputs["institutions"] = out / "institutions.csv"
+    dataio.write_institutions_csv(outputs["institutions"], scores)
     if result.excluded:
-        excluded_path = out / "excluded.csv"
-        dataio.write_excluded_csv(excluded_path, result.excluded)
-        outputs["excluded"] = excluded_path
+        outputs["excluded"] = out / "excluded.csv"
+        dataio.write_excluded_csv(outputs["excluded"], result.excluded)
         print(f"dropped {len(result.excluded)} institutions under min-users={args.min_users}")
-    dataio.write_manifest(
-        out,
-        "aggregate",
-        params={"min_users": args.min_users},
-        inputs=inputs,
-        outputs=outputs,
-        seed=None,
-    )
-    return 0
+    return {"min_users": args.min_users}, inputs, outputs
 
 
-def cmd_rank_words(args) -> int:
-    out = _outdir(args)
+def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     model_path = _check_input(args.model)
-    model, _ = dataio.load_model_json(model_path)
+    model, payload = dataio.load_model_json(model_path)
+    if payload.get("vectorizer") == "tfidf":
+        raise DataFormatError("rank-words needs an embedding model, not a tf-idf one", path=model_path)
     table = _load_table(args)
     inputs = {"model": model_path, "embeddings": Path(args.embeddings)}
     counts = None
     if args.count_source == "sidecar":
         if args.freq:
             freq_path = _check_input(args.freq)
-            counts = load_freq_csv(freq_path)
+            counts = dataio.read_freq_csv(freq_path)
             inputs["freq"] = freq_path
         elif args.min_count > 0:
             raise DataFormatError("--min-count with count-source=sidecar requires --freq")
@@ -484,40 +421,30 @@ def cmd_rank_words(args) -> int:
             inputs["posts"] = posts_path
         elif args.min_count > 0:
             raise DataFormatError("--min-count with count-source=training requires --posts")
-    ranking_path = out / "ranking.csv"
     rows = wordrank.iter_ranked(
         model, table, min_count=args.min_count, counts=counts, head=args.top, tail=args.bottom
     )
-    outputs = {"ranking": ranking_path}
+    outputs = {"ranking": out / "ranking.csv"}
     if args.project_2d:
         selected = list(rows)
         if len(selected) > 10_000:
             raise DataFormatError("--project-2d needs --top/--bottom to select at most 10k words")
-        n = dataio.write_ranking_csv(ranking_path, selected)
-        plot_path = out / "plot.csv"
-        dataio.write_plot_csv(plot_path, wordrank.project_2d(selected, table))
-        outputs["plot"] = plot_path
+        n = dataio.write_ranking_csv(outputs["ranking"], selected)
+        outputs["plot"] = out / "plot.csv"
+        dataio.write_plot_csv(outputs["plot"], wordrank.project_2d(selected, table))
     else:
-        n = dataio.write_ranking_csv(ranking_path, rows)
+        n = dataio.write_ranking_csv(outputs["ranking"], rows)
     print(f"ranked {n} words")
-    dataio.write_manifest(
-        out,
-        "rank-words",
-        params={
-            "min_count": args.min_count,
-            "count_source": args.count_source,
-            "top": args.top,
-            "bottom": args.bottom,
-        },
-        inputs=inputs,
-        outputs=outputs,
-        seed=None,
-    )
-    return 0
+    params = {
+        "min_count": args.min_count,
+        "count_source": args.count_source,
+        "top": args.top,
+        "bottom": args.bottom,
+    }
+    return params, inputs, outputs
 
 
-def cmd_curve(args) -> int:
-    out = _outdir(args)
+def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     _print_seed(args.seed)
     clean, labels, _, inputs = _load_training(args)
     ts = _embedding_training(args, clean, labels, inputs)[0]
@@ -528,15 +455,8 @@ def cmd_curve(args) -> int:
     dataio.write_curve_csv(curve_path, points)
     for p in points:
         print(f"N={p.n_posts:>2} r={p.r:.4f} [{p.ci_low:.4f}, {p.ci_high:.4f}]")
-    dataio.write_manifest(
-        out,
-        "curve",
-        params={"n_max": args.n_max, "bootstrap": args.bootstrap, "level": args.level, "lambda": args.lam},
-        inputs=inputs,
-        outputs={"curve": curve_path},
-        seed=args.seed,
-    )
-    return 0
+    params = {"n_max": args.n_max, "bootstrap": args.bootstrap, "level": args.level, "lambda": args.lam}
+    return params, inputs, {"curve": curve_path}
 
 
 def main(argv=None) -> int:
@@ -550,7 +470,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(f"invalid synth configuration: {exc}")
     try:
-        return args.func(args)
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        params, inputs, outputs = args.func(args, out)
+        dataio.write_manifest(out, args.command, params, inputs, outputs, seed=getattr(args, "seed", None))
     except DataFormatError as exc:
         print(f"postscore: data error: {exc}", file=sys.stderr)
         return 2
@@ -563,6 +486,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"postscore: numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

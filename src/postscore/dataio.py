@@ -1,5 +1,10 @@
 """File formats: posts JSONL, the CSV family, model JSON, run manifests.
 
+This module reads and writes every CSV and JSON file the package uses; only
+the `.vec` table and the stopword list stay with their parsers. Every CSV is
+UTF-8 with a header row and LF line ends, and every JSON file is written by
+``write_json``.
+
 All writers are deterministic: floats are serialized with repr (shortest
 round-trip), rows follow a defined order, and nothing embeds timestamps, so
 identical inputs give byte-identical outputs.
@@ -17,6 +22,7 @@ from .errors import DataFormatError
 from .model import CurvePoint, LinearModel, UserPrediction
 from .stats import CorrelationReport
 from .textproc import FEATURE_COLUMNS, RawPost, UserSurfaceFeatures
+from .tfidf import TfidfVocabulary
 from .transfer import InstitutionScore
 
 MANIFEST_NAME = "manifest.json"
@@ -32,6 +38,8 @@ LABELS_HEADER = ["user_id", "score"]
 MAPPING_HEADER = ["user_id", "institution_id"]
 REFERENCE_HEADER = ["institution_id", "score"]
 FREQ_HEADER = ["word", "count"]
+EXCLUDED_HEADER = ["institution_id", "n_users"]
+TFIDF_VOCAB_HEADER = ["term", "df", "idf"]
 
 
 def _fmt(value: float) -> str:
@@ -83,9 +91,17 @@ def write_posts_jsonl(path, posts: Iterable[RawPost]) -> None:
 # ------------------------------------------------------------------ CSV files
 
 
-def _open_csv_writer(path):
-    f = open(path, "w", encoding="utf-8", newline="")
-    return f, csv.writer(f, lineterminator="\n")
+def _write_csv(path, header: list[str], rows: Iterable) -> int:
+    """Write ``header`` then ``rows`` as UTF-8 CSV with LF line ends;
+    returns the number of rows written."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            n += 1
+    return n
 
 
 def _read_csv_rows(path, header: list[str]):
@@ -119,11 +135,7 @@ def read_labels_csv(path) -> dict[str, float]:
 
 
 def write_labels_csv(path, labels: dict) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(LABELS_HEADER)
-        for user_id in sorted(labels):
-            writer.writerow([user_id, _fmt(labels[user_id])])
+    _write_csv(path, LABELS_HEADER, ([u, _fmt(labels[u])] for u in sorted(labels)))
 
 
 def read_mapping_pairs(path) -> list[tuple[str, str]]:
@@ -131,11 +143,7 @@ def read_mapping_pairs(path) -> list[tuple[str, str]]:
 
 
 def write_mapping_csv(path, mapping: dict) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(MAPPING_HEADER)
-        for user_id in sorted(mapping):
-            writer.writerow([user_id, mapping[user_id]])
+    _write_csv(path, MAPPING_HEADER, ([u, mapping[u]] for u in sorted(mapping)))
 
 
 def read_reference_csv(path) -> dict[str, float]:
@@ -151,39 +159,56 @@ def read_reference_csv(path) -> dict[str, float]:
 
 
 def write_reference_csv(path, reference: dict) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(REFERENCE_HEADER)
-        for inst in sorted(reference):
-            writer.writerow([inst, _fmt(reference[inst])])
+    _write_csv(path, REFERENCE_HEADER, ([i, _fmt(reference[i])] for i in sorted(reference)))
+
+
+def read_freq_csv(path) -> dict:
+    """Sidecar corpus frequencies: CSV rows `word,count` (header optional)."""
+    freq = {}
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row:
+                continue
+            if lineno == 1 and row[:2] == FREQ_HEADER:
+                continue
+            if len(row) != 2:
+                raise DataFormatError("expected `word,count`", path=path, line=lineno)
+            try:
+                count = int(row[1])
+            except ValueError:
+                raise DataFormatError("count must be an integer", path=path, line=lineno) from None
+            if row[0] in freq:
+                raise DataFormatError(f"duplicate word {row[0]!r}", path=path, line=lineno)
+            freq[row[0]] = count
+    return freq
 
 
 def write_freq_csv(path, freq: dict) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(FREQ_HEADER)
-        for word in sorted(freq):
-            writer.writerow([word, int(freq[word])])
+    _write_csv(path, FREQ_HEADER, ([w, int(freq[w])] for w in sorted(freq)))
+
+
+def write_tfidf_vocab_csv(path, vocab: TfidfVocabulary) -> None:
+    """The vocabulary a tf-idf model was trained on, in model order."""
+    rows = ([t, vocab.df[t], _fmt(vocab.idf[t])] for t in vocab.terms)
+    _write_csv(path, TFIDF_VOCAB_HEADER, rows)
 
 
 def write_features_csv(path, features: Iterable[UserSurfaceFeatures]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(FEATURES_HEADER)
-        for u in features:
-            writer.writerow(
-                [
-                    u.user_id,
-                    _fmt(u.caps_rate),
-                    _fmt(u.emoji_rate),
-                    _fmt(u.exclaim_rate),
-                    _fmt(u.latin_rate),
-                    _fmt(u.avg_post_len),
-                    _fmt(u.avg_word_len),
-                    u.vocab_size,
-                    _fmt(u.entropy_bits),
-                ]
-            )
+    rows = (
+        [
+            u.user_id,
+            _fmt(u.caps_rate),
+            _fmt(u.emoji_rate),
+            _fmt(u.exclaim_rate),
+            _fmt(u.latin_rate),
+            _fmt(u.avg_post_len),
+            _fmt(u.avg_word_len),
+            u.vocab_size,
+            _fmt(u.entropy_bits),
+        ]
+        for u in features
+    )
+    _write_csv(path, FEATURES_HEADER, rows)
 
 
 def read_features_csv(path) -> list[dict]:
@@ -200,11 +225,8 @@ def read_features_csv(path) -> list[dict]:
 
 
 def write_predictions_csv(path, predictions: Iterable[UserPrediction]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(PREDICTIONS_HEADER)
-        for p in predictions:
-            writer.writerow([p.user_id, _fmt(p.predicted), p.n_posts_used])
+    rows = ([p.user_id, _fmt(p.predicted), p.n_posts_used] for p in predictions)
+    _write_csv(path, PREDICTIONS_HEADER, rows)
 
 
 def read_predictions_csv(path) -> list[UserPrediction]:
@@ -218,77 +240,61 @@ def read_predictions_csv(path) -> list[UserPrediction]:
 
 
 def write_report_csv(path, rows: Iterable[tuple[str, CorrelationReport]]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(REPORT_HEADER)
-        for metric, rep in rows:
-            writer.writerow([metric, _fmt(rep.r), rep.n, _fmt(rep.p_two_sided), _fmt(rep.r_squared)])
+    cells = ([metric, _fmt(rep.r), rep.n, _fmt(rep.p_two_sided), _fmt(rep.r_squared)] for metric, rep in rows)
+    _write_csv(path, REPORT_HEADER, cells)
 
 
 def write_institutions_csv(path, scores: Iterable[InstitutionScore]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(INSTITUTIONS_HEADER)
-        for s in scores:
-            writer.writerow(
-                [
-                    s.institution_id,
-                    s.n_users,
-                    s.n_posts,
-                    _fmt(s.predicted_mean),
-                    "" if s.reference is None else _fmt(s.reference),
-                ]
-            )
+    rows = (
+        [
+            s.institution_id,
+            s.n_users,
+            s.n_posts,
+            _fmt(s.predicted_mean),
+            "" if s.reference is None else _fmt(s.reference),
+        ]
+        for s in scores
+    )
+    _write_csv(path, INSTITUTIONS_HEADER, rows)
 
 
 def write_excluded_csv(path, excluded: Iterable[tuple[str, int]]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(["institution_id", "n_users"])
-        for inst, n_users in excluded:
-            writer.writerow([inst, n_users])
+    _write_csv(path, EXCLUDED_HEADER, excluded)
 
 
 def write_ranking_csv(path, word_scores: Iterable) -> int:
     """Stream WordScore rows; returns the number of rows written."""
-    n = 0
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(RANKING_HEADER)
-        for ws in word_scores:
-            writer.writerow(
-                [ws.word, _fmt(ws.score), "" if ws.freq is None else ws.freq, _fmt(ws.percentile)]
-            )
-            n += 1
-    return n
+    rows = (
+        [ws.word, _fmt(ws.score), "" if ws.freq is None else ws.freq, _fmt(ws.percentile)]
+        for ws in word_scores
+    )
+    return _write_csv(path, RANKING_HEADER, rows)
 
 
 def write_plot_csv(path, rows: Iterable[tuple[str, float, float, float]]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(PLOT_HEADER)
-        for word, x, y, score in rows:
-            writer.writerow([word, _fmt(x), _fmt(y), _fmt(score)])
+    _write_csv(path, PLOT_HEADER, ([word, _fmt(x), _fmt(y), _fmt(score)] for word, x, y, score in rows))
 
 
 def write_curve_csv(path, points: Iterable[CurvePoint]) -> None:
-    f, writer = _open_csv_writer(path)
-    with f:
-        writer.writerow(CURVE_HEADER)
-        for p in points:
-            writer.writerow([p.n_posts, _fmt(p.r), _fmt(p.ci_low), _fmt(p.ci_high)])
+    _write_csv(path, CURVE_HEADER, ([p.n_posts, _fmt(p.r), _fmt(p.ci_low), _fmt(p.ci_high)] for p in points))
 
 
-# ------------------------------------------------------------------ model JSON
+# ------------------------------------------------------------------------ JSON
+
+
+def write_json(path, payload) -> None:
+    """Sorted keys, one-space indent and a final LF, so equal payloads give
+    equal bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(payload, f, sort_keys=True, indent=1)
+        f.write("\n")
 
 
 def save_model_json(path, model: LinearModel, extra: dict | None = None) -> None:
     payload = model.to_dict()
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def load_model_json(path) -> tuple[LinearModel, dict]:
@@ -323,22 +329,19 @@ def write_manifest(out_dir, command: str, params: dict, inputs: dict, outputs: d
     """
     from . import __version__
 
+    def files(paths: dict) -> dict:
+        return {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items()}
+
     manifest = {
         "format_version": 1,
         "tool": "postscore",
         "version": __version__,
         "command": command,
         "seed": seed,
-        "params": {k: v for k, v in sorted(params.items())},
-        "inputs": {
-            name: {"path": str(p), "sha256": sha256_file(p)} for name, p in sorted(inputs.items())
-        },
-        "outputs": {
-            name: {"path": str(p), "sha256": sha256_file(p)} for name, p in sorted(outputs.items())
-        },
+        "params": params,
+        "inputs": files(inputs),
+        "outputs": files(outputs),
     }
     path = Path(out_dir) / MANIFEST_NAME
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(path, manifest)
     return path

@@ -13,7 +13,6 @@ Python's float() takes (such as "1_0"), parses the file to the same result.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError
 
-__all__ = ["EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix", "load_freq_csv"]
+__all__ = ["EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix"]
 
 # Matched token rows gathered at once by post_vectors_matrix (as float32 and
 # float64: ~12*dim bytes a row); chunks end on post boundaries.
@@ -222,28 +221,6 @@ def _validate_rows(path, words, vectors, count, dim) -> None:
         if w in seen:
             raise DataFormatError(f"duplicate word {w!r}", path=path, line=i + 2)
         seen.add(w)
-
-
-def load_freq_csv(path) -> dict:
-    """Sidecar corpus frequencies: CSV rows `word,count` (header optional)."""
-    freq = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[:2] == ["word", "count"]:
-                continue
-            if len(row) != 2:
-                raise DataFormatError("expected `word,count`", path=path, line=lineno)
-            try:
-                count = int(row[1])
-            except ValueError:
-                raise DataFormatError("count must be an integer", path=path, line=lineno) from None
-            if row[0] in freq:
-                raise DataFormatError(f"duplicate word {row[0]!r}", path=path, line=lineno)
-            freq[row[0]] = count
-    return freq
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ output is byte-deterministic for a fixed config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -317,7 +316,5 @@ def _write_dataset(data: SynthData, out_dir: Path) -> dict:
         "heldout_words": data.truth.heldout_words,
         "config": asdict(data.config),
     }
-    with open(paths["truth"], "w", encoding="utf-8", newline="\n") as f:
-        json.dump(truth_payload, f, sort_keys=True, indent=1)
-        f.write("\n")
+    dataio.write_json(paths["truth"], truth_payload)
     return {k: str(v) for k, v in paths.items()}

@@ -13,7 +13,6 @@ and each post vector is L2-normalized (a zero vector stays zero).
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -50,13 +49,6 @@ class TfidfVocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["term", "df", "idf"])
-            for t in self.terms:
-                writer.writerow([t, self.df[t], repr(self.idf[t])])
-
     def to_dict(self, stopwords=frozenset()) -> dict:
         """The ``tfidf`` block of a model file: this vocabulary and the
         stopwords it was built with."""
@@ -80,25 +72,6 @@ class TfidfVocabulary:
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"bad `tfidf` object: {exc}", path=path) from None
         return cls(terms=terms, df=df, idf=idf, n_docs=n_docs), stopwords
-
-    @classmethod
-    def load_csv(cls, path, n_docs: int = 0) -> "TfidfVocabulary":
-        terms, df, idf = [], {}, {}
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != ["term", "df", "idf"]:
-                raise DataFormatError("expected header `term,df,idf`", path=path, line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise DataFormatError("expected 3 fields", path=path, line=lineno)
-                terms.append(row[0])
-                try:
-                    df[row[0]] = int(row[1])
-                    idf[row[0]] = float(row[2])
-                except ValueError:
-                    raise DataFormatError("bad df/idf value", path=path, line=lineno) from None
-        return cls(terms=terms, df=df, idf=idf, n_docs=n_docs)
 
 
 def _post_terms(tokens, stopwords) -> list[str]:

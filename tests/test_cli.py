@@ -191,6 +191,50 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"bad_model.json: {message}" in err
 
+    def test_model_checked_before_posts(self, dataset, tfidf_trained, tmp_path, capsys):
+        payload = json.loads((tfidf_trained / "model.json").read_text(encoding="utf-8"))
+        payload["tfidf"].pop("idf")
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        posts = tmp_path / "bad_posts.jsonl"
+        posts.write_text("{oops\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("predict", "--posts", posts, "--model", bad, "--output-dir", tmp_path / "pred")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad_model.json: `tfidf` has no entry 'idf'" in err
+        assert "bad_posts.jsonl" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_tfidf_without_labeled_posts_is_data_error(self, dataset, tmp_path, command):
+        labels = tmp_path / "labels.csv"
+        dataio.write_labels_csv(labels, {"nobody": 1.0})
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--posts", dataset / "posts.jsonl", "--labels", labels,
+            "--vectorizer", "tfidf", "--output-dir", out,
+        )
+        assert code == 2
+        assert not (out / "model.json").exists()
+        assert not (out / dataio.MANIFEST_NAME).exists()
+
+    def test_top_terms_recorded_for_tfidf_only(self, dataset, trained, tfidf_trained, tmp_path):
+        def params(out):
+            return json.loads((out / dataio.MANIFEST_NAME).read_text(encoding="utf-8"))["params"]
+
+        assert params(tfidf_trained)["top_terms"] == 80
+        assert "top_terms" not in params(trained)
+        for k in (100, 200):
+            code = run_cli(
+                "evaluate", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                "--vectorizer", "tfidf", "--top-terms", k, "--lambda", 0.001,
+                "--output-dir", tmp_path / f"eval{k}",
+            )
+            assert code == 0
+            assert params(tmp_path / f"eval{k}") == {
+                "vectorizer": "tfidf", "lambda": 0.001, "threads": 1, "top_terms": k,
+            }
+
 
 class TestFeaturizeCorrelate:
     def test_featurize_then_correlate(self, dataset, tmp_path):
@@ -332,6 +376,24 @@ class TestRankWordsCommand:
             assert code == 0
             err = capsys.readouterr().err.splitlines()
             assert [line for line in err if "lowercase" in line] == expected
+
+    def test_tfidf_model_is_data_error(self, dataset, tmp_path, capsys):
+        """A tf-idf model whose d equals the table's dim is still refused."""
+        model_out = tmp_path / "tfidf12"
+        code = run_cli(
+            "train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+            "--vectorizer", "tfidf", "--top-terms", 12, "--lambda", 0.001, "--output-dir", model_out,
+        )
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "rank"
+        code = run_cli(
+            "rank-words", "--model", model_out / "model.json",
+            "--embeddings", dataset / "embeddings.vec", "--output-dir", out,
+        )
+        assert code == 2
+        assert f"{model_out / 'model.json'}: rank-words needs an embedding model" in capsys.readouterr().err
+        assert not (out / "ranking.csv").exists()
 
     def test_min_count_without_source_is_data_error(self, dataset, trained, tmp_path):
         code = run_cli(

@@ -7,8 +7,10 @@ from postscore import dataio
 from postscore.errors import DataFormatError
 from postscore.model import CurvePoint, LinearModel, TrainingMeta, UserPrediction
 from postscore.stats import CorrelationReport
-from postscore.textproc import RawPost
+from postscore.textproc import RawPost, UserSurfaceFeatures
+from postscore.tfidf import build_vocab
 from postscore.transfer import InstitutionScore
+from postscore.wordrank import WordScore
 
 
 class TestPostsJsonl:
@@ -117,8 +119,6 @@ class TestOtherWriters:
         assert path.read_text(encoding="utf-8").splitlines()[0] == "n_posts,r,ci_low,ci_high"
 
     def test_features_header_is_the_documented_contract(self, tmp_path):
-        from postscore.textproc import UserSurfaceFeatures
-
         f = UserSurfaceFeatures("u", 0.1, 0.0, 0.0, 1.0, 2.0, 3.0, 4, 1.5, n_posts=2)
         path = tmp_path / "features.csv"
         dataio.write_features_csv(path, [f])
@@ -127,6 +127,37 @@ class TestOtherWriters:
             "user_id,caps_rate,emoji_rate,exclaim_rate,latin_rate,"
             "avg_post_len,avg_word_len,vocab_size,entropy_bits"
         )
+
+
+_REPORT = CorrelationReport(r=0.5, n=100, p_two_sided=1e-7, r_squared=0.25)
+_FEATURES = UserSurfaceFeatures("u", 0.1, 0.0, 0.0, 1.0, 2.0, 3.0, 4, 1.5, n_posts=2)
+# name -> (header, rows) for dataio.write_<name>_csv
+CSV_WRITERS = {
+    "labels": (dataio.LABELS_HEADER, {"u1": 1.5, "u2": 2.0}),
+    "mapping": (dataio.MAPPING_HEADER, {"u1": "i1", "u2": "i2"}),
+    "reference": (dataio.REFERENCE_HEADER, {"i1": 480.0}),
+    "freq": (dataio.FREQ_HEADER, {"a": 3, "b": 1}),
+    "tfidf_vocab": (["term", "df", "idf"], build_vocab([["a", "b"], ["b"]], k=3)),
+    "features": (dataio.FEATURES_HEADER, [_FEATURES]),
+    "predictions": (dataio.PREDICTIONS_HEADER, [UserPrediction("u1", 501.5, 3)]),
+    "report": (dataio.REPORT_HEADER, [("metric_x", _REPORT)]),
+    "institutions": (dataio.INSTITUTIONS_HEADER, [InstitutionScore("i1", 5, 40, 501.0)]),
+    "excluded": (["institution_id", "n_users"], [("i2", 1)]),
+    "ranking": (dataio.RANKING_HEADER, [WordScore("a", 1.5, None, 100.0)]),
+    "plot": (dataio.PLOT_HEADER, [("a", 0.5, -0.5, 1.5)]),
+    "curve": (dataio.CURVE_HEADER, [CurvePoint(1, 0.2, 0.1, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_WRITERS))
+def test_csv_writers_emit_header_and_lf_only(tmp_path, name):
+    header, rows = CSV_WRITERS[name]
+    path = tmp_path / f"{name}.csv"
+    getattr(dataio, f"write_{name}_csv")(path, rows)
+    data = path.read_bytes()
+    assert data.startswith(",".join(header).encode("utf-8") + b"\n")
+    assert b"\r" not in data
+    assert data.endswith(b"\n") and data.count(b"\n") == 1 + len(rows)
 
 
 class TestModelJson:

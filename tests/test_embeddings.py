@@ -6,13 +6,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from postscore import embeddings
+from postscore import dataio, embeddings
 from postscore.embeddings import (
     EmbeddingTable,
     _load_vec_fast,
     _load_vec_slow,
     flat_token_ids,
-    load_freq_csv,
     post_vector,
     post_vectors_matrix,
 )
@@ -343,20 +342,20 @@ class TestFreqSidecar:
     def test_load(self, tmp_path):
         path = tmp_path / "freq.csv"
         path.write_text("word,count\nа,10\nб,3\n", encoding="utf-8")
-        assert load_freq_csv(path) == {"а": 10, "б": 3}
+        assert dataio.read_freq_csv(path) == {"а": 10, "б": 3}
 
     def test_bad_count_names_line(self, tmp_path):
         path = tmp_path / "freq.csv"
         path.write_text("word,count\nа,x\n", encoding="utf-8")
         with pytest.raises(DataFormatError) as err:
-            load_freq_csv(path)
+            dataio.read_freq_csv(path)
         assert ":2" in str(err.value)
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "freq.csv"
         path.write_text("word,count\nа,1\nа,2\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="duplicate"):
-            load_freq_csv(path)
+            dataio.read_freq_csv(path)
 
 
 class TestTableConstruction:

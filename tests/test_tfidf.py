@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from postscore.errors import DataFormatError
+from postscore import dataio
 from postscore.tfidf import TfidfVocabulary, build_vocab, load_stopwords, tfidf_matrix, tfidf_vector
 
 
@@ -105,17 +106,15 @@ class TestVocabularyPersistence:
     def test_csv_round_trip(self, tmp_path):
         vocab = build_vocab([["a", "b"], ["b", "c"], ["a"]], k=5)
         path = tmp_path / "vocab.csv"
-        vocab.save_csv(path)
-        back = TfidfVocabulary.load_csv(path, n_docs=vocab.n_docs)
-        assert back.terms == vocab.terms
-        assert back.df == vocab.df
-        assert back.idf == vocab.idf
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "vocab.csv"
-        path.write_text("nope\n", encoding="utf-8")
-        with pytest.raises(DataFormatError):
-            TfidfVocabulary.load_csv(path)
+        dataio.write_tfidf_vocab_csv(path, vocab)
+        with open(path, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["term", "df", "idf"]
+        assert [row[0] for row in rows] == vocab.terms
+        assert {row[0]: int(row[1]) for row in rows} == vocab.df
+        assert {row[0]: row[2] for row in rows} == {t: repr(vocab.idf[t]) for t in vocab.terms}
+        data = path.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == len(vocab) + 1
 
 
 class TestStopwords:
