@@ -139,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-words", help="score and rank the whole vocabulary")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--posts", help="training posts (count-source=training)")
-    p.add_argument("--freq", help="frequency sidecar CSV (count-source=sidecar)")
-    p.add_argument("--count-source", choices=["training", "sidecar"], default="training")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--posts", help="posts whose tokens give the word counts")
+    source.add_argument("--freq", help="word,count CSV that gives the word counts")
     p.add_argument("--min-count", type=_nonnegative_int, default=0)
     p.add_argument("--top", type=_positive_int, help="export only the N best-scoring words")
     p.add_argument("--bottom", type=_positive_int, help="export only the N worst-scoring words")
@@ -406,21 +406,16 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     table = _load_table(args)
     inputs = {"model": model_path, "embeddings": Path(args.embeddings)}
     counts = None
-    if args.count_source == "sidecar":
-        if args.freq:
-            freq_path = _check_input(args.freq)
-            counts = dataio.read_freq_csv(freq_path)
-            inputs["freq"] = freq_path
-        elif args.min_count > 0:
-            raise DataFormatError("--min-count with count-source=sidecar requires --freq")
-    else:
-        if args.posts:
-            posts_path = _check_input(args.posts)
-            clean = pipeline.load_clean_posts(posts_path)
-            counts = wordrank.training_token_counts(tp.tokens for tp in clean)
-            inputs["posts"] = posts_path
-        elif args.min_count > 0:
-            raise DataFormatError("--min-count with count-source=training requires --posts")
+    if args.posts:
+        posts_path = _check_input(args.posts)
+        counts = wordrank.training_token_counts(tp.tokens for tp in pipeline.load_clean_posts(posts_path))
+        inputs["posts"] = posts_path
+    elif args.freq:
+        freq_path = _check_input(args.freq)
+        counts = dataio.read_freq_csv(freq_path)
+        inputs["freq"] = freq_path
+    elif args.min_count > 0:
+        raise DataFormatError("--min-count needs word counts from --posts or --freq")
     rows = wordrank.iter_ranked(
         model, table, min_count=args.min_count, counts=counts, head=args.top, tail=args.bottom
     )
@@ -435,13 +430,7 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     else:
         n = dataio.write_ranking_csv(outputs["ranking"], rows)
     print(f"ranked {n} words")
-    params = {
-        "min_count": args.min_count,
-        "count_source": args.count_source,
-        "top": args.top,
-        "bottom": args.bottom,
-    }
-    return params, inputs, outputs
+    return {"min_count": args.min_count, "top": args.top, "bottom": args.bottom}, inputs, outputs
 
 
 def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:

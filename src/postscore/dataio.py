@@ -118,17 +118,23 @@ def _read_csv_rows(path, header: list[str]):
             yield lineno, row
 
 
-def read_labels_csv(path) -> dict[str, float]:
-    """user_id -> target score."""
-    labels: dict[str, float] = {}
-    for lineno, row in _read_csv_rows(path, LABELS_HEADER):
+def _read_scores_csv(path, header: list[str], kind: str) -> dict[str, float]:
+    """id -> score from a two-column CSV; an id listed twice is a data error
+    that names the ``kind`` of id."""
+    scores: dict[str, float] = {}
+    for lineno, row in _read_csv_rows(path, header):
+        if row[0] in scores:
+            raise DataFormatError(f"duplicate {kind} {row[0]!r}", path=path, line=lineno)
         try:
-            value = float(row[1])
+            scores[row[0]] = float(row[1])
         except ValueError:
             raise DataFormatError("score must be a number", path=path, line=lineno) from None
-        if row[0] in labels:
-            raise DataFormatError(f"duplicate user {row[0]!r}", path=path, line=lineno)
-        labels[row[0]] = value
+    return scores
+
+
+def read_labels_csv(path) -> dict[str, float]:
+    """user_id -> target score."""
+    labels = _read_scores_csv(path, LABELS_HEADER, "user")
     if not labels:
         raise DataFormatError("labels file has no rows", path=path, line=1)
     return labels
@@ -147,15 +153,8 @@ def write_mapping_csv(path, mapping: dict) -> None:
 
 
 def read_reference_csv(path) -> dict[str, float]:
-    reference: dict[str, float] = {}
-    for lineno, row in _read_csv_rows(path, REFERENCE_HEADER):
-        if row[0] in reference:
-            raise DataFormatError(f"duplicate institution {row[0]!r}", path=path, line=lineno)
-        try:
-            reference[row[0]] = float(row[1])
-        except ValueError:
-            raise DataFormatError("score must be a number", path=path, line=lineno) from None
-    return reference
+    """institution_id -> reference score."""
+    return _read_scores_csv(path, REFERENCE_HEADER, "institution")
 
 
 def write_reference_csv(path, reference: dict) -> None:

@@ -9,6 +9,10 @@ pass reads the words, and a space count checks that no row has extra fields.
 A pure-Python validating parser runs only when that route rejects a file. It
 names the offending line, or, for the rare value the C parser refuses but
 Python's float() takes (such as "1_0"), parses the file to the same result.
+
+A post vector is the mean of its matched rows: ``segment_mean`` takes it for
+many posts at once, and ``model.score_tokenized_posts`` averages word scores
+with it too.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ _CHUNK_ROWS = 16384
 
 
 class EmbeddingTable:
-    """Immutable word -> float32 vector map with optional corpus frequencies.
+    """Immutable word -> float32 vector map.
 
     Safe for concurrent reads after construction; nothing mutates it.
     """
 
-    def __init__(self, words, vectors, freq=None):
+    def __init__(self, words, vectors):
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise ValueError("vectors must be a |vocab| x dim matrix")
@@ -48,7 +52,6 @@ class EmbeddingTable:
             if w in self.vocab:
                 raise ValueError(f"duplicate word in embedding table: {w!r}")
             self.vocab[w] = i
-        self.freq = dict(freq) if freq else None
         self._fingerprint = None
         vectors.setflags(write=False)
 
@@ -101,7 +104,7 @@ class EmbeddingTable:
                 f.write("\n")
 
     @classmethod
-    def load_vec(cls, path, freq=None) -> "EmbeddingTable":
+    def load_vec(cls, path) -> "EmbeddingTable":
         """Parse a text .vec file: header "<count> <dim>", then one word and
         dim space-separated reals per line.
 
@@ -115,7 +118,7 @@ class EmbeddingTable:
             parsed = _load_vec_slow(path, count, dim)
         words, vectors = parsed
         _validate_rows(path, words, vectors, count, dim)
-        return cls(words, vectors, freq=freq)
+        return cls(words, vectors)
 
 
 def _read_vec_header(path) -> tuple[int, int]:
@@ -272,21 +275,21 @@ def flat_token_ids(table: EmbeddingTable, token_lists):
     return ids[hit], n_matched, n_tokens
 
 
-def _mean_rows(vectors, flat, offsets, counts, out) -> None:
-    """Segment means of gathered rows into ``out`` (NaN for empty segments)."""
-    n, _ = out.shape
-    if n == 0:
-        return
+def segment_mean(rows, counts, out) -> None:
+    """Mean of each run of ``counts[i]`` consecutive ``rows`` into ``out[i]``.
+
+    ``rows`` (1-D or 2-D) holds exactly ``counts.sum()`` rows; an empty run
+    gives NaN. Each run is summed over its own rows only, so a run's mean
+    does not depend on the runs around it.
+    """
     out.fill(np.nan)
     nonempty = counts > 0
-    if not nonempty.any():
-        return
-    # Empty segments occupy no rows, so the starts of non-empty segments are
-    # strictly increasing, in range, and adjacent in flat: reduceat over them
-    # alone sums exactly each post's rows.
-    gathered = vectors[flat].astype(np.float64)
-    sums = np.add.reduceat(gathered, offsets[nonempty], axis=0)
-    out[nonempty] = sums / counts[nonempty, None]
+    starts = np.cumsum(counts) - counts
+    # Empty runs occupy no rows, so the starts of non-empty runs are strictly
+    # increasing, in range, and adjacent in rows: reduceat over them alone
+    # sums exactly each run's rows.
+    sums = np.add.reduceat(rows, starts[nonempty], axis=0)
+    out[nonempty] = sums / counts[nonempty].reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
 def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
@@ -296,9 +299,9 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     with NaN rows where no token matched. Posts go in chunks of about 16k
     matched tokens that never split a post, so the rows gathered at once stay
     bounded whatever the number or length of the posts. Each post is summed
-    over its own rows in token order, and chunks (on a thread pool when
-    threads > 1) land in disjoint slices of the preallocated output, so the
-    result is bit-identical for any chunking and any thread count.
+    over its own rows only, and chunks (on a thread pool when threads > 1)
+    land in disjoint slices of the preallocated output, so the result is
+    bit-identical for any chunking and any thread count.
     """
     flat, n_matched, n_tokens = flat_token_ids(table, token_lists)
     n = len(token_lists)
@@ -318,14 +321,8 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
 
     def work(chunk) -> None:
         start, end = chunk
-        lo, hi = bounds[start], bounds[end]
-        _mean_rows(
-            table.vectors,
-            flat[lo:hi],
-            bounds[start:end] - lo,
-            n_matched[start:end],
-            means[start:end],
-        )
+        rows = table.vectors[flat[bounds[start] : bounds[end]]].astype(np.float64)
+        segment_mean(rows, n_matched[start:end], means[start:end])
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

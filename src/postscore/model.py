@@ -13,10 +13,11 @@ it never cancels a user's contribution against itself, and the system solved
 for user u contains no floating-point trace of u's rows at all, so u's
 held-out prediction is bit-identical no matter what u's training rows hold.
 Cost stays O(posts*d^2 + users*d^3) instead of a full retrain per user.
-Memory is about 3*sqrt(users) + 4 Gram matrices of (d+2)^2 float64 plus one
+Memory is about 3*sqrt(users) + 3 Gram matrices of (d+2)^2 float64 plus one
 block's rows [X, 1, y]: the suffix sums over blocks of users, the prefix and
 suffix sums within the current block (its user Grams are recomputed there,
-never kept for all users), the running block prefix and the system solved.
+never kept for all users; the prefix buffer also carries the earlier blocks
+and the ridge diagonal) and the system solved.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import flat_token_ids
+from .embeddings import flat_token_ids, segment_mean
 from .errors import SingularSystemError
 from .stats import bootstrap_ci, pearson_r
 
@@ -260,18 +261,9 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
     if word_scores is None:
         word_scores = table.vectors.astype(np.float64) @ model.weights + model.bias
     flat, n_matched, _ = flat_token_ids(table, token_lists)
-    n = len(token_lists)
-    scores = np.full(n, model.training_meta.target_mean, dtype=np.float64)
-    if n == 0:
-        return scores, n_matched
-    bounds = np.zeros(n, dtype=np.int64)
-    np.cumsum(n_matched[:-1], out=bounds[1:])
-    matched = n_matched > 0
-    if matched.any():
-        # Non-empty segment starts are strictly increasing and adjacent in
-        # flat, so reduceat over them sums exactly each post's word scores.
-        sums = np.add.reduceat(word_scores[flat], bounds[matched])
-        scores[matched] = sums / n_matched[matched]
+    scores = np.empty(len(token_lists), dtype=np.float64)
+    segment_mean(word_scores[flat], n_matched, scores)
+    scores[n_matched == 0] = model.training_meta.target_mean
     return scores, n_matched
 
 
@@ -295,10 +287,9 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
     # (d+1) x (d+1) block is the augmented system's matrix and the first d+1
     # entries of its last column the right-hand side. Users go in blocks of
     # m = ceil(sqrt(U)). Held at once: the block suffix sums (ceil(U/m) + 1
-    # Grams), the in-block prefix and suffix sums (m + 1 Grams each), the
-    # running block prefix and the system being solved, so about
-    # 3*sqrt(U) + 4 Grams of (d+2)^2 float64 plus one block's rows, whatever
-    # U. No user's Gram outlives its block.
+    # Grams), the in-block prefix and suffix sums (m + 1 Grams each) and the
+    # system being solved, so about 3*sqrt(U) + 3 Grams of (d+2)^2 float64
+    # plus one block's rows, whatever U. No user's Gram outlives its block.
     m = math.isqrt(U - 1) + 1
     blocks = [users[s : s + m] for s in range(0, U, m)]
 
@@ -320,22 +311,20 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
         suffix[b] += suffix[b + 1]
 
     # Pass 2: per block, recompute the user Grams into the in-block suffix
-    # buffer, then turn it into in-block prefix (before[j] = users < j) and
-    # suffix (after[j] = users >= j) sums. User j's system is
-    # prefix-of-blocks + suffix-of-blocks + before[j] + after[j + 1], so j's
-    # own rows never enter it.
+    # buffer, then turn it into prefix sums before[j] (the ridge diagonal,
+    # earlier blocks and the block's users < j) and suffix sums after[j]
+    # (the block's users >= j and later blocks). User j's system is
+    # before[j] + after[j + 1], one add, so j's own rows never enter it.
+    # before[0] carries the running prefix from block to block.
     before = np.zeros((m + 1, d2, d2), dtype=np.float64)
-    after = np.zeros((m + 1, d2, d2), dtype=np.float64)
-    prefix = np.zeros((d2, d2), dtype=np.float64)
+    after = np.empty((m + 1, d2, d2), dtype=np.float64)
     G = np.empty((d2, d2), dtype=np.float64)
-    lam_diag = np.zeros(d2)
-    lam_diag[:d] = lam
-    diag = np.diag_indices(d2)
+    before[0, range(d), range(d)] = lam
     predictions = []
     for b, block in enumerate(blocks):
         Z, starts, ends = block_rows(block)
         k = len(block)
-        after[k] = 0.0
+        after[k] = suffix[b + 1]
         for j in range(k):
             Zu = Z[starts[j] : ends[j]]
             np.matmul(Zu.T, Zu, out=after[j])
@@ -343,14 +332,11 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
         for j in range(k - 1, -1, -1):
             after[j] += after[j + 1]
         for j, u in enumerate(block):
-            np.add(prefix, suffix[b + 1], out=G)
-            G += before[j]
-            G += after[j + 1]
-            G[diag] += lam_diag
+            np.add(before[j], after[j + 1], out=G)
             theta = _solve_spd(G[:d1, :d1], G[:d1, d1])
             scores = Z[starts[j] : ends[j], :d] @ theta[:d] + theta[d]
             predictions.append(UserPrediction(u, float(scores.mean()), ends[j] - starts[j]))
-        prefix += before[k]
+        before[0] = before[k]
     return predictions
 
 

@@ -3,12 +3,14 @@ training-set assembly, and per-user prediction.
 
 Posts are read and tokenized in one pass; vectorization and scoring then run
 over the whole list at once (``post_vectors_matrix`` batches internally).
+Both predict routes score every post first and then take one per-user mean
+(``_user_means``), with no per-user loop, dict or matrix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +107,24 @@ def build_tfidf_training(
 @dataclass
 class PredictionResult:
     predictions: list  # UserPrediction, sorted by user_id
-    fallback_users: list = field(default_factory=list)  # no scoreable post
+    fallback_users: list  # no scoreable post, sorted
+
+
+def _user_means(model: LinearModel, user_ids, scores, counted) -> PredictionResult:
+    """Per-user mean of the counted posts' scores, users in sorted order.
+
+    Each user's counted scores are added in post order. A user with no
+    counted post falls back to the training target mean with
+    n_posts_used == 0 and is listed in fallback_users.
+    """
+    users, index = np.unique(np.asarray(user_ids, dtype=object), return_inverse=True)
+    sums = np.bincount(index[counted], weights=scores[counted], minlength=users.size)
+    counts = np.bincount(index[counted], minlength=users.size)
+    fallback = counts == 0
+    means = np.where(fallback, model.training_meta.target_mean, sums / np.maximum(counts, 1))
+    rows = zip(users.tolist(), means.tolist(), counts.tolist())
+    predictions = [UserPrediction(u, mean, n) for u, mean, n in rows]
+    return PredictionResult(predictions=predictions, fallback_users=users[fallback].tolist())
 
 
 def predict_users_from_posts(
@@ -119,25 +138,8 @@ def predict_users_from_posts(
     count toward the mean, and users with no scoreable post fall back to the
     training target mean with n_posts_used == 0.
     """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    seen: set[str] = set()
     scores, n_matched = score_tokenized_posts(model, table, [tp.tokens for tp in clean_posts])
-    for tp, score, matched in zip(clean_posts, scores, n_matched):
-        seen.add(tp.user_id)
-        if matched > 0:
-            sums[tp.user_id] = sums.get(tp.user_id, 0.0) + float(score)
-            counts[tp.user_id] = counts.get(tp.user_id, 0) + 1
-    predictions = []
-    fallback = []
-    for user_id in sorted(seen):
-        n = counts.get(user_id, 0)
-        if n == 0:
-            predictions.append(UserPrediction(user_id, model.training_meta.target_mean, 0))
-            fallback.append(user_id)
-        else:
-            predictions.append(UserPrediction(user_id, sums[user_id] / n, n))
-    return PredictionResult(predictions=predictions, fallback_users=fallback)
+    return _user_means(model, [tp.user_id for tp in clean_posts], scores, n_matched > 0)
 
 
 def predict_users_tfidf(
@@ -146,15 +148,11 @@ def predict_users_tfidf(
     clean_posts,
     stopwords=frozenset(),
 ) -> PredictionResult:
-    by_user: dict[str, list] = {}
-    for tp in clean_posts:
-        by_user.setdefault(tp.user_id, []).append(tp.tokens)
-    predictions = []
-    for user_id in sorted(by_user):
-        X = tfidf.tfidf_matrix(vocab, by_user[user_id], stopwords)
-        scores = X @ model.weights + model.bias
-        predictions.append(UserPrediction(user_id, float(scores.mean()), int(scores.size)))
-    return PredictionResult(predictions=predictions)
+    """Per-user mean of post scores over the tf-idf route. Every post counts:
+    one with no vocabulary term has a zero vector and scores the bias."""
+    w, b = model.weights, model.bias
+    scores = np.array([tfidf.tfidf_vector(vocab, tp.tokens, stopwords) @ w + b for tp in clean_posts])
+    return _user_means(model, [tp.user_id for tp in clean_posts], scores, np.ones(scores.size, dtype=bool))
 
 
 def extract_features(posts) -> list:

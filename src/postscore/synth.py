@@ -117,6 +117,7 @@ class SynthData:
     mapping: dict  # user_id -> institution_id (institution members only)
     reference: dict  # institution_id -> latent mean
     truth: SynthTruth
+    freq: dict  # word -> sidecar corpus count, written to freq.csv
     paths: dict = field(default_factory=dict)
 
 
@@ -264,7 +265,6 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
         expected = probs * (_SIDECAR_TOKENS / cfg.n_topics)
         for j, idx in enumerate(block):
             freq[_word_name(idx)] = max(1, int(round(expected[j])))
-    table.freq = freq
 
     truth = SynthTruth(
         true_weights=true_weights,
@@ -282,6 +282,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
         mapping=mapping,
         reference=dict(institution_latent),
         truth=truth,
+        freq=freq,
     )
     if out_dir is not None:
         data.paths = _write_dataset(data, Path(out_dir))
@@ -302,7 +303,7 @@ def _write_dataset(data: SynthData, out_dir: Path) -> dict:
         "truth": out_dir / "truth.json",
     }
     data.table.save_vec(paths["embeddings"])
-    dataio.write_freq_csv(paths["freq"], data.table.freq)
+    dataio.write_freq_csv(paths["freq"], data.freq)
     dataio.write_posts_jsonl(paths["posts"], data.posts)
     dataio.write_labels_csv(paths["labels"], data.labels)
     dataio.write_mapping_csv(paths["mapping"], data.mapping)

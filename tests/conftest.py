@@ -20,7 +20,7 @@ def tiny_table():
         ],
         dtype=np.float32,
     )
-    return EmbeddingTable(words, vectors, freq={"a": 10, "b": 5, "c": 2, "d": 1, "e": 7})
+    return EmbeddingTable(words, vectors)
 
 
 @pytest.fixture(scope="session")

@@ -322,13 +322,57 @@ class TestRankWordsCommand:
         code = run_cli(
             "rank-words", "--model", trained / "model.json",
             "--embeddings", dataset / "embeddings.vec",
-            "--count-source", "sidecar", "--freq", dataset / "freq.csv",
+            "--freq", dataset / "freq.csv",
             "--min-count", 1, "--output-dir", out,
         )
         assert code == 0
         with open(out / "ranking.csv", encoding="utf-8", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 900  # every table word has a sidecar count >= 1
+
+    def test_freq_alone_fills_freq_column(self, dataset, trained, tmp_path):
+        out = tmp_path / "rank_freq"
+        code = run_cli(
+            "rank-words", "--model", trained / "model.json",
+            "--embeddings", dataset / "embeddings.vec",
+            "--freq", dataset / "freq.csv", "--output-dir", out,
+        )
+        assert code == 0
+        freq = dataio.read_freq_csv(dataset / "freq.csv")
+        with open(out / "ranking.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 900
+        assert {r["word"]: int(r["freq"]) for r in rows} == freq
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["inputs"]) == {"model", "embeddings", "freq"}
+        assert "count_source" not in manifest["params"]
+
+    def test_freq_min_count_filters_on_sidecar_counts(self, dataset, trained, tmp_path):
+        freq = dataio.read_freq_csv(dataset / "freq.csv")
+        threshold = sorted(freq.values())[len(freq) // 2]
+        out = tmp_path / "rank_freq_min"
+        code = run_cli(
+            "rank-words", "--model", trained / "model.json",
+            "--embeddings", dataset / "embeddings.vec",
+            "--freq", dataset / "freq.csv", "--min-count", threshold, "--output-dir", out,
+        )
+        assert code == 0
+        with open(out / "ranking.csv", encoding="utf-8", newline="") as f:
+            ranked = {r["word"] for r in csv.DictReader(f)}
+        assert ranked == {w for w, c in freq.items() if c >= threshold}
+        assert 0 < len(ranked) < 900
+
+    def test_posts_and_freq_are_exclusive(self, dataset, trained, tmp_path, capsys):
+        out = tmp_path / "rank_both"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "rank-words", "--model", trained / "model.json",
+                "--embeddings", dataset / "embeddings.vec", "--posts", dataset / "posts.jsonl",
+                "--freq", dataset / "freq.csv", "--output-dir", out,
+            )
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_top_bottom_with_projection(self, dataset, trained, tmp_path):
         out = tmp_path / "rank_tb"

@@ -229,6 +229,35 @@ class TestPostVector:
             assert np.all(pv.vector <= rows.max(axis=0) + 1e-9)
 
 
+class TestSegmentMean:
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1-d", "2-d"])
+    def test_run_means_into_callers_array(self, shape):
+        """Each run's mean is its rows' mean, and the same bits whatever runs
+        surround it; empty runs (first, middle, last) give NaN, and the result
+        lands in the slice the caller passed."""
+        rng = np.random.default_rng(7)
+        counts = np.array([0, 3, 1, 0, 0, 12, 2, 0], dtype=np.int64)
+        rows = rng.standard_normal((int(counts.sum()),) + shape) * 1e3
+        buffer = np.full((len(counts) + 2,) + shape, 5.0)
+        embeddings.segment_mean(rows, counts, buffer[1:-1])
+        assert (buffer[0] == 5.0).all() and (buffer[-1] == 5.0).all()
+        start = 0
+        for i, n in enumerate(counts.tolist()):
+            if n == 0:
+                assert np.isnan(buffer[1 + i]).all()
+                continue
+            assert buffer[1 + i] == pytest.approx(rows[start : start + n].mean(axis=0), rel=1e-12)
+            alone = np.empty((1,) + shape)
+            embeddings.segment_mean(rows[start : start + n], counts[i : i + 1], alone)
+            assert np.array_equal(buffer[1 + i], alone[0])
+            start += n
+
+    def test_no_rows(self):
+        out = np.zeros(3)
+        embeddings.segment_mean(np.empty(0), np.zeros(3, dtype=np.int64), out)
+        assert np.isnan(out).all()
+
+
 class TestPostVectorsMatrix:
     def _random_posts(self, table, n, seed):
         rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from postscore.model import fit, predict_post
+from postscore.model import LinearModel, TrainingMeta, fit, predict_post, score_tokenized_posts
 from postscore.pipeline import (
     FilterStats,
     build_embedding_training,
@@ -11,8 +11,8 @@ from postscore.pipeline import (
     predict_users_from_posts,
     predict_users_tfidf,
 )
-from postscore.textproc import RawPost
-from postscore.tfidf import build_vocab
+from postscore.textproc import RawPost, TokenizedPost
+from postscore.tfidf import build_vocab, tfidf_vector
 
 
 def _posts():
@@ -81,6 +81,41 @@ class TestPredictUsersFromPosts:
         assert by_user["u1"].predicted == pytest.approx((s1 + s3) / 2, abs=1e-9)
         assert by_user["u1"].n_posts_used == 2
 
+    def test_interleaved_users_sum_matched_scores_in_post_order(self, tiny_table):
+        """Users' posts interleave; each prediction is, bit for bit, the
+        sequential sum of the user's matched post scores in post order over
+        their count, and a user with only unmatched posts falls back."""
+        rng = np.random.default_rng(21)
+        meta = TrainingMeta(n_posts=1, n_users=1, target_mean=503.25, target_sd=1.0)
+        model = LinearModel(weights=rng.standard_normal(3) * 40, bias=497.0, lam=0.0, d=3,
+                            training_meta=meta)
+        words = tiny_table.words + ["oov"]
+        clean = []
+        for i in range(400):
+            user = f"u{int(rng.integers(0, 7))}"
+            tokens = [words[j] for j in rng.integers(0, len(words), int(rng.integers(0, 6)))]
+            clean.append(TokenizedPost(user, f"p{i}", tokens))
+        clean.insert(150, TokenizedPost("u_oov", "q1", ["oov"]))
+        clean.insert(300, TokenizedPost("u_oov", "q2", []))
+        scores, n_matched = score_tokenized_posts(model, tiny_table, [tp.tokens for tp in clean])
+        sums, counts = {}, {}
+        for tp, score, matched in zip(clean, scores.tolist(), n_matched.tolist()):
+            counts.setdefault(tp.user_id, 0)
+            if matched:
+                sums[tp.user_id] = sums.get(tp.user_id, 0.0) + score
+                counts[tp.user_id] += 1
+
+        result = predict_users_from_posts(model, tiny_table, clean)
+        assert [p.user_id for p in result.predictions] == sorted(counts)
+        assert result.fallback_users == ["u_oov"]
+        for p in result.predictions:
+            assert p.n_posts_used == counts[p.user_id]
+            if p.user_id == "u_oov":
+                assert p.predicted == 503.25
+            else:
+                assert counts[p.user_id] > 8  # long enough for pairwise sums to differ
+                assert p.predicted == sums[p.user_id] / counts[p.user_id]
+
 
 class TestTfidfRoute:
     def test_training_and_prediction_consistent(self):
@@ -103,6 +138,37 @@ class TestTfidfRoute:
         # norms are 1, so predictions stay in a sane range around the bias
         for p in result.predictions:
             assert np.isfinite(p.predicted)
+
+    def test_prediction_is_mean_of_post_scores(self):
+        """Each user's prediction is the mean of tfidf_vector(...) @ w + b over
+        every one of their posts (interleaved), a post with no vocabulary
+        term included: its zero vector scores the bias."""
+        posts = [
+            RawPost("u2", "p1", "a b a"),
+            RawPost("u1", "p2", "b c"),
+            RawPost("u2", "p3", "qqq zzz"),
+            RawPost("u3", "p4", "c d d"),
+            RawPost("u1", "p5", "a d"),
+            RawPost("u2", "p6", "b d c"),
+            RawPost("u3", "p7", "zzz"),
+        ]
+        clean = list(iter_clean_posts(posts))
+        vocab = build_vocab((tp.tokens for tp in clean if "zzz" not in tp.tokens), k=6)
+        rng = np.random.default_rng(5)
+        meta = TrainingMeta(n_posts=1, n_users=1, target_mean=0.0, target_sd=1.0)
+        model = LinearModel(weights=rng.standard_normal(len(vocab)) * 50, bias=500.0, lam=0.0,
+                            d=len(vocab), training_meta=meta)
+        by_user = {}
+        for tp in clean:
+            by_user.setdefault(tp.user_id, []).append(tfidf_vector(vocab, tp.tokens) @ model.weights + model.bias)
+        assert 500.0 in by_user["u3"]  # p7's zero vector scores the bias
+
+        result = predict_users_tfidf(model, vocab, clean)
+        assert [p.user_id for p in result.predictions] == ["u1", "u2", "u3"]
+        assert result.fallback_users == []
+        for p in result.predictions:
+            assert p.n_posts_used == len(by_user[p.user_id])
+            assert p.predicted == pytest.approx(np.mean(by_user[p.user_id]), abs=1e-12, rel=0)
 
 
 class TestExtractFeatures:

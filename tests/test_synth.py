@@ -140,7 +140,7 @@ class TestHeldout:
         assert not (held & seen)
         for w in held:
             assert data.table.lookup(w) is not None
-            assert data.table.freq[w] >= 1
+            assert data.freq[w] >= 1
 
     def test_heldout_words_score_with_their_cluster(self):
         """Unseen words inherit their topic's score: the generalization
