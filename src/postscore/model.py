@@ -1,9 +1,12 @@
 """Linear regression on post vectors, user aggregation, grouped LOOCV.
 
 Fitting minimizes sum((x.w + b - y)^2) + lambda*||w||^2 with an unpenalized
-bias, solved by normal equations on centered data with a Cholesky (SPD)
-factorization from scipy.linalg. scipy is imported at the first solve, so
-code that only scores posts with a trained model never loads it.
+bias, solved by normal equations on centered data with one symmetric
+eigendecomposition (numpy): its eigenvalue ratio is the condition number the
+fit reports, its smallest eigenvalue decides numerical singularity, and its
+vectors give the solution. Grouped LOOCV solves one system per user and uses
+a Cholesky (SPD) factorization from scipy.linalg, imported at its first
+solve, so only commands that run LOOCV load scipy.
 
 Leave-one-user-out CV re-solves the same normal equations per user with that
 user's rows excluded. The per-user systems are assembled from per-user Gram
@@ -161,11 +164,13 @@ class CurvePoint:
 
 
 def _solve_spd(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Imported here, not at module level: scipy.linalg doubles the start-up
-    # of every command (import postscore.cli: 0.34 s and 34 MB peak RSS
-    # without it, 0.70 s and 58 MB with it, one CPU of a 2-core host), and
-    # synth, featurize, correlate, predict, rank-words and aggregate never
-    # solve a system. After the first solve the import is a dict lookup.
+    # Only loo_user_cv solves here: it factors one system per user, and at
+    # one thread scipy's dpotrf beats np.linalg.cholesky (d=301: ~0.75 vs
+    # ~1.2 ms, d=1001: ~21 vs ~36 ms, best of 6). fit solves once, with
+    # numpy's eigh. Imported here, not at module level: scipy.linalg adds
+    # ~0.3 s and ~28 MB peak RSS to start-up, which no command without LOOCV
+    # (train, predict, ...) should pay. After the first solve the import is a
+    # dict lookup.
     from scipy.linalg import cho_factor, cho_solve
 
     try:
@@ -178,9 +183,13 @@ def _solve_spd(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> LinearModel:
     """Least-squares fit of post vectors to targets.
 
-    Requires n_posts >= d+1 or lam > 0. Warns when the (regularized) Gram
-    matrix condition number exceeds 1e12; raises SingularSystemError when the
-    factorization fails at lam == 0.
+    Requires n_posts >= d+1 or lam > 0. One eigendecomposition G = V diag(s) V'
+    of the centered (regularized) Gram matrix serves three purposes. Its
+    condition number s_max/s_min (the 2-norm one; inf when s_min <= 0) is
+    warned about when it exceeds 1e12. SingularSystemError is raised when
+    s_min <= d*eps*s_max, the numerical-rank rule, since no solve of such a
+    system means anything. Otherwise w = V((V'r)/s). LOOCV keeps a Cholesky
+    solve instead, because it factors one system per user (see _solve_spd).
     """
     if not math.isfinite(lam) or lam < 0:
         raise ValueError("lambda must be finite and >= 0")
@@ -196,15 +205,22 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     G = Xc.T @ Xc
     if lam > 0.0:
         G[np.diag_indices_from(G)] += lam
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > CONDITION_ADVISORY:
+    s, V = np.linalg.eigh(G)
+    s_min, s_max = float(s[0]), float(s[-1])
+    cond = s_max / s_min if s_min > 0.0 else math.inf
+    if cond > CONDITION_ADVISORY:
         warnings.warn(
             f"Gram matrix condition estimate {cond:.3g} exceeds {CONDITION_ADVISORY:.0e}; "
             "consider a ridge coefficient lambda > 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    w = _solve_spd(G, Xc.T @ yc)
+    if s_min <= d * np.finfo(np.float64).eps * s_max:
+        raise SingularSystemError(
+            f"Gram matrix is numerically singular (eigenvalues {s_min:.3g} to {s_max:.3g}); "
+            "consider a ridge coefficient lambda > 0"
+        )
+    w = V @ ((V.T @ (Xc.T @ yc)) / s)
     bias = y_mean - float(x_mean @ w)
     users = set(ts.groups.tolist())
     meta = TrainingMeta(

@@ -617,10 +617,15 @@ print(json.dumps(loaded))
 """
 
 
-class TestScipyLoadedOnlyBySolves:
-    def test_commands_that_never_solve_never_import_scipy(self, dataset, trained, tmp_path):
+class TestScipyLoadedOnlyByLoocv:
+    def test_commands_without_loocv_never_import_scipy(self, dataset, trained, tmp_path):
         d, model = dataset, trained / "model.json"
         steps = [
+            ("train", ["train", "--posts", d / "posts.jsonl", "--labels", d / "labels.csv",
+                       "--embeddings", d / "embeddings.vec", "--output-dir", tmp_path / "train"]),
+            ("train_tfidf", ["train", "--posts", d / "posts.jsonl", "--labels", d / "labels.csv",
+                             "--vectorizer", "tfidf", "--top-terms", 80, "--lambda", 0.001,
+                             "--output-dir", tmp_path / "train_tfidf"]),
             ("synth", ["synth", "--output-dir", tmp_path / "synth", "--vocab-size", 50,
                        "--dim", 4, "--topics", 2, "--users", 4, "--posts-per-user", 2,
                        "--tokens-per-post", 3, "--institutions", 1,
@@ -651,7 +656,7 @@ class TestScipyLoadedOnlyBySolves:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         for name in ["import"] + [name for name, _ in steps[:-1]]:
             assert loaded[name] == [0, []], name
-        # evaluate solves, so the probe sees scipy when it is loaded
+        # evaluate runs LOOCV, so the probe sees scipy when it is loaded
         code, modules = loaded["evaluate"]
         assert code == 0
         assert "scipy.linalg" in modules

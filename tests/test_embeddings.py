@@ -308,10 +308,10 @@ class TestPostVectorsMatrix:
         posts += [[words[i] for i in rng.integers(0, 9, 4)] + ["oov"] for _ in range(10)]
         posts += [[], ["oov"]]
 
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 10**9)
+        monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 10**12)
         base, base_matched, base_tokens = post_vectors_matrix(table, posts)
         assert (base_matched == 0).sum() >= 8 and base_matched.max() > 7
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(embeddings, "_CHUNK_BYTES", chunk_rows * 12 * 5)
         means, n_matched, n_tokens = post_vectors_matrix(table, posts, threads=threads)
         assert np.array_equal(means, base, equal_nan=True)
         assert np.array_equal(n_matched, base_matched)
@@ -322,7 +322,7 @@ class TestPostVectorsMatrix:
     def test_gathered_rows_do_not_grow_with_posts(self, monkeypatch):
         """Beyond the n x d output, memory grows only by the per-token index
         arrays (a few int64s a token), not by gathered rows (12*d bytes)."""
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 32)
+        monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 32 * 12 * 256)
         rng = np.random.default_rng(7)
         words = [f"w{i}" for i in range(40)]
         table = EmbeddingTable(words, rng.standard_normal((40, 256)).astype(np.float32))

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postscore.errors import SingularSystemError
 from postscore.model import (
@@ -82,6 +85,41 @@ class TestFit:
         with pytest.warns(RuntimeWarning, match="condition"):
             with pytest.raises(SingularSystemError):
                 fit(ts, lam=0.0)
+
+    def test_inexactly_collinear_columns_singular(self):
+        """x3 = 0.1*x1 + 0.7*x2 in floating point is only nearly collinear; a
+        Cholesky succeeds on many seeds, but the numerical-rank rule (smallest
+        eigenvalue <= d*eps*largest) rejects every one."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((40, 2))
+            X = np.column_stack([x, 0.1 * x[:, 0] + 0.7 * x[:, 1]])
+            ts = _ts(X, rng.standard_normal(40), ["u%d" % i for i in range(40)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(SingularSystemError, match="singular"):
+                    fit(ts, lam=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        extra=st.integers(2, 40),
+        lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    )
+    def test_matches_augmented_lstsq_oracle(self, seed, d, extra, lam):
+        """Ridge with an unpenalized bias is least squares on [X 1; sqrt(lam)*I 0]."""
+        rng = np.random.default_rng(seed)
+        n = 2 * d + extra
+        X = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d) + rng.uniform(-3.0, 3.0, d)
+        y = 100.0 + X @ rng.standard_normal(d) + rng.standard_normal(n)
+        model = fit(_ts(X, y, ["u%d" % i for i in range(n)]), lam=lam)
+        A = np.zeros((n + d, d + 1))
+        A[:n, :d], A[:n, d] = X, 1.0
+        A[n:, :d] = math.sqrt(lam) * np.eye(d)
+        theta = np.linalg.lstsq(A, np.concatenate([y, np.zeros(d)]), rcond=None)[0]
+        got = np.append(model.weights, model.bias)
+        assert np.linalg.norm(got - theta) <= 1e-9 * np.linalg.norm(theta)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
