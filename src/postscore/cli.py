@@ -273,6 +273,8 @@ def _tfidf_training(args, clean, labels, inputs):
         stopwords_path = _check_input(args.stopwords)
         stopwords = tfidf.load_stopwords(stopwords_path)
         inputs["stopwords"] = stopwords_path
+    if not any(tp.user_id in labels for tp in clean):
+        raise ValueError("no labeled training posts")
     labeled_tokens = (tp.tokens for tp in clean if tp.user_id in labels)
     vocab = tfidf.build_vocab(labeled_tokens, stopwords, k=args.top_terms)
     ts, astats = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -119,16 +120,19 @@ def _read_csv_rows(path, header: list[str]):
 
 
 def _read_scores_csv(path, header: list[str], kind: str) -> dict[str, float]:
-    """id -> score from a two-column CSV; an id listed twice is a data error
-    that names the ``kind`` of id."""
+    """id -> score from a two-column CSV; an id listed twice (named by its
+    ``kind``) or a score that is not a finite number is a data error."""
     scores: dict[str, float] = {}
     for lineno, row in _read_csv_rows(path, header):
         if row[0] in scores:
             raise DataFormatError(f"duplicate {kind} {row[0]!r}", path=path, line=lineno)
         try:
-            scores[row[0]] = float(row[1])
+            score = float(row[1])
         except ValueError:
             raise DataFormatError("score must be a number", path=path, line=lineno) from None
+        if not math.isfinite(score):
+            raise DataFormatError(f"score must be finite, got {row[1]!r}", path=path, line=lineno)
+        scores[row[0]] = score
     return scores
 
 

@@ -22,6 +22,15 @@ sd 100, the correlation ceiling of any predictor of the latent is
 
     r* = 100 / sqrt(100^2 + noise_sd^2).
 
+Each post has its own generator stream, keyed by (seed, user, post), and
+reads 2T uniforms from it for its T tokens. The first T pick each slot's
+topic from the user's mixture; the next T pick the words, taken by topic in
+ascending order and by slot within a topic, each from its topic's Zipf pool.
+A pick is an inverse-CDF lookup (searchsorted over the cumulative
+probabilities), the arithmetic Generator.choice uses, so all posts are drawn
+with a few array operations and match a per-post loop of choice calls bit
+for bit.
+
 All randomness flows through named per-entity generator streams and all file
 output is byte-deterministic for a fixed config.
 """
@@ -89,6 +98,8 @@ class SynthConfig:
             raise ValueError("dim must be at least 2")
         if self.n_topics > self.vocab_size:
             raise ValueError("n_topics cannot exceed vocab_size")
+        if not np.isfinite(self.noise_sd):
+            raise ValueError("noise_sd must be finite")
         if self.noise_sd < 0 or self.seed < 0:
             raise ValueError("noise_sd and seed must be non-negative")
         if self.institution_count * self.users_per_institution > self.n_users:
@@ -153,6 +164,41 @@ def _mixture(rng: np.random.Generator, profile: np.ndarray, cfg: SynthConfig) ->
 def _own_profile_mixture(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     profile = rng.dirichlet(np.ones(cfg.n_topics))
     return _mixture(rng, profile, cfg)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table Generator.choice searches when drawing from p."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _sample_tokens(cfg: SynthConfig, mixtures, pools, pool_probs) -> np.ndarray:
+    """Token ids of every post, one row per post in user-major order, drawn
+    as the module docstring describes."""
+    T, P = cfg.tokens_per_post, cfg.posts_per_user
+    u = np.empty((cfg.n_users * P, 2 * T))
+    topics = np.empty((u.shape[0], T), dtype=np.int64)
+    for i in range(cfg.n_users):
+        for p in range(P):
+            u[i * P + p] = _rng(cfg, _TAG_POST, i, p).random(2 * T)
+        user = slice(i * P, (i + 1) * P)
+        topics[user] = np.searchsorted(_cdf(mixtures[i]), u[user, :T], side="right")
+
+    word_u = np.empty((u.shape[0], T))
+    order = np.argsort(topics, axis=1, kind="stable")
+    np.put_along_axis(word_u, order, u[:, T:], axis=1)
+    del u, order
+
+    flat_topics, flat_u = topics.ravel(), word_u.ravel()
+    by_topic = np.argsort(flat_topics, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(flat_topics, minlength=cfg.n_topics))]
+    token_ids = np.empty(flat_topics.size, dtype=np.int64)
+    for t in range(cfg.n_topics):
+        slots = by_topic[bounds[t] : bounds[t + 1]]
+        picks = np.searchsorted(_cdf(pool_probs[t]), flat_u[slots], side="right")
+        token_ids[slots] = pools[t][picks]
+    return token_ids.reshape(topics.shape)
 
 
 def generate(config: SynthConfig, out_dir=None) -> SynthData:
@@ -242,29 +288,23 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
             members.setdefault(mapping[user_id], []).append(latent)
     institution_latent = {inst: float(np.mean(vals)) for inst, vals in sorted(members.items())}
 
+    token_ids = _sample_tokens(cfg, mixtures, pools, pool_probs)
+    names = np.asarray(words)
     posts: list[RawPost] = []
+    P = cfg.posts_per_user
     for i, user_id in enumerate(user_ids):
-        for p in range(cfg.posts_per_user):
-            g_post = _rng(cfg, _TAG_POST, i, p)
-            topic_draws = g_post.choice(cfg.n_topics, size=cfg.tokens_per_post, p=mixtures[i])
-            token_ids = np.empty(cfg.tokens_per_post, dtype=np.int64)
-            for t in np.unique(topic_draws):
-                slots = topic_draws == t
-                token_ids[slots] = g_post.choice(
-                    pools[t], size=int(slots.sum()), p=pool_probs[t]
-                )
-            text = " ".join(_word_name(j) for j in token_ids)
-            posts.append(RawPost(user_id=user_id, post_id=f"{user_id}-p{p:04d}", text=text))
+        for p, row in enumerate(names[token_ids[i * P : (i + 1) * P]].tolist()):
+            posts.append(RawPost(user_id=user_id, post_id=f"{user_id}-p{p:04d}", text=" ".join(row)))
 
     # Sidecar counts mimic the big unsupervised corpus: expected draws over
     # _SIDECAR_TOKENS tokens with uniform topic weight and full-block Zipf
-    # ranks, so held-out words keep realistic nonzero counts.
+    # ranks, so held-out words keep realistic nonzero counts. np.rint rounds
+    # half to even, as round() does.
     freq: dict[str, int] = {}
-    for t, block in enumerate(blocks):
-        probs = _zipf_weights(block.size, cfg.zipf_exponent)
-        expected = probs * (_SIDECAR_TOKENS / cfg.n_topics)
-        for j, idx in enumerate(block):
-            freq[_word_name(idx)] = max(1, int(round(expected[j])))
+    for block in blocks:
+        expected = _zipf_weights(block.size, cfg.zipf_exponent) * (_SIDECAR_TOKENS / cfg.n_topics)
+        counts = np.maximum(1, np.rint(expected)).astype(np.int64)
+        freq.update(zip(names[block].tolist(), counts.tolist()))
 
     truth = SynthTruth(
         true_weights=true_weights,

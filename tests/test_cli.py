@@ -206,7 +206,7 @@ class TestTrainPredictEvaluate:
         assert "bad_posts.jsonl" not in err
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
-    def test_tfidf_without_labeled_posts_is_data_error(self, dataset, tmp_path, command):
+    def test_tfidf_without_labeled_posts_is_data_error(self, dataset, tmp_path, command, capsys):
         labels = tmp_path / "labels.csv"
         dataio.write_labels_csv(labels, {"nobody": 1.0})
         out = tmp_path / "out"
@@ -215,6 +215,7 @@ class TestTrainPredictEvaluate:
             "--vectorizer", "tfidf", "--output-dir", out,
         )
         assert code == 2
+        assert "no labeled training posts" in capsys.readouterr().err
         assert not (out / "model.json").exists()
         assert not (out / dataio.MANIFEST_NAME).exists()
 
@@ -255,6 +256,25 @@ class TestFeaturizeCorrelate:
         assert "entropy_bits" in metrics
         for row in report:
             assert 0.0 <= float(row["p"]) <= 1.0
+
+    def test_nonfinite_label_is_data_error(self, dataset, tmp_path, capsys):
+        fdir = tmp_path / "features"
+        assert run_cli("featurize", "--posts", dataset / "posts.jsonl", "--output-dir", fdir) == 0
+        labels = dataio.read_labels_csv(dataset / "labels.csv")
+        first = min(labels)
+        bad = tmp_path / "labels.csv"
+        bad.write_text(
+            "user_id,score\n" + "".join(
+                f"{u},{'inf' if u == first else labels[u]}\n" for u in sorted(labels)
+            ),
+            encoding="utf-8",
+        )
+        cdir = tmp_path / "corr"
+        code = run_cli("correlate", "--features", fdir / "features.csv", "--labels", bad,
+                       "--output-dir", cdir)
+        assert code == 2
+        assert "labels.csv:2: score must be finite" in capsys.readouterr().err
+        assert not (cdir / "report.csv").exists()
 
 
 class TestAggregateCommand:
@@ -494,6 +514,8 @@ class TestExitCodes:
              "invalid synth configuration: n_users must be positive"),
             (["synth", "--users", "20", "--institutions", "5", "--users-per-institution", "5"],
              "invalid synth configuration: institution assignment needs more users"),
+            (["synth", "--noise-sd", "nan"], "invalid synth configuration: noise_sd must be finite"),
+            (["synth", "--noise-sd", "inf"], "invalid synth configuration: noise_sd must be finite"),
             (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
               "--bootstrap", "99"], "--bootstrap: must be at least 100, got 99"),
             (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
@@ -512,7 +534,8 @@ class TestExitCodes:
              "--min-count: must be a non-negative integer, got -5"),
         ],
         ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
-             "predict-threads", "synth-users", "synth-institutions", "bootstrap", "level",
+             "predict-threads", "synth-users", "synth-institutions", "synth-noise-nan",
+             "synth-noise-inf", "bootstrap", "level",
              "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda", "min-users",
              "min-count"],
     )

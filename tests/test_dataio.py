@@ -75,6 +75,14 @@ class TestLabelsCsv:
             dataio.read_labels_csv(path)
         assert ":2" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN"])
+    def test_nonfinite_score_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"user_id,score\nu1,5\nu2,{value}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="score must be finite") as err:
+            dataio.read_labels_csv(path)
+        assert "labels.csv:3" in str(err.value)
+
 
 class TestReferenceCsv:
     def test_duplicate_institution_names_line(self, tmp_path):
@@ -83,6 +91,13 @@ class TestReferenceCsv:
         with pytest.raises(DataFormatError, match="duplicate institution 'i1'") as err:
             dataio.read_reference_csv(path)
         assert "reference.csv:4" in str(err.value)
+
+    def test_nonfinite_score_names_file_and_line(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text("institution_id,score\ni1,inf\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="score must be finite") as err:
+            dataio.read_reference_csv(path)
+        assert "reference.csv:2" in str(err.value)
 
 
 class TestPredictionsCsv:

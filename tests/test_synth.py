@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from postscore import synth
 from postscore.pipeline import build_embedding_training, iter_clean_posts
 from postscore.model import loo_user_cv
 from postscore.stats import pearson
@@ -43,6 +46,11 @@ class TestConfigValidation:
     def test_rejects_oversubscribed_institutions(self):
         with pytest.raises(ValueError):
             _cfg(institution_count=10, users_per_institution=10, n_users=40).validate()
+
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_noise(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be finite"):
+            _cfg(noise_sd=noise_sd).validate()
 
     def test_rejects_heldout_swallowing_a_topic(self):
         with pytest.raises(ValueError):
@@ -127,6 +135,81 @@ class TestGenerate:
             members.setdefault(inst, []).append(data.truth.user_latent[user_id])
         for inst, vals in members.items():
             assert data.truth.institution_latent[inst] == pytest.approx(float(np.mean(vals)))
+
+
+def _reference_posts(cfg):
+    """Post texts from the per-post Generator.choice loop: one choice over the
+    user's topic mixture, then one over each distinct topic's word pool."""
+    pools = [b[: b.size - cfg.heldout_per_topic] for b in synth._topic_blocks(cfg)]
+    pool_probs = [synth._zipf_weights(pool.size, cfg.zipf_exponent) for pool in pools]
+    n_assigned = cfg.institution_count * cfg.users_per_institution
+    texts = []
+    for i in range(cfg.n_users):
+        g_user = synth._rng(cfg, synth._TAG_USER, i)
+        if i < n_assigned:
+            community = synth._rng(cfg, synth._TAG_COMMUNITY, i // cfg.users_per_institution)
+            mixture = synth._mixture(g_user, community.dirichlet(np.ones(cfg.n_topics)), cfg)
+        else:
+            mixture = synth._own_profile_mixture(g_user, cfg)
+        for p in range(cfg.posts_per_user):
+            g_post = synth._rng(cfg, synth._TAG_POST, i, p)
+            topic_draws = g_post.choice(cfg.n_topics, size=cfg.tokens_per_post, p=mixture)
+            token_ids = np.empty(cfg.tokens_per_post, dtype=np.int64)
+            for t in np.unique(topic_draws):
+                slots = topic_draws == t
+                token_ids[slots] = g_post.choice(pools[t], size=int(slots.sum()), p=pool_probs[t])
+            texts.append(" ".join(synth._word_name(j) for j in token_ids))
+    return texts
+
+
+class TestSampler:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_topics=1),
+            dict(vocab_size=300, n_topics=30),
+            dict(tokens_per_post=1),
+            dict(tokens_per_post=40),
+            dict(heldout_per_topic=20),
+            dict(institution_count=1, users_per_institution=1),
+        ],
+        ids=["one-topic", "30-topics", "one-token", "40-tokens", "heldout", "few-members"],
+    )
+    def test_posts_equal_per_post_choice_loop(self, overrides):
+        cfg = _cfg(**overrides)
+        data = generate(cfg)
+        assert [post.text for post in data.posts] == _reference_posts(cfg)
+        assert [post.post_id for post in data.posts] == [
+            f"u{i:05d}-p{p:04d}" for i in range(cfg.n_users) for p in range(cfg.posts_per_user)
+        ]
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+            min_size=1, max_size=40,
+        ).filter(lambda w: sum(w) > 0),
+        k=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_inverse_cdf_lookup_is_choice(self, weights, k, seed):
+        p = np.asarray(weights)
+        p /= p.sum()
+        a = np.arange(p.size) * 7 + 3
+        expected = np.random.default_rng(seed).choice(a, size=k, p=p)
+        u = np.random.default_rng(seed).random(k)
+        picks = a[np.searchsorted(synth._cdf(p), u, side="right")]
+        assert np.array_equal(picks, expected)
+
+    @given(
+        a=st.integers(min_value=0, max_value=60),
+        b=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_consecutive_uniform_draws_concatenate(self, a, b, seed):
+        g = np.random.default_rng(seed)
+        first, second = g.random(a), g.random(b)
+        whole = np.random.default_rng(seed).random(a + b)
+        assert np.array_equal(np.concatenate([first, second]), whole)
 
 
 class TestHeldout:
