@@ -9,74 +9,49 @@ verifiable at desk scale.
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingTable, PostVector, post_vector, post_vectors_matrix
-from .errors import DataFormatError, PostscoreError, SingularSystemError
-from .model import (
-    CurvePoint,
-    LinearModel,
-    TrainingSet,
-    UserPrediction,
-    fit,
-    loo_user_cv,
-    posts_curve,
-    predict_post,
-    predict_user,
-)
-from .stats import CorrelationReport, bootstrap_ci, pearson, spearman
-from .synth import SynthConfig, generate
-from .textproc import (
-    RawPost,
-    TokenizedPost,
-    UserSurfaceFeatures,
-    shannon_entropy,
-    should_filter,
-    surface_features,
-    tokenize,
-)
-from .tfidf import TfidfVocabulary, build_vocab, tfidf_vector
-from .transfer import InstitutionScore, aggregate, compare, cross_source_compare
-from .wordrank import WordScore, project_2d, rank_all, score_word
+import importlib
 
-__all__ = [
-    "__version__",
-    "EmbeddingTable",
-    "PostVector",
-    "post_vector",
-    "post_vectors_matrix",
-    "DataFormatError",
-    "PostscoreError",
-    "SingularSystemError",
-    "CurvePoint",
-    "LinearModel",
-    "TrainingSet",
-    "UserPrediction",
-    "fit",
-    "loo_user_cv",
-    "posts_curve",
-    "predict_post",
-    "predict_user",
-    "CorrelationReport",
-    "bootstrap_ci",
-    "pearson",
-    "spearman",
-    "SynthConfig",
-    "generate",
-    "RawPost",
-    "TokenizedPost",
-    "UserSurfaceFeatures",
-    "shannon_entropy",
-    "should_filter",
-    "surface_features",
-    "tokenize",
-    "TfidfVocabulary",
-    "build_vocab",
-    "tfidf_vector",
-    "InstitutionScore",
-    "aggregate",
-    "compare",
-    "cross_source_compare",
-    "WordScore",
-    "project_2d",
-    "rank_all",
-    "score_word",
-]
+# Each submodule's public names, in __all__ order. A name is imported on first
+# access (PEP 562), so `import postscore` loads no numpy and a command loads
+# only what it runs.
+_SOURCES = {
+    "embeddings": ("EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix"),
+    "errors": ("DataFormatError", "PostscoreError", "SingularSystemError"),
+    "model": (
+        "CurvePoint",
+        "LinearModel",
+        "TrainingSet",
+        "UserPrediction",
+        "fit",
+        "loo_user_cv",
+        "posts_curve",
+        "predict_post",
+        "predict_user",
+    ),
+    "stats": ("CorrelationReport", "bootstrap_ci", "pearson", "spearman"),
+    "synth": ("SynthConfig", "generate"),
+    "textproc": (
+        "RawPost",
+        "TokenizedPost",
+        "UserSurfaceFeatures",
+        "shannon_entropy",
+        "should_filter",
+        "surface_features",
+        "tokenize",
+    ),
+    "tfidf": ("TfidfVocabulary", "build_vocab", "tfidf_vector"),
+    "transfer": ("InstitutionScore", "aggregate", "compare", "cross_source_compare"),
+    "wordrank": ("WordScore", "project_2d", "rank_all", "score_word"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,6 +1,9 @@
 """Command-line pipeline: synth -> featurize/train/evaluate/predict ->
 aggregate/rank-words/curve. Each command writes its outputs and returns its
 params, inputs and outputs; main writes them to the run's provenance manifest.
+Each command imports the modules it runs, when it runs, because start-up is
+most of a small command's cost: featurize loads no numpy, and only evaluate
+and curve load scipy.
 
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
 and line when known), 3 numerical failure with a remediation hint.
@@ -12,13 +15,17 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, dataio, pipeline, stats, synth, tfidf, wordrank
-from .embeddings import EmbeddingTable
+# None of these loads numpy. Numeric modules are imported inside the functions
+# that call them, so a command pays only for the imports it uses.
+from . import __version__, dataio
 from .errors import DataFormatError, SingularSystemError
-from .model import fit, loo_user_cv, posts_curve
-from .textproc import FEATURE_COLUMNS
-from .transfer import aggregate, build_mapping, compare
+from .textproc import FEATURE_COLUMNS, extract_features
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingTable
+    from .synth import SynthConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,6 +182,8 @@ def _print_seed(seed: int) -> None:
 
 
 def _load_table(args) -> EmbeddingTable:
+    from .embeddings import EmbeddingTable
+
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
     table = EmbeddingTable.load_vec(_check_input(args.embeddings))
@@ -185,9 +194,11 @@ def _load_table(args) -> EmbeddingTable:
     return table
 
 
-def _synth_config(args) -> synth.SynthConfig:
+def _synth_config(args) -> SynthConfig:
     """The synth sizes as a validated config; ValueError when out of range."""
-    cfg = synth.SynthConfig(
+    from .synth import SynthConfig
+
+    cfg = SynthConfig(
         vocab_size=args.vocab_size,
         dim=args.dim,
         n_topics=args.topics,
@@ -205,9 +216,11 @@ def _synth_config(args) -> synth.SynthConfig:
 
 
 def cmd_synth(args, out: Path) -> tuple[dict, dict, dict]:
+    from .synth import generate
+
     cfg = _synth_config(args)
     _print_seed(args.seed)
-    data = synth.generate(cfg, out_dir=out)
+    data = generate(cfg, out_dir=out)
     print(f"wrote {len(data.posts)} posts for {cfg.n_users} users to {out}")
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     return params, {}, data.paths
@@ -215,7 +228,7 @@ def cmd_synth(args, out: Path) -> tuple[dict, dict, dict]:
 
 def cmd_featurize(args, out: Path) -> tuple[dict, dict, dict]:
     posts_path = _check_input(args.posts)
-    features = pipeline.extract_features(dataio.iter_posts_jsonl(posts_path))
+    features = extract_features(dataio.iter_posts_jsonl(posts_path))
     if not features:
         raise DataFormatError("no unfiltered posts in input", path=posts_path)
     features_path = out / "features.csv"
@@ -225,6 +238,8 @@ def cmd_featurize(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
+    from .stats import pearson
+
     features_path = _check_input(args.features)
     labels_path = _check_input(args.labels)
     rows = dataio.read_features_csv(features_path)
@@ -237,7 +252,7 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
     for name in FEATURE_COLUMNS:
         x = [row[name] for row in matched]
         try:
-            report.append((name, stats.pearson(x, y)))
+            report.append((name, pearson(x, y)))
         except ValueError:
             continue  # constant feature: correlation undefined, skipped
     report_path = out / "report.csv"
@@ -249,6 +264,8 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
 
 def _load_training(args):
     """Clean posts, labels, filter stats, and the manifest inputs so far."""
+    from . import pipeline
+
     posts_path = _check_input(args.posts)
     labels_path = _check_input(args.labels)
     fstats = pipeline.FilterStats()
@@ -259,6 +276,8 @@ def _load_training(args):
 
 def _embedding_training(args, clean, labels, inputs):
     """Post-vector training set and its table; records the table in inputs."""
+    from . import pipeline
+
     table = _load_table(args)
     inputs["embeddings"] = Path(args.embeddings)
     ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
@@ -268,6 +287,8 @@ def _embedding_training(args, clean, labels, inputs):
 def _tfidf_training(args, clean, labels, inputs):
     """tf-idf training set, its vocabulary and stopwords; records the
     stopword file in inputs."""
+    from . import pipeline, tfidf
+
     stopwords = frozenset()
     if args.stopwords:
         stopwords_path = _check_input(args.stopwords)
@@ -291,6 +312,8 @@ def _fit_params(args) -> dict:
 
 
 def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
+    from .model import fit
+
     clean, labels, fstats, inputs = _load_training(args)
     outputs = {}
     if args.vectorizer == "embedding":
@@ -313,12 +336,15 @@ def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
+    from .model import loo_user_cv
+    from .stats import pearson
+
     clean, labels, _, inputs = _load_training(args)
     build = _embedding_training if args.vectorizer == "embedding" else _tfidf_training
     ts = build(args, clean, labels, inputs)[0]
     predictions = loo_user_cv(ts, lam=args.lam)
     truth = {u: labels[u] for u in {p.user_id for p in predictions}}
-    rep = stats.pearson(
+    rep = pearson(
         [p.predicted for p in predictions], [truth[p.user_id] for p in predictions]
     )
     outputs = {"loocv_predictions": out / "loocv_predictions.csv", "report": out / "report.csv"}
@@ -330,6 +356,8 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
 
 def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
     """Checks the model and its table before the posts are read."""
+    from . import pipeline, tfidf
+
     posts_path = _check_input(args.posts)
     model_path = _check_input(args.model)
     model, payload = dataio.load_model_json(model_path)
@@ -356,6 +384,8 @@ def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
+    from .transfer import aggregate, build_mapping, compare
+
     predictions_path = _check_input(args.predictions)
     mapping_path = _check_input(args.mapping)
     predictions = dataio.read_predictions_csv(predictions_path)
@@ -401,6 +431,8 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
+    from . import pipeline, wordrank
+
     model_path = _check_input(args.model)
     model, payload = dataio.load_model_json(model_path)
     if payload.get("vectorizer") == "tfidf":
@@ -436,6 +468,8 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
+    from .model import posts_curve
+
     _print_seed(args.seed)
     clean, labels, _, inputs = _load_training(args)
     ts = _embedding_training(args, clean, labels, inputs)[0]

@@ -17,14 +17,16 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DataFormatError
-from .model import CurvePoint, LinearModel, UserPrediction
-from .stats import CorrelationReport
 from .textproc import FEATURE_COLUMNS, RawPost, UserSurfaceFeatures
-from .tfidf import TfidfVocabulary
-from .transfer import InstitutionScore
+
+if TYPE_CHECKING:
+    from .model import CurvePoint, LinearModel, UserPrediction
+    from .stats import CorrelationReport
+    from .tfidf import TfidfVocabulary
+    from .transfer import InstitutionScore
 
 MANIFEST_NAME = "manifest.json"
 
@@ -215,13 +217,16 @@ def write_features_csv(path, features: Iterable[UserSurfaceFeatures]) -> None:
 
 
 def read_features_csv(path) -> list[dict]:
-    """Rows as dicts with float feature values (vocab_size included)."""
+    """Rows as dicts with finite float feature values (vocab_size included)."""
     rows = []
     for lineno, row in _read_csv_rows(path, FEATURES_HEADER):
         try:
             values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, row[1:])}
         except ValueError:
             raise DataFormatError("bad feature value", path=path, line=lineno) from None
+        for name, text in zip(FEATURE_COLUMNS, row[1:]):
+            if not math.isfinite(values[name]):
+                raise DataFormatError(f"{name} must be finite, got {text!r}", path=path, line=lineno)
         values["user_id"] = row[0]
         rows.append(values)
     return rows
@@ -233,12 +238,18 @@ def write_predictions_csv(path, predictions: Iterable[UserPrediction]) -> None:
 
 
 def read_predictions_csv(path) -> list[UserPrediction]:
+    """Rows as UserPredictions; a predicted score must be a finite number."""
+    from .model import UserPrediction
+
     out = []
     for lineno, row in _read_csv_rows(path, PREDICTIONS_HEADER):
         try:
-            out.append(UserPrediction(row[0], float(row[1]), int(row[2])))
+            predicted, n_posts_used = float(row[1]), int(row[2])
         except ValueError:
             raise DataFormatError("bad prediction row", path=path, line=lineno) from None
+        if not math.isfinite(predicted):
+            raise DataFormatError(f"predicted must be finite, got {row[1]!r}", path=path, line=lineno)
+        out.append(UserPrediction(row[0], predicted, n_posts_used))
     return out
 
 
@@ -302,6 +313,8 @@ def save_model_json(path, model: LinearModel, extra: dict | None = None) -> None
 
 def load_model_json(path) -> tuple[LinearModel, dict]:
     """Returns (model, full payload) so callers can read extension fields."""
+    from .model import LinearModel
+
     with open(path, "r", encoding="utf-8") as f:
         try:
             payload = json.load(f)

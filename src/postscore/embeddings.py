@@ -18,7 +18,6 @@ with it too.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -329,6 +328,9 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
         segment_mean(rows, n_matched[start:end], means[start:end])
 
     if threads > 1 and len(chunks) > 1:
+        # concurrent.futures loads logging; a one-thread command skips both.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
     else:

@@ -9,13 +9,13 @@ Both predict routes score every post first and then take one per-user mean
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio, embeddings, textproc, tfidf
 from .model import LinearModel, TrainingSet, UserPrediction, score_tokenized_posts
+from .textproc import extract_features  # noqa: F401  (kept for callers of pipeline.extract_features)
 
 
 @dataclass
@@ -154,11 +154,3 @@ def predict_users_tfidf(
     scores = np.array([tfidf.tfidf_vector(vocab, tp.tokens, stopwords) @ w + b for tp in clean_posts])
     return _user_means(model, [tp.user_id for tp in clean_posts], scores, np.ones(scores.size, dtype=bool))
 
-
-def extract_features(posts) -> list:
-    """Per-user surface features from a RawPost stream, sorted by user_id."""
-    accumulators = defaultdict(textproc.FeatureAccumulator)
-    for post in posts:
-        if not textproc.should_filter(post)[0]:
-            accumulators[post.user_id].add(post)
-    return [accumulators[u].finish(u) for u in sorted(accumulators)]

@@ -2,15 +2,17 @@
 
 Tokens are maximal runs of Unicode letters/digits with internal apostrophes
 and hyphens preserved ("don't", "re-read"), lowercased. Only ``featurize``
-reads capitalization, emoji, '!' and script counts: FeatureAccumulator takes
-them from each post's raw text, so the model path only tokenizes.
+reads capitalization, emoji, '!' and script counts: ``extract_features``
+filters a post stream and feeds each kept post's raw text to its user's
+FeatureAccumulator, so the model path only tokenizes. The module needs only
+the standard library, so ``featurize`` never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "shannon_entropy",
     "surface_features",
     "FeatureAccumulator",
+    "extract_features",
 ]
 
 # A token: letter/digit run, optionally continued by '- or ' joined runs.
@@ -108,7 +111,8 @@ def should_filter(post: RawPost) -> tuple[bool, str | None]:
     lowered = post.text.lower()
     if "http://" in lowered or "https://" in lowered:
         return True, "url"
-    if any(chunk.startswith("www.") for chunk in lowered.split()):
+    # A chunk can start with "www." only where the substring occurs.
+    if "www." in lowered and any(chunk.startswith("www.") for chunk in lowered.split()):
         return True, "url"
     if post.is_repost:
         return True, "repost"
@@ -193,3 +197,12 @@ def surface_features(posts: list[RawPost]) -> UserSurfaceFeatures:
     for post in posts:
         acc.add(post)
     return acc.finish(posts[0].user_id)
+
+
+def extract_features(posts) -> list[UserSurfaceFeatures]:
+    """Per-user surface features from a RawPost stream, sorted by user_id."""
+    accumulators = defaultdict(FeatureAccumulator)
+    for post in posts:
+        if not should_filter(post)[0]:
+            accumulators[post.user_id].add(post)
+    return [accumulators[u].finish(u) for u in sorted(accumulators)]

@@ -276,8 +276,44 @@ class TestFeaturizeCorrelate:
         assert "labels.csv:2: score must be finite" in capsys.readouterr().err
         assert not (cdir / "report.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_is_data_error(self, dataset, tmp_path, capsys, value):
+        fdir = tmp_path / "features"
+        assert run_cli("featurize", "--posts", dataset / "posts.jsonl", "--output-dir", fdir) == 0
+        with open(fdir / "features.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        rows[2][rows[0].index("avg_post_len")] = value
+        bad = tmp_path / "features.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        cdir = tmp_path / "corr"
+        code = run_cli("correlate", "--features", bad, "--labels", dataset / "labels.csv",
+                       "--output-dir", cdir)
+        assert code == 2
+        assert f"features.csv:3: avg_post_len must be finite, got '{value}'" in capsys.readouterr().err
+        assert not (cdir / "report.csv").exists()
+
 
 class TestAggregateCommand:
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_prediction_is_data_error(self, dataset, tmp_path, capsys, value, reference):
+        labels = dataio.read_labels_csv(dataset / "labels.csv")
+        first = min(labels)
+        bad = tmp_path / "predictions.csv"
+        bad.write_text(
+            "user_id,predicted,n_posts_used\n" + "".join(
+                f"{u},{value if u == first else labels[u]},6\n" for u in sorted(labels)
+            ),
+            encoding="utf-8",
+        )
+        agg_out = tmp_path / "agg"
+        extra = ["--reference", dataset / "reference.csv"] if reference else []
+        code = run_cli("aggregate", "--predictions", bad, "--mapping", dataset / "mapping.csv",
+                       "--min-users", 3, *extra, "--output-dir", agg_out)
+        assert code == 2
+        assert f"predictions.csv:2: predicted must be finite, got '{value}'" in capsys.readouterr().err
+        assert not (agg_out / "institutions.csv").exists()
+
     def test_aggregate_with_reference(self, dataset, trained, tmp_path):
         pred_out = tmp_path / "pred"
         run_cli(
@@ -625,17 +661,17 @@ class TestDeterminism:
 
 
 # Runs CLI commands in one fresh interpreter and prints, after each, its exit
-# code and the scipy modules loaded so far.
-_SCIPY_PROBE = """
+# code, the scipy modules loaded so far and whether numpy is loaded.
+_IMPORT_PROBE = """
 import json, sys
 import postscore, postscore.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-loaded = {"import": [0, scipy_modules()]}
+loaded = {"import": [0, scipy_modules(), "numpy" in sys.modules]}
 for name, argv in json.loads(sys.argv[1]):
-    loaded[name] = [postscore.cli.main(argv), scipy_modules()]
+    loaded[name] = [postscore.cli.main(argv), scipy_modules(), "numpy" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -643,7 +679,10 @@ print(json.dumps(loaded))
 class TestScipyLoadedOnlyByLoocv:
     def test_commands_without_loocv_never_import_scipy(self, dataset, trained, tmp_path):
         d, model = dataset, trained / "model.json"
+        # featurize runs first: it and the import must leave numpy unloaded.
         steps = [
+            ("featurize", ["featurize", "--posts", d / "posts.jsonl",
+                           "--output-dir", tmp_path / "features"]),
             ("train", ["train", "--posts", d / "posts.jsonl", "--labels", d / "labels.csv",
                        "--embeddings", d / "embeddings.vec", "--output-dir", tmp_path / "train"]),
             ("train_tfidf", ["train", "--posts", d / "posts.jsonl", "--labels", d / "labels.csv",
@@ -653,8 +692,6 @@ class TestScipyLoadedOnlyByLoocv:
                        "--dim", 4, "--topics", 2, "--users", 4, "--posts-per-user", 2,
                        "--tokens-per-post", 3, "--institutions", 1,
                        "--users-per-institution", 1]),
-            ("featurize", ["featurize", "--posts", d / "posts.jsonl",
-                           "--output-dir", tmp_path / "features"]),
             ("correlate", ["correlate", "--features", tmp_path / "features" / "features.csv",
                            "--labels", d / "labels.csv", "--output-dir", tmp_path / "corr"]),
             ("predict", ["predict", "--posts", d / "posts.jsonl", "--model", model,
@@ -673,13 +710,17 @@ class TestScipyLoadedOnlyByLoocv:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, payload], capture_output=True, text=True, env=env
+            [sys.executable, "-c", _IMPORT_PROBE, payload], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         for name in ["import"] + [name for name, _ in steps[:-1]]:
-            assert loaded[name] == [0, []], name
+            assert loaded[name][:2] == [0, []], name
+        assert loaded["import"][2] is False
+        assert loaded["featurize"][2] is False
+        # train loads numpy, so the probe sees numpy when it is loaded
+        assert loaded["train"][2] is True
         # evaluate runs LOOCV, so the probe sees scipy when it is loaded
-        code, modules = loaded["evaluate"]
+        code, modules, _ = loaded["evaluate"]
         assert code == 0
         assert "scipy.linalg" in modules

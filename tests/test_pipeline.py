@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from postscore import pipeline
 from postscore.model import LinearModel, TrainingMeta, fit, predict_post, score_tokenized_posts
 from postscore.pipeline import (
     FilterStats,
     build_embedding_training,
     build_tfidf_training,
-    extract_features,
     iter_clean_posts,
     predict_users_from_posts,
     predict_users_tfidf,
 )
-from postscore.textproc import RawPost, TokenizedPost
+from postscore.textproc import RawPost, TokenizedPost, extract_features
 from postscore.tfidf import build_vocab, tfidf_vector
 
 
@@ -172,6 +172,9 @@ class TestTfidfRoute:
 
 
 class TestExtractFeatures:
+    def test_pipeline_keeps_the_name(self):
+        assert pipeline.extract_features is extract_features
+
     def test_grouped_and_sorted(self):
         features = extract_features(_posts())
         assert [f.user_id for f in features] == ["u1", "u2", "u3"]

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from postscore.textproc import (
     FeatureAccumulator,
@@ -141,6 +143,20 @@ class TestTokenizePost:
         assert (acc.rate_emoji * acc.total_tokens, acc.n_latin, acc.n_alpha) == expected
 
 
+def _split_only_should_filter(post):
+    """should_filter's rule before the `"www." in lowered` pre-check."""
+    lowered = post.text.lower()
+    if "http://" in lowered or "https://" in lowered:
+        return True, "url"
+    if any(chunk.startswith("www.") for chunk in lowered.split()):
+        return True, "url"
+    if post.is_repost:
+        return True, "repost"
+    if not tokenize(post.text):
+        return True, "empty"
+    return False, None
+
+
 class TestShouldFilter:
     def test_url_http(self):
         assert should_filter(RawPost("u", "p", "смотри http://a.b")) == (True, "url")
@@ -157,6 +173,21 @@ class TestShouldFilter:
 
     def test_repost(self):
         assert should_filter(RawPost("u", "p", "текст", is_repost=True)) == (True, "repost")
+
+    @given(
+        st.lists(
+            st.sampled_from(["www.", "WWW.", "ww", "w.", "http://", "a", "Я", "1", "!", " ", "\t",
+                             "\n", "\x1c", "\u00a0", "\u3000"]),
+            max_size=12,
+        ).map("".join),
+        st.booleans(),
+    )
+    @example("x\x1cwww.y", False)
+    @example("x\u00a0www.y", False)
+    @example("xwww.y", False)
+    def test_www_substring_check_matches_split_rule(self, text, is_repost):
+        post = RawPost("u", "p", text, is_repost=is_repost)
+        assert should_filter(post) == _split_only_should_filter(post)
 
     def test_pure_and_order_independent(self):
         posts = [
