@@ -72,7 +72,9 @@ def _add_common(p, threads=False, seed=None):
     if threads:
         p.add_argument("--threads", type=_positive_int, default=1, help="worker threads (default 1)")
     if seed is not None:
-        p.add_argument("--seed", type=int, default=seed, help=f"random seed (default {seed})")
+        p.add_argument(
+            "--seed", type=_nonnegative_int, default=seed, help=f"random seed (default {seed})"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -182,6 +182,8 @@ def read_freq_csv(path) -> dict:
                 count = int(row[1])
             except ValueError:
                 raise DataFormatError("count must be an integer", path=path, line=lineno) from None
+            if count < 0:
+                raise DataFormatError(f"negative count {count}", path=path, line=lineno)
             if row[0] in freq:
                 raise DataFormatError(f"duplicate word {row[0]!r}", path=path, line=lineno)
             freq[row[0]] = count

@@ -9,6 +9,8 @@ pass reads the words, and a space count checks that no row has extra fields.
 A pure-Python validating parser runs only when that route rejects a file. It
 names the offending line, or, for the rare value the C parser refuses but
 Python's float() takes (such as "1_0"), parses the file to the same result.
+Writing formats values with numpy a chunk at a time (``vectext``), to the
+same bytes as ``str()`` per value.
 
 A post vector is the mean of its matched rows: ``segment_mean`` takes it for
 many posts at once, and ``model.score_tokenized_posts`` averages word scores
@@ -96,14 +98,31 @@ class EmbeddingTable:
         return self._fingerprint
 
     def save_vec(self, path) -> None:
-        """Write the text .vec format; float32 values round-trip bit-exactly."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"{len(self.words)} {self.dim}\n")
-            for w, row in zip(self.words, self.vectors):
-                f.write(w)
-                f.write(" ")
-                f.write(" ".join(str(v) for v in row))
-                f.write("\n")
+        """Write the text .vec format; float32 values round-trip bit-exactly.
+
+        Each value is written as ``str(np.float32(v))`` writes it. Rows are
+        formatted about 16,000 values at a time with numpy (``vectext``): for
+        1e-4 <= |v| < 1e6 the shortest round-trip digits are found by exact
+        float64 comparisons and laid out as bytes. A row holding any value
+        that path cannot certify (one outside that range, a power of two, or
+        a tie between two shortest candidates) is written with ``str()`` per
+        value instead.
+
+        Raises ValueError, before the file is opened, for a word holding a
+        space, "\\n" or "\\r", which ``load_vec`` could not read back.
+        """
+        for i, w in enumerate(self.words):
+            if " " in w or "\n" in w or "\r" in w:
+                raise ValueError(
+                    f"word {w!r} in row {i} holds a space or a line break, "
+                    "which a .vec file cannot store"
+                )
+        from .vectext import row_texts
+
+        with open(path, "wb") as f:
+            f.write(f"{len(self.words)} {self.dim}\n".encode())
+            for w, text in zip(self.words, row_texts(self.vectors)):
+                f.write(w.encode() + b" " + text + b"\n")
 
     @classmethod
     def load_vec(cls, path) -> "EmbeddingTable":

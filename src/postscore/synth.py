@@ -227,6 +227,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
         word_topic[block] = t
     words = [_word_name(i) for i in range(cfg.vocab_size)]
     table = EmbeddingTable(words, vectors.astype(np.float32))
+    del vectors  # the float64 draws would stay alive until the files are written
 
     # Sampling pools exclude held-out words; Zipf ranks follow block order.
     pools = []

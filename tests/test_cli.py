@@ -418,6 +418,18 @@ class TestRankWordsCommand:
         assert ranked == {w for w, c in freq.items() if c >= threshold}
         assert 0 < len(ranked) < 900
 
+    def test_negative_freq_count_is_data_error(self, dataset, trained, tmp_path, capsys):
+        bad = tmp_path / "freq.csv"
+        bad.write_text("word,count\nw000001,3\nw000002,-5\n", encoding="utf-8")
+        out = tmp_path / "rank_neg"
+        code = run_cli(
+            "rank-words", "--model", trained / "model.json",
+            "--embeddings", dataset / "embeddings.vec", "--freq", bad, "--output-dir", out,
+        )
+        assert code == 2
+        assert "freq.csv:3: negative count -5" in capsys.readouterr().err
+        assert not (out / "ranking.csv").exists()
+
     def test_posts_and_freq_are_exclusive(self, dataset, trained, tmp_path, capsys):
         out = tmp_path / "rank_both"
         with pytest.raises(SystemExit) as exc:
@@ -568,12 +580,15 @@ class TestExitCodes:
              "--min-users: must be a positive integer, got -3"),
             (["rank-words", "--model", "m.json", "--embeddings", "e.vec", "--min-count", "-5"],
              "--min-count: must be a non-negative integer, got -5"),
+            (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
+            (["synth", "--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
         ],
         ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
              "predict-threads", "synth-users", "synth-institutions", "synth-noise-nan",
              "synth-noise-inf", "bootstrap", "level",
              "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda", "min-users",
-             "min-count"],
+             "min-count", "curve-seed-negative", "synth-seed-negative"],
     )
     def test_out_of_range_size_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from postscore import dataio, embeddings
+from postscore import dataio, embeddings, vectext
 from postscore.embeddings import (
     EmbeddingTable,
     _load_vec_fast,
@@ -16,6 +17,7 @@ from postscore.embeddings import (
     post_vectors_matrix,
 )
 from postscore.errors import DataFormatError
+from postscore.synth import SynthConfig, generate
 
 
 def _write(tmp_path, text, name="table.vec"):
@@ -163,6 +165,94 @@ class TestLoadVec:
         slow_words, slow = _load_vec_slow(path, *vectors.shape)
         assert fast_words == slow_words
         assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
+
+
+def _bits(*values):
+    return [int(np.float32(v).view(np.uint32)) for v in values]
+
+
+_F32_1E_4 = _bits(1e-4)[0]  # 9.9999997e-05, just below 1e-4: scientific
+_F32_1E6 = _bits(1e6)[0]  # 1e6 exactly: scientific; 999999.94 below it is not
+# float32 bit patterns in the binades [2**-14, 2**20) that hold 1e-4 <= |v| < 1e6, either sign
+_POSITIONAL_BITS = st.builds(
+    lambda sign, bits: (sign << 31) | bits, st.integers(0, 1), st.integers(113 << 23, (147 << 23) - 1)
+)
+
+
+class TestSaveVec:
+    @pytest.mark.parametrize("word", ["a b", "a\nb", "a\rb"], ids=["space", "lf", "cr"])
+    def test_word_with_separator_rejected_before_writing(self, tmp_path, word):
+        table = EmbeddingTable(["ok", word], np.eye(2, dtype=np.float32))
+        path = tmp_path / "bad.vec"
+        with pytest.raises(ValueError) as err:
+            table.save_vec(path)
+        assert f"word {word!r} in row 1" in str(err.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "cfg, sha256",
+        [
+            (
+                dict(vocab_size=400, dim=8, n_topics=4, seed=11),
+                "b8bf3ead8662de52400da82485a1ee0d434bd7703cc4bba23f9c939761adf599",
+            ),
+            (  # the many-posts bench table at seed 1; 14 of its rows go to str()
+                dict(vocab_size=3000, dim=50, seed=1),
+                "5f93057955bd003336b80a0077342f628f5c1cc44e9e16dc7f7ea0258f3f1131",
+            ),
+        ],
+        ids=["400x8", "3000x50"],
+    )
+    def test_synth_table_bytes_match_per_value_str_writer(self, tmp_path, cfg, sha256):
+        # digests of files written by the per-value str() writer
+        small = dict(n_users=20, posts_per_user=2, institution_count=2, users_per_institution=3)
+        generate(SynthConfig(**cfg, **small), out_dir=tmp_path)
+        assert hashlib.sha256((tmp_path / "embeddings.vec").read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("chunk_values", [1, 7, 64])
+    def test_chunking_does_not_change_bytes(self, tmp_path, monkeypatch, chunk_values):
+        rng = np.random.default_rng(3)
+        vectors = (rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-5, 7, (40, 9)))
+        table = EmbeddingTable([f"w{i}" for i in range(40)], vectors.astype(np.float32))
+        table.save_vec(tmp_path / "default.vec")
+        monkeypatch.setattr(vectext, "CHUNK_VALUES", chunk_values)
+        table.save_vec(tmp_path / "chunked.vec")
+        assert (tmp_path / "default.vec").read_bytes() == (tmp_path / "chunked.vec").read_bytes()
+
+    def test_fast_path_certifies_nearly_all_positional_values(self):
+        values = np.random.default_rng(0).standard_normal(20_000).astype(np.float32)
+        _, exact = vectext._fast_rows(values.reshape(-1, 1))
+        assert exact.mean() > 0.99
+
+    @pytest.mark.parametrize(
+        "value, exact",
+        [
+            (1.5, True), (-0.1, True), (123456.7, True), (np.float32(1e-4), False),
+            (0.0, False), (-0.0, False), (2e6, False), (0.5, False), (1024.0, False),
+            (294487.375, False),  # .37 and .38 are equally near: a tie
+        ],
+    )
+    def test_fallback_cases(self, value, exact):
+        _, got = vectext._fast_rows(np.array([[value]], dtype=np.float32))
+        assert got[0] == exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.lists(st.one_of(st.integers(0, 2**32 - 1), _POSITIONAL_BITS), min_size=1, max_size=40)
+    )
+    @example(bits=[_F32_1E_4 - 1, _F32_1E_4, _F32_1E_4 + 1, _F32_1E6 - 1, _F32_1E6, _F32_1E6 + 1])
+    @example(bits=_bits(2.0**-13, 2.0**-12, 0.5, 1.0, 2.0, 1024.0, 2.0**19, -(2.0**19)))
+    @example(bits=[0x00000000, 0x80000000, 0x00000001, 0x7F7FFFFF, 0xFF7FFFFF])
+    @example(bits=_bits(294487.375, -294487.375, 0.1, 999999.9, -123456.7, -999999.94))
+    def test_value_text_is_str(self, bits):
+        # per value: the fast path where it certifies, str() where it does not
+        values = np.array(bits, dtype=np.uint32).view(np.float32).copy()
+        values[~np.isfinite(values)] = np.float32(-0.0)
+        expected = [str(v).encode() for v in values]
+        column = values.reshape(-1, 1)
+        lines, exact = vectext._fast_rows(column)
+        assert [t for t, ok in zip(lines, exact) if ok] == [t for t, ok in zip(expected, exact) if ok]
+        assert list(vectext.row_texts(column)) == expected
 
 
 class TestLookup:
