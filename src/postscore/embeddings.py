@@ -104,9 +104,9 @@ class EmbeddingTable:
         formatted about 16,000 values at a time with numpy (``vectext``): for
         1e-4 <= |v| < 1e6 the shortest round-trip digits are found by exact
         float64 comparisons and laid out as bytes. A row holding any value
-        that path cannot certify (one outside that range, a power of two, or
-        a tie between two shortest candidates) is written with ``str()`` per
-        value instead.
+        that path cannot certify (one outside that range, NaN and infinities
+        included, a power of two, or a tie between two shortest candidates)
+        is written with ``str()`` per value instead.
 
         Raises ValueError, before the file is opened, for a word holding a
         space, "\\n" or "\\r", which ``load_vec`` could not read back.

@@ -20,7 +20,7 @@ times a power of 5, and q + 7 - e <= -2 throughout the range, so an edge is
 never an integer.
 
 A value is left to ``str()`` when the fast path cannot certify it: outside
-the positional range (zeros and subnormals included), a power of two (its
+the positional range (zeros, subnormals, infinities and NaN included), a power of two (its
 interval is narrower below than above), or two candidates equally near S.
 ``row_texts`` writes a row that holds any such value with ``str()`` per
 value, as the per-value writer did; on normally distributed tables that is
@@ -177,9 +177,10 @@ def _fast_rows(block):
     """
     n, dim = block.shape
     v = block.ravel()
-    x = v.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens
+        x = v.astype(np.float64)
     np.abs(x, out=x)
-    outside = (x < 1e-4) | (x >= 1e6)
+    outside = ~((x >= 1e-4) & (x < 1e6))  # NaN too
     x[outside] = 1.0  # any in-range value; its row is rewritten anyway
     c, e, k, uncertain = _shortest(x)
     uncertain |= outside

@@ -189,6 +189,12 @@ class TestSaveVec:
         assert f"word {word!r} in row 1" in str(err.value)
         assert not path.exists()
 
+    def test_non_finite_values_written_as_str(self, tmp_path):
+        vectors = np.array([[np.nan, 1.5], [-np.inf, np.inf]], dtype=np.float32)
+        path = tmp_path / "nonfinite.vec"
+        EmbeddingTable(["a", "b"], vectors).save_vec(path)
+        assert path.read_text() == "2 2\na nan 1.5\nb -inf inf\n"
+
     @pytest.mark.parametrize(
         "cfg, sha256",
         [
@@ -244,10 +250,10 @@ class TestSaveVec:
     @example(bits=_bits(2.0**-13, 2.0**-12, 0.5, 1.0, 2.0, 1024.0, 2.0**19, -(2.0**19)))
     @example(bits=[0x00000000, 0x80000000, 0x00000001, 0x7F7FFFFF, 0xFF7FFFFF])
     @example(bits=_bits(294487.375, -294487.375, 0.1, 999999.9, -123456.7, -999999.94))
+    @example(bits=[0x7FC00000, 0xFFC00000, 0x7F800000, 0xFF800000, 0x7F800001])  # NaN, inf
     def test_value_text_is_str(self, bits):
         # per value: the fast path where it certifies, str() where it does not
-        values = np.array(bits, dtype=np.uint32).view(np.float32).copy()
-        values[~np.isfinite(values)] = np.float32(-0.0)
+        values = np.array(bits, dtype=np.uint32).view(np.float32)
         expected = [str(v).encode() for v in values]
         column = values.reshape(-1, 1)
         lines, exact = vectext._fast_rows(column)

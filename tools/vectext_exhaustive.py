@@ -8,16 +8,18 @@ Wherever the fast path certifies a value, its text must equal
 ``str()`` and so cannot differ. Prints per-binade and total counts, and
 exits 1 on any mismatch.
 
-    PYTHONPATH=src python3 tools/vectext_exhaustive.py [--processes 2]
+    PYTHONPATH=src python3 tools/vectext_exhaustive.py
 
-Each process formats 2**16 values at a time, so memory stays small; on one
-core most of the time goes to the ``str()`` reference (about 1 us a value).
+It runs one worker process per CPU this process may use. Each formats 2**16
+values at a time, so memory stays small; most of the time goes to the
+``str()`` reference (about 1 us a value).
 """
 
 from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import sys
 import time
 from itertools import compress
@@ -52,14 +54,14 @@ def check_binade(task):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--processes", type=int, default=2, help="worker processes (default 2)")
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
+    processes = len(os.sched_getaffinity(0))
     tasks = [(exponent, sign) for exponent in BIASED_EXPONENTS for sign in (0, 1)]
     totals = [0, 0, 0]
     mismatches = []
     t0 = time.perf_counter()
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(args.processes) as pool:
+    with ctx.Pool(processes) as pool:
         for task, (n, in_range, certified, mismatch) in zip(tasks, pool.imap(check_binade, tasks)):
             exponent, sign = task
             totals = [a + b for a, b in zip(totals, (n, in_range, certified))]
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
     print(
         f"total: {n} values, {in_range} in 1e-4 <= |x| < 1e6, {certified} certified "
         f"({in_range - certified} left to str()), {len(mismatches)} binades with a mismatch, "
-        f"{time.perf_counter() - t0:.0f} s on {args.processes} processes"
+        f"{time.perf_counter() - t0:.0f} s on {processes} processes"
     )
     return 1 if mismatches else 0
 
