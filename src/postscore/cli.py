@@ -2,8 +2,9 @@
 aggregate/rank-words/curve. Each command writes its outputs and returns its
 params, inputs and outputs; main writes them to the run's provenance manifest.
 Each command imports the modules it runs, when it runs, because start-up is
-most of a small command's cost: featurize loads no numpy, and only evaluate
-and curve load scipy.
+most of a small command's cost: featurize loads no numpy, and no command
+imports scipy (LOOCV in evaluate and curve calls scipy's compiled LAPACK
+routines directly, see model._lapack).
 
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
 and line when known), 3 numerical failure with a remediation hint.

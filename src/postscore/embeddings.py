@@ -109,20 +109,26 @@ class EmbeddingTable:
         is written with ``str()`` per value instead.
 
         Raises ValueError, before the file is opened, for a word holding a
-        space, "\\n" or "\\r", which ``load_vec`` could not read back.
+        space, "\\n" or "\\r", which ``load_vec`` could not read back, or
+        one that cannot be encoded as UTF-8 (a lone surrogate).
         """
+        encoded = []
         for i, w in enumerate(self.words):
             if " " in w or "\n" in w or "\r" in w:
                 raise ValueError(
                     f"word {w!r} in row {i} holds a space or a line break, "
                     "which a .vec file cannot store"
                 )
+            try:
+                encoded.append(w.encode())
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"word {w!r} in row {i} cannot be encoded as UTF-8") from exc
         from .vectext import row_texts
 
         with open(path, "wb") as f:
             f.write(f"{len(self.words)} {self.dim}\n".encode())
-            for w, text in zip(self.words, row_texts(self.vectors)):
-                f.write(w.encode() + b" " + text + b"\n")
+            for w, text in zip(encoded, row_texts(self.vectors)):
+                f.write(w + b" " + text + b"\n")
 
     @classmethod
     def load_vec(cls, path) -> "EmbeddingTable":

@@ -4,9 +4,10 @@ Fitting minimizes sum((x.w + b - y)^2) + lambda*||w||^2 with an unpenalized
 bias, solved by normal equations on centered data with one symmetric
 eigendecomposition (numpy): its eigenvalue ratio is the condition number the
 fit reports, its smallest eigenvalue decides numerical singularity, and its
-vectors give the solution. Grouped LOOCV solves one system per user and uses
-a Cholesky (SPD) factorization from scipy.linalg, imported at its first
-solve, so only commands that run LOOCV load scipy.
+vectors give the solution. Grouped LOOCV solves one system per user with a
+Cholesky (SPD) factorization: LAPACK's dpotrf and dpotrs from scipy's
+compiled LAPACK module, bound at its first solve without importing scipy
+itself, so no command loads scipy's Python package.
 
 Leave-one-user-out CV re-solves the same normal equations per user with that
 user's rows excluded. The per-user systems are assembled from per-user Gram
@@ -25,7 +26,11 @@ and the ridge diagonal) and the system solved.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -163,21 +168,67 @@ class CurvePoint:
     ci_high: float
 
 
-def _solve_spd(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Only loo_user_cv solves here: it factors one system per user, and at
-    # one thread scipy's dpotrf beats np.linalg.cholesky (d=301: ~0.75 vs
-    # ~1.2 ms, d=1001: ~21 vs ~36 ms, best of 6). fit solves once, with
-    # numpy's eigh. Imported here, not at module level: scipy.linalg adds
-    # ~0.3 s and ~28 MB peak RSS to start-up, which no command without LOOCV
-    # (train, predict, ...) should pay. After the first solve the import is a
-    # dict lookup.
-    from scipy.linalg import cho_factor, cho_solve
+def _flapack_path():
+    """Path of scipy's compiled LAPACK module (``scipy/linalg/_flapack*.so``),
+    or None. ``find_spec`` of a top-level package runs none of its code."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for root in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
-    try:
-        factor = cho_factor(G, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    return cho_solve(factor, rhs, check_finite=False)
+
+@functools.cache
+def _lapack():
+    """LAPACK's dpotrf and dpotrs, bound at LOOCV's first solve, once per
+    process.
+
+    They are the routines scipy.linalg's cho_factor and cho_solve call, taken
+    from the same compiled module. Loading that module by file costs ~4 ms
+    and +2.5 MB RSS, where ``import scipy.linalg`` cost 0.24 s and +24 MB
+    (medians of 10 processes with numpy loaded), most of it scipy's
+    array-API shim importing numpy.testing, numpy.f2py and numpy.ma. The
+    module is registered as ``postscore._flapack``; no ``scipy`` module is
+    imported. An install without the module file falls back to
+    scipy.linalg.lapack, which holds the same two routines.
+    """
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack as flapack
+    else:
+        # The last name component selects the module's init function.
+        loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
+        spec = importlib.util.spec_from_loader(loader.name, loader)
+        flapack = importlib.util.module_from_spec(spec)
+    return flapack.dpotrf, flapack.dpotrs
+
+
+def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
+    """Solve G x = rhs for symmetric positive definite G, as
+    ``cho_solve(cho_factor(G, lower=True, check_finite=False), rhs,
+    check_finite=False)`` does, with the same LAPACK calls and arguments.
+
+    Raises SingularSystemError naming ``held_out`` (LOOCV's held-out user)
+    and the leading minor that is not positive definite.
+    """
+    # Only loo_user_cv solves here: it factors one system per user, and at
+    # one thread scipy's dpotrf beats np.linalg.cholesky, whose wheel bundles
+    # another OpenBLAS (d+1 = 301: 0.60 vs 1.52 ms, 1001: 16.1 vs 33.4 ms,
+    # best of 8-30) and whose factor differs in the last bits. fit solves
+    # once, with numpy's eigh.
+    dpotrf, dpotrs = _lapack()
+    factor, info = dpotrf(G, lower=1, clean=0)
+    if info > 0:
+        raise SingularSystemError(
+            f"the LOOCV system that holds out user {held_out!r} is not positive "
+            f"definite (leading minor of order {info})"
+        )
+    x, _ = dpotrs(factor, rhs, lower=1)
+    return x
 
 
 def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> LinearModel:
@@ -349,7 +400,7 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
             after[j] += after[j + 1]
         for j, u in enumerate(block):
             np.add(before[j], after[j + 1], out=G)
-            theta = _solve_spd(G[:d1, :d1], G[:d1, d1])
+            theta = _solve_spd(G[:d1, :d1], G[:d1, d1], u)
             scores = Z[starts[j] : ends[j], :d] @ theta[:d] + theta[d]
             predictions.append(UserPrediction(u, float(scores.mean()), ends[j] - starts[j]))
         before[0] = before[k]

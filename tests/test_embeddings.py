@@ -189,6 +189,14 @@ class TestSaveVec:
         assert f"word {word!r} in row 1" in str(err.value)
         assert not path.exists()
 
+    def test_word_not_utf8_encodable_rejected_before_writing(self, tmp_path):
+        table = EmbeddingTable(["ok", "bad\ud800"], np.eye(2, dtype=np.float32))
+        path = tmp_path / "bad.vec"
+        with pytest.raises(ValueError, match="UTF-8") as err:
+            table.save_vec(path)
+        assert "in row 1" in str(err.value)
+        assert not path.exists()
+
     def test_non_finite_values_written_as_str(self, tmp_path):
         vectors = np.array([[np.nan, 1.5], [-np.inf, np.inf]], dtype=np.float32)
         path = tmp_path / "nonfinite.vec"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postscore import model as model_module
 from postscore.errors import SingularSystemError
 from postscore.model import (
     LinearModel,
@@ -19,6 +20,7 @@ from postscore.model import (
     predict_user,
     score_tokenized_posts,
     _eligible_users,
+    _solve_spd,
 )
 
 from oracles import gd_fit
@@ -36,6 +38,50 @@ def _random_grouped(seed, n_users, posts_per_user, d, noise=5.0, y_scale=30.0, y
     users = np.repeat([f"u{i:04d}" for i in range(n_users)], posts_per_user)
     y = y_offset + y_scale * (X @ beta) + noise * rng.standard_normal(n)
     return _ts(X, y, users)
+
+
+def _moment_views(seed, d1):
+    """A random SPD (d+1)^2 system and its right-hand side, sliced as views
+    from a (d+2)^2 moment matrix, as loo_user_cv slices them."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((2 * d1 + 4, d1 + 1))
+    M = Z.T @ Z
+    return M[:d1, :d1], M[:d1, d1]
+
+
+class TestLapackBinding:
+    """LOOCV's LAPACK binding against scipy.linalg's public routines. The
+    reference import loads scipy's LAPACK module a second time in this
+    process, beside the binding's own load of it."""
+
+    @pytest.mark.parametrize("d1", [1, 2, 51, 201])
+    def test_bits_equal_cho_factor_and_cho_solve(self, d1):
+        from scipy.linalg import cho_factor, cho_solve
+
+        G, rhs = _moment_views(d1, d1)
+        ref_factor, lower = cho_factor(G, lower=True, check_finite=False)
+        ref_x = cho_solve((ref_factor, lower), rhs, check_finite=False)
+        dpotrf, _ = model_module._lapack()
+        factor, info = dpotrf(G, lower=1, clean=0)
+        assert info == 0
+        assert factor.tobytes() == ref_factor.tobytes()
+        assert _solve_spd(G, rhs, "u").tobytes() == ref_x.tobytes()
+
+    def test_not_positive_definite_raises(self):
+        G = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularSystemError, match="user 'u7'.*order 2.*lambda"):
+            _solve_spd(G[:2, :2], G[:2, 2], "u7")
+
+    def test_fallback_without_module_file_gives_same_bits(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        G, rhs = _moment_views(3, 51)
+        bound = _solve_spd(G, rhs, "u")
+        monkeypatch.setattr(model_module, "_flapack_path", lambda: None)
+        fallback = model_module._lapack.__wrapped__()  # bypass the per-process cache
+        assert fallback == (lapack.dpotrf, lapack.dpotrs)
+        monkeypatch.setattr(model_module, "_lapack", lambda: fallback)
+        assert _solve_spd(G, rhs, "u").tobytes() == bound.tobytes()
 
 
 class TestFit:
@@ -289,8 +335,11 @@ class TestLooUserCV:
         # 3 users, d=2, 4 posts: dropping any user leaves 2-3 rows < d+1
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
         ts = _ts(X, [1.0, 2.0, 3.0, 4.0], ["A", "A", "B", "C"])
-        with pytest.raises(SingularSystemError, match="lambda"):
+        with pytest.raises(SingularSystemError, match="lambda") as err:
             loo_user_cv(ts, lam=0.0)
+        # users are solved in sorted order, and A's system is the first to fail
+        assert "user 'A'" in str(err.value)
+        assert "leading minor of order" in str(err.value)
         loo_user_cv(ts, lam=0.5)
 
     def test_block_boundaries_cover_many_user_counts(self):
