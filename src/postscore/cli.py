@@ -321,7 +321,9 @@ def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
     outputs = {}
     if args.vectorizer == "embedding":
         ts, astats, table = _embedding_training(args, clean, labels, inputs)
-        model = fit(ts, lam=args.lam, embedding_fingerprint=table.fingerprint())
+        fingerprint = table.fingerprint()
+        del table, clean  # the fit needs only ts: its peak need not hold the table or posts
+        model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
         extra = None
     else:
         ts, astats, vocab, stopwords = _tfidf_training(args, clean, labels, inputs)
@@ -345,6 +347,7 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
     clean, labels, _, inputs = _load_training(args)
     build = _embedding_training if args.vectorizer == "embedding" else _tfidf_training
     ts = build(args, clean, labels, inputs)[0]
+    del clean  # LOOCV needs only ts: its peak need not hold the posts
     predictions = loo_user_cv(ts, lam=args.lam)
     truth = {u: labels[u] for u in {p.user_id for p in predictions}}
     rep = pearson(
@@ -445,7 +448,8 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     counts = None
     if args.posts:
         posts_path = _check_input(args.posts)
-        counts = wordrank.training_token_counts(tp.tokens for tp in pipeline.load_clean_posts(posts_path))
+        clean = pipeline.iter_clean_posts(dataio.iter_posts_jsonl(posts_path))
+        counts = wordrank.training_token_counts(tp.tokens for tp in clean)
         inputs["posts"] = posts_path
     elif args.freq:
         freq_path = _check_input(args.freq)
@@ -476,6 +480,7 @@ def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     _print_seed(args.seed)
     clean, labels, _, inputs = _load_training(args)
     ts = _embedding_training(args, clean, labels, inputs)[0]
+    del clean  # the curve needs only ts: its peak need not hold the posts
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )

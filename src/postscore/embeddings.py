@@ -14,7 +14,9 @@ same bytes as ``str()`` per value.
 
 A post vector is the mean of its matched rows: ``segment_mean`` takes it for
 many posts at once, and ``model.score_tokenized_posts`` averages word scores
-with it too.
+with it too. Word scores (``EmbeddingTable.dot``), the fingerprint and the
+load checks read the float32 table in place or ~1 MB of rows at a time, so
+nothing holds a float64 copy or a mask of the whole table.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ __all__ = ["EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix"]
 _CHUNK_BYTES = 1 << 20
 
 
+class DuplicateWordError(ValueError):
+    """A word stored twice in a table; ``row`` is its second row."""
+
+    def __init__(self, word: str, row: int):
+        super().__init__(f"duplicate word in embedding table: {word!r} (row {row})")
+        self.word = word
+        self.row = row
+
+
 class EmbeddingTable:
     """Immutable word -> float32 vector map.
 
@@ -51,11 +62,13 @@ class EmbeddingTable:
             raise ValueError("an embedding table needs at least one word")
         self.words = list(words)
         self.vectors = vectors
-        self.vocab = {}
-        for i, w in enumerate(self.words):
-            if w in self.vocab:
-                raise ValueError(f"duplicate word in embedding table: {w!r}")
-            self.vocab[w] = i
+        self.vocab = dict(zip(self.words, range(len(self.words))))
+        if len(self.vocab) != len(self.words):
+            seen = set()
+            for i, w in enumerate(self.words):
+                if w in seen:
+                    raise DuplicateWordError(w, i)
+                seen.add(w)
         self._fingerprint = None
         vectors.setflags(write=False)
 
@@ -85,7 +98,12 @@ class EmbeddingTable:
         return self.vectors[idx]
 
     def fingerprint(self) -> str:
-        """sha256 over shape, vocabulary and raw float32 bytes; cached."""
+        """sha256 over shape, vocabulary and raw float32 bytes; cached.
+
+        The vectors are hashed from the C-contiguous array's own buffer, with
+        no copy of it: the digest is the one over ``vectors.tobytes()``, so
+        models trained against a table still match it.
+        """
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(b"embedding-table-v1")
@@ -93,9 +111,26 @@ class EmbeddingTable:
             for w in self.words:
                 h.update(w.encode("utf-8"))
                 h.update(b"\x00")
-            h.update(self.vectors.tobytes())
+            h.update(self.vectors)
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    def dot(self, w) -> np.ndarray:
+        """``vectors @ w`` in float64, one value per row, without a float64
+        copy of the table.
+
+        Rows are widened to float64 about 1 MB at a time, and each row's
+        product is an einsum reduction over that row alone, so the result is
+        bit-identical for any chunking. It differs from a BLAS product over a
+        float64 copy by summation order only.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        out = np.empty(len(self.words), dtype=np.float64)
+        step = max(1, _CHUNK_BYTES // (8 * self.dim))
+        for start in range(0, out.size, step):
+            rows = self.vectors[start : start + step].astype(np.float64)
+            np.einsum("ij,j->i", rows, w, out=out[start : start + step])
+        return out
 
     def save_vec(self, path) -> None:
         """Write the text .vec format; float32 values round-trip bit-exactly.
@@ -144,8 +179,13 @@ class EmbeddingTable:
         if parsed is None:
             parsed = _load_vec_slow(path, count, dim)
         words, vectors = parsed
-        _validate_rows(path, words, vectors, count, dim)
-        return cls(words, vectors)
+        _validate_rows(path, words, vectors, count)
+        try:
+            return cls(words, vectors)
+        except DuplicateWordError as exc:
+            raise DataFormatError(
+                f"duplicate word {exc.word!r}", path=path, line=exc.row + 2
+            ) from None
 
 
 def _read_vec_header(path) -> tuple[int, int]:
@@ -237,20 +277,18 @@ def _load_vec_slow(path, count, dim):
     return words, vectors[:row]
 
 
-def _validate_rows(path, words, vectors, count, dim) -> None:
+def _validate_rows(path, words, vectors, count) -> None:
     if len(words) != count:
         raise DataFormatError(
             f"header declares {count} words but file has {len(words)}", path=path, line=1
         )
-    finite = np.isfinite(vectors).all(axis=1)
+    # A float64 sum of finite float32 values cannot overflow, and NaN or
+    # +-inf carries through it, so a row is finite exactly when its sum is;
+    # this needs no n x d mask.
+    finite = np.isfinite(vectors.sum(axis=1, dtype=np.float64))
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise DataFormatError("non-finite vector value", path=path, line=bad + 2)
-    seen = set()
-    for i, w in enumerate(words):
-        if w in seen:
-            raise DataFormatError(f"duplicate word {w!r}", path=path, line=i + 2)
-        seen.add(w)
 
 
 @dataclass(frozen=True)
@@ -319,11 +357,15 @@ def segment_mean(rows, counts, out) -> None:
     out[nonempty] = sums / counts[nonempty].reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
+def post_vectors_matrix(
+    table: EmbeddingTable, token_lists, threads: int = 1, matched_only: bool = False
+):
     """Post vectors for many posts at once.
 
     Returns (means, n_matched, n_tokens): ``means`` is n_posts x dim float64
-    with NaN rows where no token matched. Posts go in chunks of about 1 MB of
+    with NaN rows where no token matched. With ``matched_only`` it holds only
+    the rows of the posts with a match, in post order, so a caller that drops
+    the others gets them with no copy. Posts go in chunks of about 1 MB of
     gathered rows that never split a post, so the rows gathered at once stay
     bounded whatever the number or length of the posts and the table's dim.
     Each post is summed over its own rows only, and chunks (on a thread pool
@@ -331,10 +373,13 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     the result is bit-identical for any chunking and any thread count.
     """
     flat, n_matched, n_tokens = flat_token_ids(table, token_lists)
-    n = len(token_lists)
+    # A post with no match gathers no rows, so dropping its count leaves the
+    # others' rows and means as they are.
+    counts = n_matched[n_matched > 0] if matched_only else n_matched
+    n = counts.size
     means = np.empty((n, table.dim), dtype=np.float64)
     bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_matched, out=bounds[1:])
+    np.cumsum(counts, out=bounds[1:])
 
     chunk_rows = max(1, _CHUNK_BYTES // (12 * table.dim))
     chunks = []
@@ -350,7 +395,7 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     def work(chunk) -> None:
         start, end = chunk
         rows = table.vectors[flat[bounds[start] : bounds[end]]].astype(np.float64)
-        segment_mean(rows, n_matched[start:end], means[start:end])
+        segment_mean(rows, counts[start:end], means[start:end])
 
     if threads > 1 and len(chunks) > 1:
         # concurrent.futures loads logging; a one-thread command skips both.

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import flat_token_ids, segment_mean
 from .errors import SingularSystemError
 from .stats import bootstrap_ci, pearson_r
@@ -241,6 +242,12 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     s_min <= d*eps*s_max, the numerical-rank rule, since no solve of such a
     system means anything. Otherwise w = V((V'r)/s). LOOCV keeps a Cholesky
     solve instead, because it factors one system per user (see _solve_spd).
+
+    The centered Gram matrix and right-hand side r are summed over chunks of
+    about 1 MB of rows, each centered on its own, so beyond X the fit holds
+    one centered chunk and a few d x d matrices, whatever n is. A training
+    set of one chunk gives the bits of the unchunked product; a larger one
+    differs from it by summation order only.
     """
     if not math.isfinite(lam) or lam < 0:
         raise ValueError("lambda must be finite and >= 0")
@@ -251,9 +258,13 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
         raise SingularSystemError(f"underdetermined system ({n} posts, {d} dims)")
     x_mean = ts.X.mean(axis=0)
     y_mean = float(ts.y.mean())
-    Xc = ts.X - x_mean
-    yc = ts.y - y_mean
-    G = Xc.T @ Xc
+    G = np.zeros((d, d), dtype=np.float64)
+    r = np.zeros(d, dtype=np.float64)
+    step = max(1, embeddings._CHUNK_BYTES // (8 * d))
+    for start in range(0, n, step):
+        Xc = ts.X[start : start + step] - x_mean
+        G += Xc.T @ Xc
+        r += Xc.T @ (ts.y[start : start + step] - y_mean)
     if lam > 0.0:
         G[np.diag_indices_from(G)] += lam
     s, V = np.linalg.eigh(G)
@@ -271,9 +282,9 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
             f"Gram matrix is numerically singular (eigenvalues {s_min:.3g} to {s_max:.3g}); "
             "consider a ridge coefficient lambda > 0"
         )
-    w = V @ ((V.T @ (Xc.T @ yc)) / s)
+    w = V @ ((V.T @ r) / s)
     bias = y_mean - float(x_mean @ w)
-    users = set(ts.groups.tolist())
+    users = set(ts.groups)
     meta = TrainingMeta(
         n_posts=n,
         n_users=len(users),
@@ -316,17 +327,20 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
     """Scores for already-tokenized posts, the high-throughput path.
 
     Exploits linearity: a post's score is the mean of its matched words'
-    scores, so per-word scores are precomputed once (vectors @ w + b) and each
-    post needs only a gather and a segment mean. Posts with no in-vocabulary
-    token receive the training target mean. Callers scoring many batches can
-    precompute ``word_scores`` once and pass it in.
+    scores, so per-word scores are precomputed once (vectors @ w + b, from
+    about 1 MB of float64 rows at a time by ``EmbeddingTable.dot``, with no
+    float64 copy of the table) and each post needs only a gather and a
+    segment mean. Posts with no in-vocabulary token receive the training
+    target mean. Callers scoring many batches can precompute ``word_scores``
+    once and pass it in.
 
     Returns (scores, n_matched) as float64/int64 arrays.
     """
     if table.dim != model.d:
         raise ValueError(f"table dim {table.dim} does not match model d {model.d}")
     if word_scores is None:
-        word_scores = table.vectors.astype(np.float64) @ model.weights + model.bias
+        word_scores = table.dot(model.weights)
+        word_scores += model.bias
     flat, n_matched, _ = flat_token_ids(table, token_lists)
     scores = np.empty(len(token_lists), dtype=np.float64)
     segment_mean(word_scores[flat], n_matched, scores)

@@ -64,12 +64,18 @@ def build_embedding_training(
     table: embeddings.EmbeddingTable,
     threads: int = 1,
 ) -> tuple[TrainingSet, AssemblyStats]:
-    """Post-vector training set; each row carries its author's score."""
+    """Post-vector training set; each row carries its author's score.
+
+    Rows are the labeled posts with at least one in-vocabulary token, in post
+    order. ``post_vectors_matrix`` writes their means straight into X, so no
+    n x d matrix is made besides X; each row is bit-identical to the post's
+    row of the full ``post_vectors_matrix`` output.
+    """
     stats = AssemblyStats()
     labeled = [tp for tp in clean_posts if tp.user_id in labels]
     stats.unlabeled = len(clean_posts) - len(labeled)
-    means, n_matched, _ = embeddings.post_vectors_matrix(
-        table, [tp.tokens for tp in labeled], threads=threads
+    X, n_matched, _ = embeddings.post_vectors_matrix(
+        table, [tp.tokens for tp in labeled], threads=threads, matched_only=True
     )
     usable = n_matched > 0
     stats.no_vector = int((~usable).sum())
@@ -80,7 +86,7 @@ def build_embedding_training(
     groups = np.asarray(users, dtype=object)
     stats.n_posts = len(users)
     stats.n_users = len(set(users))
-    return TrainingSet(X=means[usable], y=y, groups=groups), stats
+    return TrainingSet(X=X, y=y, groups=groups), stats
 
 
 def build_tfidf_training(

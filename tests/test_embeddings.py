@@ -46,15 +46,28 @@ class TestLoadVec:
         assert ":2" in str(err.value)
 
     def test_duplicate_word_rejected(self, tmp_path):
-        path = _write(tmp_path, "2 3\na 1 0 0\na 0 1 0\n")
-        with pytest.raises(DataFormatError, match="duplicate"):
+        path = _write(tmp_path, "3 3\na 1 0 0\nb 0 1 0\na 0 0 1\n")
+        with pytest.raises(DataFormatError, match="duplicate") as err:
             EmbeddingTable.load_vec(path)
+        assert ":4" in str(err.value)
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = _write(tmp_path, "2 3\na 1 inf 0\nb 0 1 0\n")
         with pytest.raises(DataFormatError) as err:
             EmbeddingTable.load_vec(path)
         assert ":2" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_largest_finite_rows_load_and_non_finite_is_named(self, tmp_path, bad):
+        """Rows are checked by a float64 sum, which FLT_MAX values cannot
+        overflow and which a NaN or an infinity among them always reaches."""
+        big = "3.4028235e+38"
+        table = EmbeddingTable.load_vec(_write(tmp_path, f"2 3\na {big} {big} {big}\nb -{big} -{big} 0\n"))
+        assert np.isfinite(table.vectors).all()
+        path = _write(tmp_path, f"3 3\na {big} {big} {big}\nb 0 1 0\nc {big} {bad} -{big}\n")
+        with pytest.raises(DataFormatError, match="non-finite") as err:
+            EmbeddingTable.load_vec(path)
+        assert ":4" in str(err.value)
 
     def test_unparseable_value_names_line(self, tmp_path):
         path = _write(tmp_path, "2 3\na 1 x 0\nb 0 1 0\n")
@@ -420,6 +433,9 @@ class TestPostVectorsMatrix:
         assert np.array_equal(means, base, equal_nan=True)
         assert np.array_equal(n_matched, base_matched)
         assert np.array_equal(n_tokens, base_tokens)
+        matched, n_matched, _ = post_vectors_matrix(table, posts, threads=threads, matched_only=True)
+        assert np.array_equal(matched, base[base_matched > 0])
+        assert np.array_equal(n_matched, base_matched)
         empty, n_empty, _ = post_vectors_matrix(table, [], threads=threads)
         assert empty.shape == (0, 5) and n_empty.shape == (0,)
 
@@ -470,6 +486,18 @@ class TestFingerprint:
         assert EmbeddingTable(words, v3).fingerprint() != t1.fingerprint()
         assert EmbeddingTable(["a", "c"], v1).fingerprint() != t1.fingerprint()
 
+    def test_golden_digest(self):
+        """The digest of hashing ``vectors.tobytes()``, so a model trained
+        against this table before the buffer was hashed in place still
+        matches it: a cased word, a non-ASCII word, -0.0 and subnormals."""
+        vectors = np.array(
+            [[1.5, -0.0, 2.0], [1e-45, -3.25, 0.1], [0.0, 7e-39, -1e30]], dtype=np.float32
+        )
+        table = EmbeddingTable(["Apple", "пост", "b"], vectors)
+        assert table.fingerprint() == (
+            "45ae0a126e41d6be1f235b354328fe614ff2777479944119a22cb28a900f394f"
+        )
+
 
 class TestFreqSidecar:
     def test_load(self, tmp_path):
@@ -493,8 +521,9 @@ class TestFreqSidecar:
 
 class TestTableConstruction:
     def test_duplicate_words_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            EmbeddingTable(["a", "a"], np.eye(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="duplicate") as err:
+            EmbeddingTable(["a", "b", "b", "a"], np.eye(4, dtype=np.float32))
+        assert "'b' (row 2)" in str(err.value)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

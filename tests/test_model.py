@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postscore import embeddings
 from postscore import model as model_module
 from postscore.errors import SingularSystemError
 from postscore.model import (
@@ -152,14 +154,18 @@ class TestFit:
         d=st.integers(1, 8),
         extra=st.integers(2, 40),
         lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        chunk_rows=st.sampled_from([None, 1, 3]),
     )
-    def test_matches_augmented_lstsq_oracle(self, seed, d, extra, lam):
-        """Ridge with an unpenalized bias is least squares on [X 1; sqrt(lam)*I 0]."""
+    def test_matches_augmented_lstsq_oracle(self, seed, d, extra, lam, chunk_rows):
+        """Ridge with an unpenalized bias is least squares on [X 1; sqrt(lam)*I 0],
+        with the Gram matrix summed in one chunk or in chunks of 1 or 3 rows."""
         rng = np.random.default_rng(seed)
         n = 2 * d + extra
         X = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d) + rng.uniform(-3.0, 3.0, d)
         y = 100.0 + X @ rng.standard_normal(d) + rng.standard_normal(n)
-        model = fit(_ts(X, y, ["u%d" % i for i in range(n)]), lam=lam)
+        chunk_bytes = embeddings._CHUNK_BYTES if chunk_rows is None else chunk_rows * 8 * d
+        with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk_bytes):
+            model = fit(_ts(X, y, ["u%d" % i for i in range(n)]), lam=lam)
         A = np.zeros((n + d, d + 1))
         A[:n, :d], A[:n, d] = X, 1.0
         A[n:, :d] = math.sqrt(lam) * np.eye(d)
@@ -196,6 +202,21 @@ class TestFit:
             db = float(rng.standard_normal())
             scale = 1e-3 / np.sqrt(dw @ dw + db * db)
             assert loss(model.weights + scale * dw, model.bias + scale * db) >= base
+
+    def test_memory_beyond_X_is_a_chunk_and_d_squared(self):
+        """The centered Gram matrix is summed over ~1 MB chunks of rows, so
+        the peak beyond X stays within a few chunks and d x d matrices at
+        n = 6,000 and 60,000 (X of 1.2 and 12 MB): no centered copy of X."""
+        d = 25
+        for n_users in (60, 600):
+            ts = _random_grouped(17, n_users=n_users, posts_per_user=100, d=d)
+            tracemalloc.start()
+            try:
+                fit(ts, lam=0.1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * embeddings._CHUNK_BYTES + 8 * d * d * 8
 
     def test_training_meta(self):
         ts = _random_grouped(5, n_users=6, posts_per_user=3, d=2)

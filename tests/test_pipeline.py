@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from postscore import pipeline
+from postscore import dataio, embeddings, pipeline, wordrank
+from postscore.embeddings import EmbeddingTable, post_vectors_matrix
 from postscore.model import LinearModel, TrainingMeta, fit, predict_post, score_tokenized_posts
 from postscore.pipeline import (
     FilterStats,
@@ -54,6 +57,29 @@ class TestBuildEmbeddingTraining:
         ts, stats = build_embedding_training(clean, labels, tiny_table)
         assert stats.no_vector == 1  # p7 has no in-vocabulary token
         assert ts.n_posts == 3
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, None])
+    def test_rows_bit_identical_to_matched_post_vectors(self, tiny_table, monkeypatch, chunk_rows):
+        """X is post_vectors_matrix's rows of the posts with a match, bit for
+        bit, with no-vector posts first, in the middle and last, at chunks
+        of one and two gathered rows and at the default."""
+        rng = np.random.default_rng(8)
+        words = tiny_table.words + ["oov"]
+        clean = [TokenizedPost("u0", "q0", ["oov"])]
+        for i in range(60):
+            tokens = [words[j] for j in rng.integers(0, len(words), int(rng.integers(1, 7)))]
+            clean.append(TokenizedPost(f"u{i % 4}", f"p{i}", tokens))
+        clean.insert(30, TokenizedPost("u1", "q1", ["oov", "oov"]))
+        clean.append(TokenizedPost("u2", "q2", ["oov"]))
+        means, n_matched, _ = post_vectors_matrix(tiny_table, [tp.tokens for tp in clean])
+        assert not n_matched[[0, 30, -1]].any()
+        if chunk_rows is not None:
+            monkeypatch.setattr(embeddings, "_CHUNK_BYTES", chunk_rows * 12 * tiny_table.dim)
+        labels = {f"u{k}": 500.0 + k for k in range(4)}
+        ts, stats = build_embedding_training(clean, labels, tiny_table)
+        assert stats.no_vector == (n_matched == 0).sum() >= 3
+        assert np.array_equal(ts.X, means[n_matched > 0])
+        assert ts.groups.tolist() == [tp.user_id for tp, m in zip(clean, n_matched) if m]
 
     def test_everything_unusable_rejected(self, tiny_table):
         clean = list(iter_clean_posts([RawPost("u", "p", "qqq")]))
@@ -115,6 +141,42 @@ class TestPredictUsersFromPosts:
             else:
                 assert counts[p.user_id] > 8  # long enough for pairwise sums to differ
                 assert p.predicted == sums[p.user_id] / counts[p.user_id]
+
+
+class TestTableMemory:
+    @pytest.mark.parametrize("route", ["iter_ranked", "write_ranking_csv", "predict_users_from_posts"])
+    def test_peak_beyond_table_does_not_grow_with_dim(self, tmp_path, route):
+        """Word scores come from ~1 MB chunks of float64 rows, not a float64
+        copy of the table: the same 4,000 words at d=50 and d=400 (a 12.8 MB
+        copy) peak within two chunks of each other."""
+        rng = np.random.default_rng(9)
+        words = [f"w{i}" for i in range(4000)]
+        posts = [
+            TokenizedPost(f"u{i % 30}", f"p{i}", [words[j] for j in rng.integers(0, 4000, 8)])
+            for i in range(1500)
+        ]
+        counts = wordrank.training_token_counts(tp.tokens for tp in posts)
+        meta = TrainingMeta(n_posts=1, n_users=1, target_mean=500.0, target_sd=1.0)
+
+        def peak(d):
+            table = EmbeddingTable(words, rng.standard_normal((4000, d)).astype(np.float32))
+            model = LinearModel(weights=rng.standard_normal(d), bias=500.0, lam=0.0, d=d,
+                                training_meta=meta)
+            run = {
+                "iter_ranked": lambda: list(wordrank.iter_ranked(model, table, min_count=1, counts=counts)),
+                "write_ranking_csv": lambda: dataio.write_ranking_csv(
+                    tmp_path / "ranking.csv", wordrank.iter_ranked(model, table)
+                ),
+                "predict_users_from_posts": lambda: predict_users_from_posts(model, table, posts),
+            }[route]
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(400) - peak(50)) <= 2 * embeddings._CHUNK_BYTES
 
 
 class TestTfidfRoute:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from postscore import embeddings
 from postscore.embeddings import EmbeddingTable, post_vector
-from postscore.model import LinearModel, TrainingMeta, predict_post
+from postscore.model import LinearModel, TrainingMeta, predict_post, score_tokenized_posts
 from postscore.wordrank import (
     WordScore,
     iter_ranked,
@@ -10,6 +11,7 @@ from postscore.wordrank import (
     rank_all,
     score_word,
     training_token_counts,
+    word_scores_array,
 )
 
 
@@ -65,6 +67,27 @@ class TestScoreWord:
                 np.mean([score_word(model, tiny_table, t) for t in tokens])
             )
             assert predict_post(model, pv.vector) == pytest.approx(mean_words, abs=1e-9)
+
+
+class TestWordScoresArray:
+    def test_bit_identical_for_any_chunking(self, monkeypatch):
+        """Chunks of 1 row, 7 rows and the whole table give the same bits,
+        in word_scores_array and in the scores of one-word posts, and each
+        is within 1e-9 of score_word."""
+        rng = np.random.default_rng(22)
+        d = 13
+        words = [f"w{i}" for i in range(300)]
+        table = EmbeddingTable(words, (rng.standard_normal((300, d)) * 50).astype(np.float32))
+        model = _model(rng.standard_normal(d), b=480.0)
+        monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 10**12)
+        whole = word_scores_array(model, table)
+        for rows in (1, 7):
+            monkeypatch.setattr(embeddings, "_CHUNK_BYTES", rows * 8 * d)
+            assert np.array_equal(word_scores_array(model, table), whole)
+            scores, _ = score_tokenized_posts(model, table, [[w] for w in words])
+            assert np.array_equal(scores, whole)
+        for i, word in enumerate(words):
+            assert abs(score_word(model, table, word) - whole[i]) <= 1e-9
 
 
 class TestRankAll:
