@@ -62,13 +62,11 @@ class EmbeddingTable:
             raise ValueError("an embedding table needs at least one word")
         self.words = list(words)
         self.vectors = vectors
-        self.vocab = dict(zip(self.words, range(len(self.words))))
-        if len(self.vocab) != len(self.words):
-            seen = set()
-            for i, w in enumerate(self.words):
-                if w in seen:
-                    raise DuplicateWordError(w, i)
-                seen.add(w)
+        self.vocab = {}
+        for i, w in enumerate(self.words):
+            if w in self.vocab:
+                raise DuplicateWordError(w, i)
+            self.vocab[w] = i
         self._fingerprint = None
         vectors.setflags(write=False)
 
@@ -357,17 +355,15 @@ def segment_mean(rows, counts, out) -> None:
     out[nonempty] = sums / counts[nonempty].reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def post_vectors_matrix(
-    table: EmbeddingTable, token_lists, threads: int = 1, matched_only: bool = False
-):
+def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     """Post vectors for many posts at once.
 
-    Returns (means, n_matched, n_tokens): ``means`` is n_posts x dim float64
-    with NaN rows where no token matched. With ``matched_only`` it holds only
-    the rows of the posts with a match, in post order, so a caller that drops
-    the others gets them with no copy. Posts go in chunks of about 1 MB of
-    gathered rows that never split a post, so the rows gathered at once stay
-    bounded whatever the number or length of the posts and the table's dim.
+    Returns (means, n_matched, n_tokens): ``means`` is float64 with one row
+    per post that has at least one matched token, in post order, so its rows
+    are the posts where ``n_matched > 0``; a post with no match gets no row.
+    Posts go in chunks of about 1 MB of gathered rows that never split a
+    post, so the rows gathered at once stay bounded whatever the number or
+    length of the posts and the table's dim.
     Each post is summed over its own rows only, and chunks (on a thread pool
     when threads > 1) land in disjoint slices of the preallocated output, so
     the result is bit-identical for any chunking and any thread count.
@@ -375,7 +371,7 @@ def post_vectors_matrix(
     flat, n_matched, n_tokens = flat_token_ids(table, token_lists)
     # A post with no match gathers no rows, so dropping its count leaves the
     # others' rows and means as they are.
-    counts = n_matched[n_matched > 0] if matched_only else n_matched
+    counts = n_matched[n_matched > 0]
     n = counts.size
     means = np.empty((n, table.dim), dtype=np.float64)
     bounds = np.zeros(n + 1, dtype=np.int64)

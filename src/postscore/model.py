@@ -244,8 +244,9 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     solve instead, because it factors one system per user (see _solve_spd).
 
     The centered Gram matrix and right-hand side r are summed over chunks of
-    about 1 MB of rows, each centered on its own, so beyond X the fit holds
-    one centered chunk and a few d x d matrices, whatever n is. A training
+    about 1 MB of rows. Each chunk is centered on the mean of the whole of X
+    (and y) before its products are added, so beyond X the fit holds one
+    centered chunk and a few d x d matrices, whatever n is. A training
     set of one chunk gives the bits of the unchunked product; a larger one
     differs from it by summation order only.
     """

@@ -67,15 +67,15 @@ def build_embedding_training(
     """Post-vector training set; each row carries its author's score.
 
     Rows are the labeled posts with at least one in-vocabulary token, in post
-    order. ``post_vectors_matrix`` writes their means straight into X, so no
-    n x d matrix is made besides X; each row is bit-identical to the post's
-    row of the full ``post_vectors_matrix`` output.
+    order. ``post_vectors_matrix`` returns exactly the means of those posts,
+    so its output is X and no other n x d matrix is made; each row is the
+    post's own mean, bit-identical for any chunking or thread count.
     """
     stats = AssemblyStats()
     labeled = [tp for tp in clean_posts if tp.user_id in labels]
     stats.unlabeled = len(clean_posts) - len(labeled)
     X, n_matched, _ = embeddings.post_vectors_matrix(
-        table, [tp.tokens for tp in labeled], threads=threads, matched_only=True
+        table, [tp.tokens for tp in labeled], threads=threads
     )
     usable = n_matched > 0
     stats.no_vector = int((~usable).sum())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from postscore import dataio, embeddings, pipeline, wordrank
-from postscore.embeddings import EmbeddingTable, post_vectors_matrix
+from postscore.embeddings import EmbeddingTable, flat_token_ids
 from postscore.model import LinearModel, TrainingMeta, fit, predict_post, score_tokenized_posts
 from postscore.pipeline import (
     FilterStats,
@@ -60,9 +60,10 @@ class TestBuildEmbeddingTraining:
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, None])
     def test_rows_bit_identical_to_matched_post_vectors(self, tiny_table, monkeypatch, chunk_rows):
-        """X is post_vectors_matrix's rows of the posts with a match, bit for
-        bit, with no-vector posts first, in the middle and last, at chunks
-        of one and two gathered rows and at the default."""
+        """X is, bit for bit, the rows of the posts with a match taken from
+        one segment mean over every post's gathered rows (no-vector posts
+        give NaN rows there), with no-vector posts first, in the middle and
+        last, at chunks of one and two gathered rows and at the default."""
         rng = np.random.default_rng(8)
         words = tiny_table.words + ["oov"]
         clean = [TokenizedPost("u0", "q0", ["oov"])]
@@ -71,7 +72,9 @@ class TestBuildEmbeddingTraining:
             clean.append(TokenizedPost(f"u{i % 4}", f"p{i}", tokens))
         clean.insert(30, TokenizedPost("u1", "q1", ["oov", "oov"]))
         clean.append(TokenizedPost("u2", "q2", ["oov"]))
-        means, n_matched, _ = post_vectors_matrix(tiny_table, [tp.tokens for tp in clean])
+        flat, n_matched, _ = flat_token_ids(tiny_table, [tp.tokens for tp in clean])
+        means = np.empty((len(clean), tiny_table.dim))
+        embeddings.segment_mean(tiny_table.vectors[flat].astype(np.float64), n_matched, means)
         assert not n_matched[[0, 30, -1]].any()
         if chunk_rows is not None:
             monkeypatch.setattr(embeddings, "_CHUNK_BYTES", chunk_rows * 12 * tiny_table.dim)
