@@ -26,7 +26,6 @@ _SOURCES = {
         "loo_user_cv",
         "posts_curve",
         "predict_post",
-        "predict_user",
     ),
     "stats": ("CorrelationReport", "bootstrap_ci", "pearson", "spearman"),
     "synth": ("SynthConfig", "generate"),
@@ -41,7 +40,7 @@ _SOURCES = {
     ),
     "tfidf": ("TfidfVocabulary", "build_vocab", "tfidf_vector"),
     "transfer": ("InstitutionScore", "aggregate", "compare", "cross_source_compare"),
-    "wordrank": ("WordScore", "project_2d", "rank_all", "score_word"),
+    "wordrank": ("WordScore", "project_2d", "score_word"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

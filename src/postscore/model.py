@@ -32,7 +32,7 @@ import importlib.util
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +49,6 @@ __all__ = [
     "CurvePoint",
     "fit",
     "predict_post",
-    "predict_posts",
-    "predict_user",
     "score_tokenized_posts",
     "loo_user_cv",
     "posts_curve",
@@ -117,15 +115,28 @@ class LinearModel:
         )
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # NaN and +-inf carry through min and max, which allocate no mask.
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
+
+
 @dataclass
 class TrainingSet:
     """Post matrix X (n x d, float64), per-post targets y, and the author of
     each row. Rows with absent post vectors must be excluded before assembly.
+
+    The rows are grouped by author once, at construction: ``users`` lists
+    the distinct ids in sorted order, and user i's rows, ascending, are
+    ``index[offsets[i]:offsets[i + 1]]``. X keeps post order. Finiteness is
+    checked through min and max, with no n x d mask.
     """
 
     X: np.ndarray
     y: np.ndarray
     groups: np.ndarray  # row -> user_id, dtype=object or str
+    users: list = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -136,8 +147,21 @@ class TrainingSet:
         n = self.X.shape[0]
         if self.y.shape != (n,) or self.groups.shape != (n,):
             raise ValueError("X, y and groups must agree on the number of rows")
-        if n and not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+        if not (_all_finite(self.X) and _all_finite(self.y)):
             raise ValueError("training data contains non-finite values")
+        # Codes in order of first appearance (one dict pass, a third of
+        # np.unique's time on an object array), then renumbered by sorted id.
+        first: dict = {}
+        codes = np.fromiter(
+            (first.setdefault(u, len(first)) for u in self.groups.tolist()), dtype=np.int64, count=n
+        )
+        self.users = sorted(first)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[[first[u] for u in self.users]] = np.arange(len(first))
+        codes = rank[codes]
+        self.index = np.argsort(codes, kind="stable")
+        self.offsets = np.zeros(len(first) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=len(first)), out=self.offsets[1:])
 
     @property
     def n_posts(self) -> int:
@@ -146,12 +170,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def rows_by_user(self) -> dict:
-        rows: dict = {}
-        for i, u in enumerate(self.groups.tolist()):
-            rows.setdefault(u, []).append(i)
-        return {u: np.asarray(ix, dtype=np.int64) for u, ix in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -285,10 +303,9 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
         )
     w = V @ ((V.T @ r) / s)
     bias = y_mean - float(x_mean @ w)
-    users = set(ts.groups)
     meta = TrainingMeta(
         n_posts=n,
-        n_users=len(users),
+        n_users=len(ts.users),
         target_mean=y_mean,
         target_sd=float(ts.y.std()),
         embedding_fingerprint=embedding_fingerprint,
@@ -302,26 +319,6 @@ def predict_post(model: LinearModel, vector) -> float:
     if v.shape != (model.d,):
         raise ValueError(f"expected a vector of dimension {model.d}, got shape {v.shape}")
     return float(model.weights @ v) + model.bias
-
-
-def predict_posts(model: LinearModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise ValueError(f"expected an n x {model.d} matrix, got shape {X.shape}")
-    return X @ model.weights + model.bias
-
-
-def predict_user(model: LinearModel, post_vectors, user_id: str = "") -> UserPrediction:
-    """Mean of the user's post predictions.
-
-    With zero usable posts the prediction falls back to the training target
-    mean, flagged by n_posts_used == 0.
-    """
-    X = np.asarray(post_vectors, dtype=np.float64)
-    if X.size == 0:
-        return UserPrediction(user_id, model.training_meta.target_mean, 0)
-    scores = predict_posts(model, X)
-    return UserPrediction(user_id, float(scores.mean()), int(scores.size))
 
 
 def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=None):
@@ -349,17 +346,22 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
     return scores, n_matched
 
 
-def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
-    """Grouped leave-one-user-out predictions, sorted by user id.
+def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPrediction]:
+    """Grouped leave-one-user-out predictions, one per user in user order
+    (sorted by id unless ``sample`` orders them otherwise).
 
     For each user the augmented normal equations are re-assembled from the
     other users' Gram partials (fixed summation order) and re-solved; the
     result matches naive per-user retraining to solver precision.
+
+    ``sample`` restricts the cross-validation to some of ts's rows without
+    copying them: a triple (users, rows, offsets) in the layout of
+    ``(ts.users, ts.index, ts.offsets)``, user i's rows being
+    ``rows[offsets[i]:offsets[i + 1]]``. The default is all of ts.
     """
     if not math.isfinite(lam) or lam < 0:
         raise ValueError("lambda must be finite and >= 0")
-    rows = ts.rows_by_user()
-    users = sorted(rows)
+    users, rows, offsets = (ts.users, ts.index, ts.offsets) if sample is None else sample
     if len(users) < 2:
         raise ValueError("grouped LOOCV requires at least 2 users")
     d = ts.d
@@ -375,20 +377,20 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
     m = math.isqrt(U - 1) + 1
     blocks = [users[s : s + m] for s in range(0, U, m)]
 
-    def block_rows(block):
-        """The block's rows [X, 1, y] and each user's row range in them."""
-        idx = np.concatenate([rows[u] for u in block])
+    def block_rows(b):
+        """Block b's rows [X, 1, y]; its user j has rows bounds[j]:bounds[j + 1]."""
+        bounds = offsets[b * m : (b + 1) * m + 1]
+        idx = rows[bounds[0] : bounds[-1]]
         Z = np.empty((idx.size, d2), dtype=np.float64)
         Z[:, :d] = ts.X[idx]
         Z[:, d] = 1.0
         Z[:, d1] = ts.y[idx]
-        ends = np.cumsum([rows[u].size for u in block]).tolist()
-        return Z, [0] + ends[:-1], ends
+        return Z, (bounds - bounds[0]).tolist()
 
     # Pass 1: suffix[b] sums blocks b.. ; one GEMM per block.
     suffix = np.zeros((len(blocks) + 1, d2, d2), dtype=np.float64)
     for b in range(len(blocks) - 1, -1, -1):
-        Z, _, _ = block_rows(blocks[b])
+        Z, _ = block_rows(b)
         np.matmul(Z.T, Z, out=suffix[b])
         suffix[b] += suffix[b + 1]
 
@@ -404,11 +406,11 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
     before[0, range(d), range(d)] = lam
     predictions = []
     for b, block in enumerate(blocks):
-        Z, starts, ends = block_rows(block)
+        Z, bounds = block_rows(b)
         k = len(block)
         after[k] = suffix[b + 1]
         for j in range(k):
-            Zu = Z[starts[j] : ends[j]]
+            Zu = Z[bounds[j] : bounds[j + 1]]
             np.matmul(Zu.T, Zu, out=after[j])
             np.add(before[j], after[j], out=before[j + 1])
         for j in range(k - 1, -1, -1):
@@ -416,14 +418,10 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0) -> list[UserPrediction]:
         for j, u in enumerate(block):
             np.add(before[j], after[j + 1], out=G)
             theta = _solve_spd(G[:d1, :d1], G[:d1, d1], u)
-            scores = Z[starts[j] : ends[j], :d] @ theta[:d] + theta[d]
-            predictions.append(UserPrediction(u, float(scores.mean()), ends[j] - starts[j]))
+            scores = Z[bounds[j] : bounds[j + 1], :d] @ theta[:d] + theta[d]
+            predictions.append(UserPrediction(u, float(scores.mean()), bounds[j + 1] - bounds[j]))
         before[0] = before[k]
     return predictions
-
-
-def _eligible_users(rows: dict, n_max: int) -> list:
-    return sorted(u for u, idx in rows.items() if idx.size >= n_max)
 
 
 def posts_curve(
@@ -441,21 +439,25 @@ def posts_curve(
     (seed, N)), recomputes grouped LOOCV on the sample, and reports Pearson r
     between held-out user predictions and true scores with a percentile
     bootstrap interval over users. Byte-deterministic for a fixed seed.
+
+    Each sample is a row selection that LOOCV reads from ts itself; no
+    sampled copy of X is made.
     """
-    rows = ts.rows_by_user()
-    eligible = _eligible_users(rows, n_max)
-    if not eligible:
+    eligible = np.flatnonzero(np.diff(ts.offsets) >= n_max)
+    if not eligible.size:
         raise ValueError(f"no user has at least {n_max} posts")
-    truth = {u: float(ts.y[rows[u][0]]) for u in eligible}
+    users = [ts.users[i] for i in eligible]
+    user_rows = [ts.index[ts.offsets[i] : ts.offsets[i + 1]] for i in eligible]
+    truth = ts.y[ts.index[ts.offsets[eligible]]].tolist()
     points = []
     for n_sel in range(1, n_max + 1):
         rng = np.random.default_rng((seed, n_sel))
-        kept = []
-        for u in eligible:
-            kept.extend(sorted(rng.choice(rows[u], size=n_sel, replace=False).tolist()))
-        sub = TrainingSet(X=ts.X[kept], y=ts.y[kept], groups=ts.groups[kept])
-        preds = loo_user_cv(sub, lam=lam)
-        pairs = [(p.predicted, truth[p.user_id]) for p in preds]
+        kept = np.concatenate(
+            [np.sort(rng.choice(rows, size=n_sel, replace=False)) for rows in user_rows]
+        )
+        offsets = np.arange(len(users) + 1, dtype=np.int64) * n_sel
+        preds = loo_user_cv(ts, lam=lam, sample=(users, kept, offsets))
+        pairs = [(p.predicted, t) for p, t in zip(preds, truth)]
         r = pearson_r([a for a, _ in pairs], [b for _, b in pairs])
         ci_low, ci_high = bootstrap_ci(
             pairs,

@@ -83,10 +83,10 @@ def build_embedding_training(
     if not users:
         raise ValueError("no usable training posts (all filtered, unlabeled, or out of vocabulary)")
     y = np.asarray([labels[u] for u in users])
-    groups = np.asarray(users, dtype=object)
-    stats.n_posts = len(users)
-    stats.n_users = len(set(users))
-    return TrainingSet(X=X, y=y, groups=groups), stats
+    ts = TrainingSet(X=X, y=y, groups=np.asarray(users, dtype=object))
+    stats.n_posts = ts.n_posts
+    stats.n_users = len(ts.users)
+    return ts, stats
 
 
 def build_tfidf_training(
@@ -104,10 +104,10 @@ def build_tfidf_training(
         raise ValueError("no labeled training posts")
     X = tfidf.tfidf_matrix(vocab, [tp.tokens for tp in labeled], stopwords)
     y = np.asarray([labels[tp.user_id] for tp in labeled])
-    groups = np.asarray([tp.user_id for tp in labeled], dtype=object)
-    stats.n_posts = X.shape[0]
-    stats.n_users = len(set(groups.tolist()))
-    return TrainingSet(X=X, y=y, groups=groups), stats
+    ts = TrainingSet(X=X, y=y, groups=np.asarray([tp.user_id for tp in labeled], dtype=object))
+    stats.n_posts = ts.n_posts
+    stats.n_users = len(ts.users)
+    return ts, stats
 
 
 @dataclass

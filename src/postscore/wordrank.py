@@ -21,7 +21,6 @@ __all__ = [
     "WordScore",
     "score_word",
     "word_scores_array",
-    "rank_all",
     "iter_ranked",
     "project_2d",
     "training_token_counts",
@@ -123,16 +122,6 @@ def iter_ranked(
         freq = counts.get(word) if counts is not None else None
         percentile = 100.0 * (n - 1 - pos) / denom if n > 1 else 100.0
         yield WordScore(word=word, score=float(scores[idx]), freq=freq, percentile=percentile)
-
-
-def rank_all(
-    model: LinearModel,
-    table: EmbeddingTable,
-    min_count: int = 0,
-    counts=None,
-) -> list[WordScore]:
-    """Full ranked list; see iter_ranked for the streaming variant."""
-    return list(iter_ranked(model, table, min_count=min_count, counts=counts))
 
 
 def project_2d(selected: list[WordScore], table: EmbeddingTable):

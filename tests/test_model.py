@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from postscore import embeddings
 from postscore import model as model_module
 from postscore.errors import SingularSystemError
 from postscore.model import (
+    CurvePoint,
     LinearModel,
     TrainingMeta,
     TrainingSet,
@@ -19,11 +21,10 @@ from postscore.model import (
     loo_user_cv,
     posts_curve,
     predict_post,
-    predict_user,
     score_tokenized_posts,
-    _eligible_users,
     _solve_spd,
 )
+from postscore.stats import bootstrap_ci, pearson_r
 
 from oracles import gd_fit
 
@@ -84,6 +85,57 @@ class TestLapackBinding:
         assert fallback == (lapack.dpotrf, lapack.dpotrs)
         monkeypatch.setattr(model_module, "_lapack", lambda: fallback)
         assert _solve_spd(G, rhs, "u").tobytes() == bound.tobytes()
+
+
+class TestTrainingSet:
+    @settings(max_examples=150, deadline=None)
+    @given(labels=st.lists(st.text(alphabet="abé", max_size=2), max_size=60))
+    def test_index_equals_dict_of_lists_grouping(self, labels):
+        """users, index and offsets group interleaved labels as a dict of
+        row lists does: sorted ids, each user's rows ascending."""
+        n = len(labels)
+        ts = _ts(np.zeros((n, 1)), np.zeros(n), np.asarray(labels, dtype=object))
+        rows: dict = {}
+        for i, u in enumerate(labels):
+            rows.setdefault(u, []).append(i)
+        users = sorted(rows)
+        assert ts.users == users
+        assert ts.offsets.tolist() == [0, *itertools.accumulate(len(rows[u]) for u in users)]
+        assert ts.index.tolist() == [i for u in users for i in rows[u]]
+
+    def test_construction_memory_is_the_row_index(self):
+        """Building a 10,000 x 100 set (X of 8 MB) allocates about 20 bytes a
+        row for the grouping and no n x d mask for the finiteness check,
+        which would be 1 MB."""
+        rng = np.random.default_rng(18)
+        n = 10_000
+        X = rng.standard_normal((n, 100))
+        y = rng.standard_normal(n)
+        groups = np.asarray([f"u{i:03d}" for i in rng.integers(0, 500, n)], dtype=object)
+        tracemalloc.start()
+        try:
+            TrainingSet(X=X, y=y, groups=groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_value_rejected(self, where, value):
+        X, y = np.ones((5, 3)), np.arange(5.0)
+        if where == "X":
+            X[3, 1] = value
+        else:
+            y[2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            _ts(X, y, list("aabbc"))
+
+    def test_finite_extremes_accepted(self):
+        """The largest finite values pass: min and max cannot overflow."""
+        big = np.finfo(np.float64).max
+        ts = _ts([[big, -big], [big, big]], [big, -big], ["a", "b"])
+        assert ts.n_posts == 2
 
 
 class TestFit:
@@ -256,29 +308,6 @@ class TestPredict:
         mixed = alpha * predict_post(model, x) + (1 - alpha) * predict_post(model, z)
         assert blended == pytest.approx(mixed, abs=1e-12)
 
-    def test_user_mean(self):
-        model = self._model([1.0], 0.0)
-        up = predict_user(model, [[480.0], [520.0]], "u")
-        assert up.predicted == pytest.approx(500.0)
-        assert up.n_posts_used == 2
-
-    def test_user_single_post(self):
-        model = self._model([1.0], 0.0)
-        assert predict_user(model, [[13.0]], "u").predicted == pytest.approx(13.0)
-
-    def test_user_no_posts_falls_back_to_target_mean(self):
-        model = self._model([1.0], 0.0)
-        up = predict_user(model, np.empty((0, 1)), "u")
-        assert up.predicted == 500.0
-        assert up.n_posts_used == 0
-
-    def test_user_prediction_equals_prediction_of_mean_vector(self):
-        rng = np.random.default_rng(7)
-        model = self._model(rng.standard_normal(5), -2.0)
-        X = rng.standard_normal((9, 5))
-        up = predict_user(model, X, "u")
-        assert up.predicted == pytest.approx(predict_post(model, X.mean(axis=0)), abs=1e-9)
-
 
 class TestLooUserCV:
     def test_two_user_exclusion_is_exact(self):
@@ -414,10 +443,83 @@ class TestScoreTokenizedPosts:
 
 
 class TestPostsCurve:
-    def test_eligibility_threshold(self):
-        rows = {"a": np.arange(5), "b": np.arange(20), "c": np.arange(19)}
-        assert _eligible_users(rows, 20) == ["b"]
-        assert _eligible_users(rows, 5) == ["a", "b", "c"]
+    def test_users_with_n_max_posts_kept_and_n_max_minus_one_dropped(self):
+        """Each curve point runs LOOCV on a row selection of ts: every user
+        with at least n_max posts, n_sel of their own rows each, in sorted
+        order; users with n_max - 1 posts take no part."""
+        n_max = 4
+        counts = {"e": 4, "b": 3, "a": 4, "f": 5, "c": 3, "d": 4, "g": 4}
+        rng = np.random.default_rng(19)
+        groups = rng.permutation([u for u, c in counts.items() for _ in range(c)])
+        ts = _ts(rng.standard_normal((groups.size, 2)), rng.standard_normal(groups.size), groups)
+        with mock.patch.object(model_module, "loo_user_cv", wraps=loo_user_cv) as spy:
+            points = posts_curve(ts, n_max=n_max, B=100, lam=0.1)
+        assert [p.n_posts for p in points] == [1, 2, 3, 4]
+        for n_sel, call in enumerate(spy.call_args_list, start=1):
+            users, rows, offsets = call.kwargs["sample"]
+            assert users == ["a", "d", "e", "f", "g"]
+            assert offsets.tolist() == [n_sel * i for i in range(6)]
+            assert ts.groups[rows].tolist() == [u for u in users for _ in range(n_sel)]
+            assert len(set(rows.tolist())) == rows.size
+        with pytest.raises(ValueError, match="at least 6"):
+            posts_curve(ts, n_max=6, B=100)
+
+    def test_equals_loocv_on_a_sampled_copy(self):
+        """The curve equals, bit for bit, the same draws run as LOOCV on a
+        TrainingSet copied from the sampled rows, users interleaved and some
+        below n_max."""
+        rng = np.random.default_rng(20)
+        sizes = rng.integers(3, 9, size=30)
+        groups = rng.permutation(np.repeat([f"u{i:02d}" for i in range(30)], sizes))
+        n = groups.size
+        X = rng.standard_normal((n, 4))
+        y = 500.0 + 30.0 * (X @ rng.standard_normal(4)) + 20.0 * rng.standard_normal(n)
+        ts = _ts(X, y, groups.astype(object))
+        n_max, seed, lam = 5, 7, 0.05
+        rows: dict = {}
+        for i, u in enumerate(ts.groups.tolist()):
+            rows.setdefault(u, []).append(i)
+        eligible = sorted(u for u, ix in rows.items() if len(ix) >= n_max)
+        reference = []
+        for n_sel in range(1, n_max + 1):
+            draw = np.random.default_rng((seed, n_sel))
+            kept = []
+            for u in eligible:
+                kept.extend(sorted(draw.choice(np.asarray(rows[u]), size=n_sel, replace=False).tolist()))
+            sub = TrainingSet(X=ts.X[kept], y=ts.y[kept], groups=ts.groups[kept])
+            pairs = [(p.predicted, float(ts.y[rows[p.user_id][0]])) for p in loo_user_cv(sub, lam=lam)]
+            r = pearson_r([a for a, _ in pairs], [b for _, b in pairs])
+            ci = bootstrap_ci(
+                pairs,
+                lambda sample: pearson_r([a for a, _ in sample], [b for _, b in sample]),
+                B=100,
+                level=0.90,
+                seed=(seed, n_sel, 1),
+            )
+            reference.append(CurvePoint(n_sel, r, *ci))
+        assert posts_curve(ts, n_max=n_max, B=100, seed=seed, lam=lam) == reference
+
+    def test_memory_beyond_training_set_is_loocv_plus_row_index(self):
+        """At n_max = posts per user the last point samples every row. The
+        curve's peak stays within LOOCV's own peak on the whole set plus 16
+        bytes a row (the sampled row numbers) and 1 KB a user (row views,
+        targets, the last point's pairs), with no sampled copy of X, which
+        here would be 640 KB."""
+        ts = _random_grouped(21, n_users=100, posts_per_user=20, d=40)
+        # Bind LAPACK and run the bootstrap once before anything is measured.
+        posts_curve(ts, n_max=1, B=100, lam=0.1)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loo_peak = peak(lambda: loo_user_cv(ts, lam=0.1))
+        curve_peak = peak(lambda: posts_curve(ts, n_max=20, B=100, lam=0.1))
+        assert curve_peak <= loo_peak + 16 * ts.n_posts + 1024 * len(ts.users)
 
     def test_error_when_no_eligible_user(self):
         ts = _random_grouped(13, n_users=4, posts_per_user=3, d=2)

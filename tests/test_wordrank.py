@@ -8,7 +8,6 @@ from postscore.wordrank import (
     WordScore,
     iter_ranked,
     project_2d,
-    rank_all,
     score_word,
     training_token_counts,
     word_scores_array,
@@ -93,30 +92,30 @@ class TestWordScoresArray:
 class TestRankAll:
     def test_percentiles_for_three_words(self):
         table = _table_with_scores([500.0, 510.0, 490.0])
-        ranked = rank_all(_model([1.0]), table)
+        ranked = list(iter_ranked(_model([1.0]), table))
         assert [w.score for w in ranked] == [510.0, 500.0, 490.0]
         assert [w.percentile for w in ranked] == [100.0, 50.0, 0.0]
 
     def test_descending_with_lexicographic_ties(self):
         table = EmbeddingTable(["bb", "aa", "cc"], np.ones((3, 1), dtype=np.float32))
-        ranked = rank_all(_model([1.0]), table)
+        ranked = list(iter_ranked(_model([1.0]), table))
         assert [w.word for w in ranked] == ["aa", "bb", "cc"]
 
     def test_min_count_filters_before_percentiles(self):
         table = _table_with_scores([510.0, 500.0, 490.0, 480.0])
         counts = {"w0": 10, "w1": 1, "w2": 10, "w3": 10}
-        ranked = rank_all(_model([1.0]), table, min_count=5, counts=counts)
+        ranked = list(iter_ranked(_model([1.0]), table, min_count=5, counts=counts))
         assert [w.word for w in ranked] == ["w0", "w2", "w3"]
         assert [w.percentile for w in ranked] == [100.0, 50.0, 0.0]
 
     def test_min_count_without_source_rejected(self):
         table = _table_with_scores([1.0])
         with pytest.raises(ValueError, match="frequency source"):
-            rank_all(_model([1.0]), table, min_count=5)
+            list(iter_ranked(_model([1.0]), table, min_count=5))
 
     def test_words_absent_from_counts_still_scored_when_unfiltered(self):
         table = _table_with_scores([510.0, 490.0])
-        ranked = rank_all(_model([1.0]), table, counts={"w0": 3})
+        ranked = list(iter_ranked(_model([1.0]), table, counts={"w0": 3}))
         assert {w.word for w in ranked} == {"w0", "w1"}
         freq = {w.word: w.freq for w in ranked}
         assert freq["w0"] == 3 and freq["w1"] is None
@@ -124,7 +123,7 @@ class TestRankAll:
     def test_percentile_monotone_in_score(self):
         rng = np.random.default_rng(2)
         table = _table_with_scores(rng.normal(500, 50, size=40).tolist())
-        ranked = rank_all(_model([1.0]), table)
+        ranked = list(iter_ranked(_model([1.0]), table))
         for hi, lo in zip(ranked, ranked[1:]):
             assert hi.score >= lo.score
             assert hi.percentile > lo.percentile
@@ -132,8 +131,8 @@ class TestRankAll:
     def test_reranking_idempotent(self):
         rng = np.random.default_rng(3)
         table = _table_with_scores(rng.normal(0, 1, size=17).tolist())
-        first = rank_all(_model([1.0]), table)
-        again = rank_all(_model([1.0]), table)
+        first = list(iter_ranked(_model([1.0]), table))
+        again = list(iter_ranked(_model([1.0]), table))
         assert first == again
 
     def test_head_tail_selection(self):
