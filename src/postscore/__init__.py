@@ -15,7 +15,7 @@ import importlib
 # access (PEP 562), so `import postscore` loads no numpy and a command loads
 # only what it runs.
 _SOURCES = {
-    "embeddings": ("EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix"),
+    "embeddings": ("EmbeddingTable", "post_vectors_matrix"),
     "errors": ("DataFormatError", "PostscoreError", "SingularSystemError"),
     "model": (
         "CurvePoint",
@@ -25,7 +25,6 @@ _SOURCES = {
         "fit",
         "loo_user_cv",
         "posts_curve",
-        "predict_post",
     ),
     "stats": ("CorrelationReport", "bootstrap_ci", "pearson", "spearman"),
     "synth": ("SynthConfig", "generate"),
@@ -35,12 +34,11 @@ _SOURCES = {
         "UserSurfaceFeatures",
         "shannon_entropy",
         "should_filter",
-        "surface_features",
         "tokenize",
     ),
     "tfidf": ("TfidfVocabulary", "build_vocab", "tfidf_vector"),
-    "transfer": ("InstitutionScore", "aggregate", "compare", "cross_source_compare"),
-    "wordrank": ("WordScore", "project_2d", "score_word"),
+    "transfer": ("InstitutionScore", "aggregate", "compare"),
+    "wordrank": ("WordScore", "project_2d"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

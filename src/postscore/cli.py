@@ -190,7 +190,7 @@ def _load_table(args) -> EmbeddingTable:
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
     table = EmbeddingTable.load_vec(_check_input(args.embeddings))
-    # Post tokens are lowercased, so only direct lookups reach a cased row.
+    # Post tokens are lowercased and matched exactly, so none reaches a cased row.
     unreachable = sum(w != w.lower() for w in table.words)
     if unreachable:
         print(f"warning: {unreachable} table words are not lowercase; no post token matches them", file=sys.stderr)

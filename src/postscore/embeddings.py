@@ -22,14 +22,13 @@ nothing holds a float64 copy or a mask of the whole table.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import DataFormatError
 
-__all__ = ["EmbeddingTable", "PostVector", "post_vector", "post_vectors_matrix"]
+__all__ = ["EmbeddingTable", "post_vectors_matrix"]
 
 # Bytes of matched token rows gathered at once by post_vectors_matrix (as
 # float32 and float64: 12*dim bytes a row); chunks end on post boundaries.
@@ -76,24 +75,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def _index(self, word: str):
-        """Row of the word as stored, else of its lowercased form, else None."""
-        idx = self.vocab.get(word)
-        if idx is None:
-            idx = self.vocab.get(word.lower())
-        return idx
-
-    def __contains__(self, word: str) -> bool:
-        return self._index(word) is not None
-
-    def lookup(self, word: str):
-        """Vector for the word as stored, else for its lowercased form, or
-        None when neither is in the table."""
-        idx = self._index(word)
-        if idx is None:
-            return None
-        return self.vectors[idx]
 
     def fingerprint(self) -> str:
         """sha256 over shape, vocabulary and raw float32 bytes; cached.
@@ -287,31 +268,6 @@ def _validate_rows(path, words, vectors, count) -> None:
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise DataFormatError("non-finite vector value", path=path, line=bad + 2)
-
-
-@dataclass(frozen=True)
-class PostVector:
-    """Averaged embedding for one post; vector is None when no token matched."""
-
-    post_id: str
-    user_id: str
-    vector: np.ndarray | None
-    n_matched: int
-    n_tokens: int
-
-
-def post_vector(table: EmbeddingTable, tokens, post_id="", user_id="") -> PostVector:
-    """Arithmetic mean (float64) of in-vocabulary token vectors.
-
-    Duplicate tokens count per occurrence; out-of-vocabulary tokens are
-    skipped; no match at all gives an absent vector.
-    """
-    vocab = table.vocab
-    idx = [j for j in map(vocab.get, tokens) if j is not None]
-    if not idx:
-        return PostVector(post_id, user_id, None, 0, len(tokens))
-    mean = table.vectors[idx].astype(np.float64).mean(axis=0)
-    return PostVector(post_id, user_id, mean, len(idx), len(tokens))
 
 
 def flat_token_ids(table: EmbeddingTable, token_lists):

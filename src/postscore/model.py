@@ -48,7 +48,7 @@ __all__ = [
     "UserPrediction",
     "CurvePoint",
     "fit",
-    "predict_post",
+    "word_scores_array",
     "score_tokenized_posts",
     "loo_user_cv",
     "posts_curve",
@@ -313,32 +313,33 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     return LinearModel(weights=w, bias=bias, lam=lam, d=d, training_meta=meta)
 
 
-def predict_post(model: LinearModel, vector) -> float:
-    """w.x + b for one post vector."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (model.d,):
-        raise ValueError(f"expected a vector of dimension {model.d}, got shape {v.shape}")
-    return float(model.weights @ v) + model.bias
+def word_scores_array(model: LinearModel, table) -> np.ndarray:
+    """Scores ``vectors @ w + b`` for every table row at once (float64).
+
+    Rows are scored about 1 MB of float64 at a time (``EmbeddingTable.dot``),
+    so the table is never copied whole, and the scores are bit-identical for
+    any chunking.
+    """
+    if table.dim != model.d:
+        raise ValueError(f"model dimension {model.d} does not match table dim {table.dim}")
+    scores = table.dot(model.weights)
+    scores += model.bias
+    return scores
 
 
 def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=None):
     """Scores for already-tokenized posts, the high-throughput path.
 
     Exploits linearity: a post's score is the mean of its matched words'
-    scores, so per-word scores are precomputed once (vectors @ w + b, from
-    about 1 MB of float64 rows at a time by ``EmbeddingTable.dot``, with no
-    float64 copy of the table) and each post needs only a gather and a
-    segment mean. Posts with no in-vocabulary token receive the training
-    target mean. Callers scoring many batches can precompute ``word_scores``
-    once and pass it in.
+    scores, so per-word scores are computed once (``word_scores_array``) and
+    each post needs only a gather and a segment mean. Posts with no
+    in-vocabulary token receive the training target mean. Callers scoring
+    many batches can compute ``word_scores`` once and pass it in.
 
     Returns (scores, n_matched) as float64/int64 arrays.
     """
-    if table.dim != model.d:
-        raise ValueError(f"table dim {table.dim} does not match model d {model.d}")
     if word_scores is None:
-        word_scores = table.dot(model.weights)
-        word_scores += model.bias
+        word_scores = word_scores_array(model, table)
     flat, n_matched, _ = flat_token_ids(table, token_lists)
     scores = np.empty(len(token_lists), dtype=np.float64)
     segment_mean(word_scores[flat], n_matched, scores)

@@ -24,7 +24,6 @@ __all__ = [
     "tokenize_post",
     "should_filter",
     "shannon_entropy",
-    "surface_features",
     "FeatureAccumulator",
     "extract_features",
 ]
@@ -187,16 +186,6 @@ class FeatureAccumulator:
             entropy_bits=shannon_entropy(self.counts),
             n_posts=self.n_posts,
         )
-
-
-def surface_features(posts: list[RawPost]) -> UserSurfaceFeatures:
-    """Surface features for one user's unfiltered posts (at least one)."""
-    if not posts:
-        raise ValueError("surface_features requires at least one post")
-    acc = FeatureAccumulator()
-    for post in posts:
-        acc.add(post)
-    return acc.finish(posts[0].user_id)
 
 
 def extract_features(posts) -> list[UserSurfaceFeatures]:

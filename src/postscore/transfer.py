@@ -17,11 +17,9 @@ __all__ = [
     "InstitutionScore",
     "AggregateResult",
     "ComparisonResult",
-    "CrossSourceResult",
     "build_mapping",
     "aggregate",
     "compare",
-    "cross_source_compare",
 ]
 
 
@@ -45,13 +43,6 @@ class ComparisonResult:
     pearson: CorrelationReport
     spearman: CorrelationReport
     matched: list[InstitutionScore]
-
-
-@dataclass(frozen=True)
-class CrossSourceResult:
-    rows: list[tuple[str, float, float, int]]  # institution, mean_a, mean_b, n_users
-    pearson: CorrelationReport
-    mean_offset: float  # mean(b) - mean(a)
 
 
 def build_mapping(pairs) -> dict[str, str]:
@@ -135,36 +126,3 @@ def compare(scores: list[InstitutionScore], reference: dict[str, float]) -> Comp
         spearman=spearman(predicted, actual),
         matched=matched,
     )
-
-
-def cross_source_compare(
-    predictions_a: list[UserPrediction],
-    predictions_b: list[UserPrediction],
-    mapping: dict[str, str],
-) -> CrossSourceResult:
-    """Paired per-institution means from two text sources.
-
-    Both prediction sets are restricted to users present in both sources
-    before averaging, so the comparison is like-for-like.
-    """
-    by_user_a = {p.user_id: p for p in predictions_a}
-    by_user_b = {p.user_id: p for p in predictions_b}
-    shared = sorted(set(by_user_a) & set(by_user_b))
-    groups: dict[str, list[str]] = {}
-    for user_id in shared:
-        inst = mapping.get(user_id)
-        if inst is not None:
-            groups.setdefault(inst, []).append(user_id)
-    if not groups:
-        raise ValueError("no shared user maps to any institution")
-    rows = []
-    for inst in sorted(groups):
-        users = groups[inst]
-        mean_a = sum(by_user_a[u].predicted for u in users) / len(users)
-        mean_b = sum(by_user_b[u].predicted for u in users) / len(users)
-        rows.append((inst, mean_a, mean_b, len(users)))
-    a = [r[1] for r in rows]
-    b = [r[2] for r in rows]
-    report = pearson(a, b)
-    offset = sum(b) / len(b) - sum(a) / len(a)
-    return CrossSourceResult(rows=rows, pearson=report, mean_offset=offset)

@@ -1,9 +1,10 @@
 """Open-vocabulary interpretability: score and rank every word in the table.
 
-A word's score is the model's prediction for a single-word post, w.v + b, so
-by linearity any post's score is the mean of its matched words' scores. The
-ranking is descending by score with lexicographic tie-break; percentiles are
-100*rank/(n-1) over the filtered vocabulary (top word = 100).
+A word's score is the model's prediction for a single-word post, w.v + b
+(``model.word_scores_array``), so by linearity any post's score is the mean
+of its matched words' scores. The ranking is descending by score with
+lexicographic tie-break; percentiles are 100*rank/(n-1) over the filtered
+vocabulary (top word = 100).
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from typing import Iterator
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .model import LinearModel
+from .model import LinearModel, word_scores_array
 
 __all__ = [
     "WordScore",
-    "score_word",
-    "word_scores_array",
     "iter_ranked",
     "project_2d",
     "training_token_counts",
@@ -33,33 +32,6 @@ class WordScore:
     score: float
     freq: int | None
     percentile: float
-
-
-def _check_dims(model: LinearModel, table: EmbeddingTable) -> None:
-    if model.d != table.dim:
-        raise ValueError(f"model dimension {model.d} does not match table dim {table.dim}")
-
-
-def score_word(model: LinearModel, table: EmbeddingTable, word: str):
-    """Score of a single word, or None when out of vocabulary."""
-    _check_dims(model, table)
-    vec = table.lookup(word)
-    if vec is None:
-        return None
-    return float(model.weights @ vec.astype(np.float64)) + model.bias
-
-
-def word_scores_array(model: LinearModel, table: EmbeddingTable) -> np.ndarray:
-    """Scores for every table row at once (float64).
-
-    Rows are scored about 1 MB of float64 at a time (``EmbeddingTable.dot``),
-    so the table is never copied whole. The scores are bit-identical for any
-    chunking, and differ from ``score_word``'s by summation order only.
-    """
-    _check_dims(model, table)
-    scores = table.dot(model.weights)
-    scores += model.bias
-    return scores
 
 
 def training_token_counts(token_lists) -> Counter:
@@ -138,8 +110,7 @@ def project_2d(selected: list[WordScore], table: EmbeddingTable):
         raise ValueError("2-d projection requires at least 3 words")
     rows = []
     for ws in selected:
-        # Exact rows: ranked words are table.words verbatim, so no case
-        # folding applies (a stored "Apple" is the row "Apple").
+        # Ranked words are table.words verbatim, so each is found as stored.
         idx = table.vocab.get(ws.word)
         if idx is None:
             raise ValueError(f"word {ws.word!r} is not in the embedding table")

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they verify: the regression oracle is
 plain gradient descent on the raw loss, the p-value oracle goes through
-mpmath's incomplete beta at 50 digits, and the leave-one-user-out oracle
-retrains from scratch per user.
+mpmath's incomplete beta at 50 digits, and the post and word scores look each
+token up in ``table.vocab`` on its own and take one plain mean and dot
+product. (The leave-one-user-out checks retrain from scratch per user in the
+tests themselves.)
 """
 
 import mpmath as mp
@@ -48,3 +50,25 @@ def t_test_p_oracle(r, n, dps=50):
 def betainc_oracle(a, b, x, dps=50):
     with mp.workdps(dps):
         return float(mp.betainc(mp.mpf(a), mp.mpf(b), 0, mp.mpf(x), regularized=True))
+
+
+def post_vector(table, tokens):
+    """Float64 mean of the rows of the tokens found in ``table.vocab``, each
+    occurrence counted; None when no token is found."""
+    rows = [table.vocab[t] for t in tokens if t in table.vocab]
+    if not rows:
+        return None
+    return table.vectors[rows].astype(np.float64).mean(axis=0)
+
+
+def predict_post(model, vector):
+    """w.x + b for one post vector."""
+    return float(model.weights @ np.asarray(vector, dtype=np.float64)) + model.bias
+
+
+def score_word(model, table, word):
+    """w.v + b for the word's row, or None when ``table.vocab`` lacks it."""
+    idx = table.vocab.get(word)
+    if idx is None:
+        return None
+    return predict_post(model, table.vectors[idx])

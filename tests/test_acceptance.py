@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from postscore.embeddings import EmbeddingTable, post_vector
+from postscore.embeddings import EmbeddingTable
 from postscore.model import (
     LinearModel,
     TrainingMeta,
@@ -21,8 +21,8 @@ from postscore.model import (
     fit,
     loo_user_cv,
     posts_curve,
-    predict_post,
     score_tokenized_posts,
+    word_scores_array,
 )
 from postscore.pipeline import (
     build_embedding_training,
@@ -33,9 +33,8 @@ from postscore.stats import pearson, student_t_two_sided_p
 from postscore.synth import SynthConfig, generate, noise_for_ceiling
 from postscore.tfidf import build_vocab, tfidf_matrix
 from postscore.transfer import aggregate, compare
-from postscore.wordrank import score_word, word_scores_array
 
-from oracles import gd_fit
+from oracles import gd_fit, post_vector, predict_post, score_word
 
 R_STAR = 0.7
 NOISE_FOR_R_STAR = noise_for_ceiling(R_STAR)
@@ -84,8 +83,7 @@ def test_criterion_01_linearity_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for tp in clean:
-        pv = post_vector(data.table, tp.tokens)
-        direct = predict_post(model, pv.vector)
+        direct = predict_post(model, post_vector(data.table, tp.tokens))
         word_mean = float(np.mean([score_word(model, data.table, t) for t in tp.tokens]))
         worst = max(worst, abs(direct - word_mean))
     elapsed = time.perf_counter() - t0

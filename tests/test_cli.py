@@ -356,6 +356,45 @@ class TestAggregateCommand:
         assert code == 2  # every mapped user is in the training labels
 
 
+class TestCrossSource:
+    def test_model_trained_on_one_source_predicts_another(self, dataset, tmp_path):
+        """The paper's third claim with existing commands: a model trained on
+        one source (the even posts) ranks institutions from another source
+        (the odd posts, none seen in training) about as well as from its own.
+        Over synth seeds 0-39 of this fixture's shape the lowest r was 0.863
+        and the largest gap 0.098; seed 5 gives 0.965 and 0.958."""
+        lines = (dataset / "posts.jsonl").read_text(encoding="utf-8").splitlines(True)
+        sources = {"even": lines[0::2], "odd": lines[1::2]}
+        for name, source in sources.items():
+            (tmp_path / f"{name}.jsonl").write_text("".join(source), encoding="utf-8")
+        table = dataset / "embeddings.vec"
+        code = run_cli(
+            "train", "--posts", tmp_path / "even.jsonl", "--labels", dataset / "labels.csv",
+            "--embeddings", table, "--output-dir", tmp_path / "model",
+        )
+        assert code == 0
+        r = {}
+        for name in sources:
+            code = run_cli(
+                "predict", "--posts", tmp_path / f"{name}.jsonl",
+                "--model", tmp_path / "model" / "model.json", "--embeddings", table,
+                "--output-dir", tmp_path / f"pred_{name}",
+            )
+            assert code == 0
+            code = run_cli(
+                "aggregate", "--predictions", tmp_path / f"pred_{name}" / "predictions.csv",
+                "--mapping", dataset / "mapping.csv", "--reference", dataset / "reference.csv",
+                "--min-users", 3, "--output-dir", tmp_path / f"agg_{name}",
+            )
+            assert code == 0
+            with open(tmp_path / f"agg_{name}" / "report.csv", encoding="utf-8", newline="") as f:
+                report = {row["metric"]: row for row in csv.DictReader(f)}
+            assert report["institution_pearson"]["n"] == "6"
+            r[name] = float(report["institution_pearson"]["r"])
+        assert r["even"] > 0.8 and r["odd"] > 0.8
+        assert abs(r["odd"] - r["even"]) < 0.15
+
+
 class TestRankWordsCommand:
     def test_full_ranking_with_training_counts(self, dataset, trained, tmp_path):
         out = tmp_path / "rank"

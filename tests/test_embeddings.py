@@ -13,11 +13,12 @@ from postscore.embeddings import (
     _load_vec_fast,
     _load_vec_slow,
     flat_token_ids,
-    post_vector,
     post_vectors_matrix,
 )
 from postscore.errors import DataFormatError
 from postscore.synth import SynthConfig, generate
+
+from oracles import post_vector
 
 
 def _write(tmp_path, text, name="table.vec"):
@@ -283,67 +284,72 @@ class TestSaveVec:
 
 
 class TestLookup:
+    """One lookup rule: a token matches the row stored under exactly that
+    string (post tokens arrive lowercased)."""
+
     def test_known_word(self, tiny_table):
-        assert tuple(tiny_table.lookup("a")) == (1.0, 0.0, 0.0)
+        flat, n_matched, _ = flat_token_ids(tiny_table, [["a"]])
+        assert flat.tolist() == [0] and n_matched.tolist() == [1]
 
     def test_unknown_word(self, tiny_table):
-        assert tiny_table.lookup("zzz") is None
+        flat, n_matched, _ = flat_token_ids(tiny_table, [["zzz"]])
+        assert flat.tolist() == [] and n_matched.tolist() == [0]
 
-    def test_query_lowercased(self, tiny_table):
-        assert tuple(tiny_table.lookup("A")) == (1.0, 0.0, 0.0)
-
-    def test_contains(self, tiny_table):
-        assert "a" in tiny_table
-        assert "zzz" not in tiny_table
-
-    def test_stored_case_found_before_lowercased(self):
+    def test_tokens_match_rows_as_stored(self):
         vectors = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
         table = EmbeddingTable(["Apple", "apple", "Pear"], vectors)
-        assert tuple(table.lookup("Apple")) == (1.0,)
-        assert tuple(table.lookup("apple")) == (2.0,)
-        assert tuple(table.lookup("APPLE")) == (2.0,)
-        assert tuple(table.lookup("Pear")) == (3.0,)
-        assert "Pear" in table
-        assert "pear" not in table  # a lowercase query never reaches "Pear"
+        posts = [["Apple"], ["apple"], ["APPLE"], ["Pear"], ["pear"]]
+        flat, n_matched, _ = flat_token_ids(table, posts)
+        assert flat.tolist() == [0, 1, 2]
+        assert n_matched.tolist() == [1, 1, 0, 1, 0]
+
+
+def _post_row(table, tokens):
+    """What post_vectors_matrix gives ``tokens`` as the second of four posts:
+    (its row or None, n_matched, n_tokens)."""
+    means, n_matched, n_tokens = post_vectors_matrix(table, [["e", "a"], tokens, ["zzz"], ["c"]])
+    assert means.shape == (int((n_matched > 0).sum()), table.dim)
+    row = means[1] if n_matched[1] > 0 else None
+    return row, int(n_matched[1]), int(n_tokens[1])
 
 
 class TestPostVector:
     def test_two_word_mean(self, tiny_table):
-        pv = post_vector(tiny_table, ["a", "b"])
-        assert pv.vector == pytest.approx([0.5, 0.5, 0.0])
-        assert (pv.n_matched, pv.n_tokens) == (2, 2)
+        row, n_matched, n_tokens = _post_row(tiny_table, ["a", "b"])
+        assert row == pytest.approx([0.5, 0.5, 0.0])
+        assert (n_matched, n_tokens) == (2, 2)
 
     def test_occurrence_weighting(self, tiny_table):
-        pv = post_vector(tiny_table, ["a", "a", "b"])
-        assert pv.vector == pytest.approx([2 / 3, 1 / 3, 0.0])
+        row, _, _ = _post_row(tiny_table, ["a", "a", "b"])
+        assert row == pytest.approx([2 / 3, 1 / 3, 0.0])
 
     def test_all_oov_absent(self, tiny_table):
-        pv = post_vector(tiny_table, ["zzz"])
-        assert pv.vector is None
-        assert (pv.n_matched, pv.n_tokens) == (0, 1)
+        row, n_matched, n_tokens = _post_row(tiny_table, ["zzz"])
+        assert row is None
+        assert (n_matched, n_tokens) == (0, 1)
 
     def test_oov_skipped_in_mean(self, tiny_table):
-        pv = post_vector(tiny_table, ["a", "zzz", "b"])
-        assert pv.vector == pytest.approx([0.5, 0.5, 0.0])
-        assert (pv.n_matched, pv.n_tokens) == (2, 3)
+        row, n_matched, n_tokens = _post_row(tiny_table, ["a", "zzz", "b"])
+        assert row == pytest.approx([0.5, 0.5, 0.0])
+        assert (n_matched, n_tokens) == (2, 3)
 
     def test_permutation_invariance(self, tiny_table):
         rng = np.random.default_rng(1)
         tokens = ["a", "b", "c", "d", "e", "a", "e"]
-        base = post_vector(tiny_table, tokens).vector
+        base = _post_row(tiny_table, tokens)[0]
         for _ in range(5):
             shuffled = [tokens[i] for i in rng.permutation(len(tokens))]
-            assert post_vector(tiny_table, shuffled).vector == pytest.approx(base, abs=1e-12)
+            assert _post_row(tiny_table, shuffled)[0] == pytest.approx(base, abs=1e-12)
 
     def test_mean_within_component_bounds(self, tiny_table):
         rng = np.random.default_rng(2)
         words = tiny_table.words
         for _ in range(25):
             tokens = [words[i] for i in rng.integers(0, len(words), rng.integers(1, 10))]
-            pv = post_vector(tiny_table, tokens)
+            row = _post_row(tiny_table, tokens)[0]
             rows = tiny_table.vectors[[tiny_table.vocab[t] for t in tokens]]
-            assert np.all(pv.vector >= rows.min(axis=0) - 1e-9)
-            assert np.all(pv.vector <= rows.max(axis=0) + 1e-9)
+            assert np.all(row >= rows.min(axis=0) - 1e-9)
+            assert np.all(row <= rows.max(axis=0) + 1e-9)
 
 
 class TestSegmentMean:
@@ -390,11 +396,11 @@ class TestPostVectorsMatrix:
         means, n_matched, n_tokens = post_vectors_matrix(tiny_table, posts)
         rows = iter(means)
         for i, tokens in enumerate(posts):
-            pv = post_vector(tiny_table, tokens)
-            assert n_matched[i] == pv.n_matched
-            assert n_tokens[i] == pv.n_tokens
-            if pv.vector is not None:
-                assert next(rows) == pytest.approx(pv.vector, abs=0)
+            assert n_matched[i] == sum(t in tiny_table.vocab for t in tokens)
+            assert n_tokens[i] == len(tokens)
+            vector = post_vector(tiny_table, tokens)
+            if vector is not None:
+                assert next(rows) == pytest.approx(vector, abs=0)
         assert means.shape == ((n_matched > 0).sum(), tiny_table.dim)
 
     def test_thread_count_bit_identical(self, tiny_table):

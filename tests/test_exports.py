@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,22 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_public_name_is_used_by_the_program():
+    """Each name in ``postscore.__all__`` is used somewhere in the package or
+    the bench, not only defined there and called by tests. A use is a name,
+    an attribute or a ``from ... import`` alias; a ``def`` or ``class``
+    statement alone is not."""
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [*(root / "src" / "postscore").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [name for name in postscore.__all__ if name != "__version__" and name not in used]
+    assert unused == []

@@ -20,13 +20,12 @@ from postscore.model import (
     fit,
     loo_user_cv,
     posts_curve,
-    predict_post,
     score_tokenized_posts,
     _solve_spd,
 )
 from postscore.stats import bootstrap_ci, pearson_r
 
-from oracles import gd_fit
+from oracles import gd_fit, post_vector, predict_post
 
 
 def _ts(X, y, groups):
@@ -281,32 +280,49 @@ class TestFit:
 
 
 class TestPredict:
+    """Post scores on the route the CLI runs (``score_tokenized_posts``)."""
+
     def _model(self, w, b):
         meta = TrainingMeta(n_posts=1, n_users=1, target_mean=500.0, target_sd=1.0)
         w = np.asarray(w, dtype=np.float64)
         return LinearModel(weights=w, bias=b, lam=0.0, d=w.size, training_meta=meta)
 
+    def _score(self, model, words, vectors, tokens):
+        table = embeddings.EmbeddingTable(words, np.asarray(vectors, dtype=np.float32))
+        scores, n_matched = score_tokenized_posts(model, table, [tokens])
+        assert n_matched[0] > 0
+        return float(scores[0])
+
     def test_dot_plus_bias(self):
         model = self._model([1.0, 1.0], 0.0)
-        assert predict_post(model, [0.5, 0.5]) == pytest.approx(1.0)
+        score = self._score(model, ["x", "y"], [[1.0, 0.0], [0.0, 1.0]], ["x", "y"])
+        assert score == pytest.approx(1.0)
 
     def test_zero_vector_gives_bias(self):
         model = self._model([2.0, -1.0], 3.25)
-        assert predict_post(model, [0.0, 0.0]) == 3.25
+        assert self._score(model, ["z"], [[0.0, 0.0]], ["z"]) == 3.25
 
     def test_dimension_mismatch(self):
         model = self._model([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            predict_post(model, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="model dimension 2 does not match table dim 3"):
+            self._score(model, ["x"], [[1.0, 2.0, 3.0]], ["x"])
 
     def test_affine_interpolation_identity(self):
+        """A post of 3 x's and 7 z's scores as 0.3 x + 0.7 z, the mixture of
+        the two one-word posts' scores, and as the oracle on that mean."""
         rng = np.random.default_rng(6)
         model = self._model(rng.standard_normal(4), 1.5)
-        x, z = rng.standard_normal(4), rng.standard_normal(4)
+        vectors = rng.standard_normal((2, 4)).astype(np.float32)
+        x, z = vectors.astype(np.float64)
         alpha = 0.3
-        blended = predict_post(model, alpha * x + (1 - alpha) * z)
-        mixed = alpha * predict_post(model, x) + (1 - alpha) * predict_post(model, z)
+
+        def score(tokens):
+            return self._score(model, ["x", "z"], vectors, tokens)
+
+        blended = score(["x"] * 3 + ["z"] * 7)
+        mixed = alpha * score(["x"]) + (1 - alpha) * score(["z"])
         assert blended == pytest.approx(mixed, abs=1e-12)
+        assert blended == pytest.approx(predict_post(model, alpha * x + (1 - alpha) * z), abs=1e-12)
 
 
 class TestLooUserCV:
@@ -431,15 +447,13 @@ class TestScoreTokenizedPosts:
             for _ in range(200)
         ]
         scores, n_matched = score_tokenized_posts(model, tiny_table, posts)
-        from postscore.embeddings import post_vector
-
         for tokens, score, matched in zip(posts, scores, n_matched):
-            pv = post_vector(tiny_table, tokens)
-            if pv.vector is None:
+            vector = post_vector(tiny_table, tokens)
+            if vector is None:
                 assert matched == 0
                 assert score == 500.0
             else:
-                assert score == pytest.approx(predict_post(model, pv.vector), abs=1e-9)
+                assert score == pytest.approx(predict_post(model, vector), abs=1e-9)
 
 
 class TestPostsCurve:

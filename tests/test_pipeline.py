@@ -5,7 +5,7 @@ import pytest
 
 from postscore import dataio, embeddings, pipeline, wordrank
 from postscore.embeddings import EmbeddingTable, flat_token_ids
-from postscore.model import LinearModel, TrainingMeta, fit, predict_post, score_tokenized_posts
+from postscore.model import LinearModel, TrainingMeta, fit, score_tokenized_posts
 from postscore.pipeline import (
     FilterStats,
     build_embedding_training,
@@ -16,6 +16,8 @@ from postscore.pipeline import (
 )
 from postscore.textproc import RawPost, TokenizedPost, extract_features
 from postscore.tfidf import build_vocab, tfidf_vector
+
+from oracles import post_vector, predict_post
 
 
 def _posts():
@@ -103,10 +105,8 @@ class TestPredictUsersFromPosts:
         assert by_user["u3"].n_posts_used == 0
         assert by_user["u3"].predicted == model.training_meta.target_mean
         # u1's prediction averages p1 and p3 post scores
-        from postscore.embeddings import post_vector
-
-        s1 = predict_post(model, post_vector(tiny_table, ["a", "b"]).vector)
-        s3 = predict_post(model, post_vector(tiny_table, ["c", "c", "d"]).vector)
+        s1 = predict_post(model, post_vector(tiny_table, ["a", "b"]))
+        s3 = predict_post(model, post_vector(tiny_table, ["c", "c", "d"]))
         assert by_user["u1"].predicted == pytest.approx((s1 + s3) / 2, abs=1e-9)
         assert by_user["u1"].n_posts_used == 2
 

@@ -222,7 +222,7 @@ class TestHeldout:
         assert held
         assert not (held & seen)
         for w in held:
-            assert data.table.lookup(w) is not None
+            assert w in data.table.vocab
             assert data.freq[w] >= 1
 
     def test_heldout_words_score_with_their_cluster(self):
@@ -234,7 +234,7 @@ class TestHeldout:
         clean = list(iter_clean_posts(data.posts))
         ts, _ = build_embedding_training(clean, data.labels, data.table)
         from postscore.model import fit
-        from postscore.wordrank import word_scores_array
+        from postscore.model import word_scores_array
 
         model = fit(ts)
         scores = word_scores_array(model, data.table)

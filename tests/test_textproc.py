@@ -11,9 +11,9 @@ from postscore.textproc import (
     FeatureAccumulator,
     RawPost,
     TokenizedPost,
+    extract_features,
     shannon_entropy,
     should_filter,
-    surface_features,
     tokenize,
     tokenize_post,
 )
@@ -241,9 +241,16 @@ def _tp(user, tokens, caps=0, emoji=0, exclaim=0):
     return RawPost(user_id=user, post_id=f"{user}-{text}", text=text)
 
 
+def _features(posts):
+    """featurize's features for one user's posts, all of which pass the filter."""
+    [features] = extract_features(posts)
+    assert features.n_posts == len(posts)
+    return features
+
+
 class TestSurfaceFeatures:
     def test_single_plain_post(self):
-        f = surface_features([_tp("u", ["a", "b"])])
+        f = _features([_tp("u", ["a", "b"])])
         assert f.caps_rate == 0.0
         assert f.emoji_rate == 0.0
         assert f.exclaim_rate == 0.0
@@ -253,31 +260,31 @@ class TestSurfaceFeatures:
 
     def test_caps_rate_equal_post_weight(self):
         # (1/1 + 0/2) / 2 = 0.5
-        f = surface_features([_tp("u", ["hi"], caps=1), _tp("u", ["ok", "ok"])])
+        f = _features([_tp("u", ["hi"], caps=1), _tp("u", ["ok", "ok"])])
         assert f.caps_rate == pytest.approx(0.5, abs=1e-12)
 
     def test_pooled_entropy(self):
         # tokens {a:2, b:1, c:1} overall -> 1.5 bits
-        f = surface_features([_tp("u", ["a", "b"]), _tp("u", ["a", "c"])])
+        f = _features([_tp("u", ["a", "b"]), _tp("u", ["a", "c"])])
         assert f.entropy_bits == pytest.approx(1.5, abs=1e-12)
         assert f.vocab_size == 3
 
     def test_avg_word_len_pooled_over_tokens(self):
-        f = surface_features([_tp("u", ["aa", "bbbb"]), _tp("u", ["c"])])
+        f = _features([_tp("u", ["aa", "bbbb"]), _tp("u", ["c"])])
         assert f.avg_word_len == pytest.approx(7 / 3)
 
     def test_latin_rate_pooled_over_posts(self):
         # (2 + 1) Latin of (4 + 2) alphabetic characters
-        f = surface_features([_tp("u", ["xy", "жз"]), _tp("u", ["z", "ж"])])
+        f = _features([_tp("u", ["xy", "жз"]), _tp("u", ["z", "ж"])])
         assert f.latin_rate == pytest.approx(0.5)
 
     def test_latin_rate_zero_when_no_alpha(self):
-        f = surface_features([_tp("u", ["123"])])
+        f = _features([_tp("u", ["123"])])
         assert f.latin_rate == 0.0
 
     def test_no_posts_rejected(self):
         with pytest.raises(ValueError):
-            surface_features([])
+            FeatureAccumulator().finish("u")
 
     def test_permutation_invariant(self):
         posts = [
@@ -286,10 +293,10 @@ class TestSurfaceFeatures:
             _tp("u", ["a", "д"]),
         ]
         rng = np.random.default_rng(3)
-        base = surface_features(posts)
+        base = _features(posts)
         for _ in range(5):
             shuffled = [posts[i] for i in rng.permutation(len(posts))]
-            assert surface_features(shuffled) == base
+            assert _features(shuffled) == base
 
     def test_invariant_bounds_on_random_users(self):
         rng = np.random.default_rng(11)
@@ -300,7 +307,7 @@ class TestSurfaceFeatures:
                 tokens = [alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(1, 9))]
                 posts.append(_tp("u", tokens, caps=int(rng.integers(0, len(tokens) + 1))))
                 n_tokens += len(tokens)
-            f = surface_features(posts)
+            f = _features(posts)
             assert 0.0 <= f.caps_rate <= 1.0
             assert f.vocab_size <= n_tokens
             assert -1e-12 <= f.entropy_bits <= math.log2(max(f.vocab_size, 1)) + 1e-12

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from postscore.model import UserPrediction
-from postscore.transfer import (
-    aggregate,
-    build_mapping,
-    compare,
-    cross_source_compare,
-)
+from postscore.transfer import aggregate, build_mapping, compare
 
 
 def _preds(pairs):
@@ -103,57 +98,3 @@ class TestCompare:
         a = compare(agg.scores, reference).spearman.r
         b = compare(agg.scores, warped).spearman.r
         assert a == pytest.approx(b, abs=1e-12)
-
-
-class TestCrossSourceCompare:
-    def _setup(self):
-        preds_a = _preds([(f"u{i}", 500.0 + i, 2) for i in range(9)])
-        mapping = {f"u{i}": f"i{i // 3}" for i in range(9)}
-        return preds_a, mapping
-
-    def test_identical_sources_r_one(self):
-        preds_a, mapping = self._setup()
-        result = cross_source_compare(preds_a, list(preds_a), mapping)
-        assert result.pearson.r == 1.0
-        assert result.mean_offset == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_offset_r_one_offset_reported(self):
-        preds_a, mapping = self._setup()
-        preds_b = [UserPrediction(p.user_id, p.predicted + 12.5, p.n_posts_used) for p in preds_a]
-        result = cross_source_compare(preds_a, preds_b, mapping)
-        assert result.pearson.r == pytest.approx(1.0, abs=1e-12)
-        assert result.mean_offset == pytest.approx(12.5, abs=1e-12)
-
-    def test_restricted_to_shared_users(self):
-        preds_a, mapping = self._setup()
-        preds_b = [UserPrediction(f"u{i}", 400.0 + 2 * i, 1) for i in range(0, 9, 2)]
-        result = cross_source_compare(preds_a, preds_b, mapping)
-        shared_per_inst = {"i0": 2, "i1": 1, "i2": 2}
-        assert {r[0]: r[3] for r in result.rows} == shared_per_inst
-
-    def test_empty_pairing_rejected(self):
-        preds_a, mapping = self._setup()
-        with pytest.raises(ValueError, match="shared"):
-            cross_source_compare(preds_a, _preds([("vx", 1.0, 1)]), mapping)
-
-    def test_shared_signal_gives_positive_correlation(self):
-        """Two noisy views of one latent institution signal stay positively
-        correlated at the institution level in nearly every seeded draw."""
-        hits = 0
-        runs = 40
-        for seed in range(runs):
-            rng = np.random.default_rng((200, seed))
-            n_inst, per = 8, 6
-            latent = rng.normal(500, 60, size=n_inst)
-            preds_a, preds_b, mapping = [], [], {}
-            for i in range(n_inst):
-                for j in range(per):
-                    uid = f"u{i}_{j}"
-                    mapping[uid] = f"i{i}"
-                    shared = latent[i] + rng.normal(0, 30)
-                    preds_a.append(UserPrediction(uid, shared + rng.normal(0, 25), 1))
-                    preds_b.append(UserPrediction(uid, shared + rng.normal(0, 25), 1))
-            result = cross_source_compare(preds_a, preds_b, mapping)
-            if 0.0 < result.pearson.r < 1.0:
-                hits += 1
-        assert hits >= 0.95 * runs

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from postscore import embeddings
-from postscore.embeddings import EmbeddingTable, post_vector
-from postscore.model import LinearModel, TrainingMeta, predict_post, score_tokenized_posts
-from postscore.wordrank import (
-    WordScore,
-    iter_ranked,
-    project_2d,
-    score_word,
-    training_token_counts,
-    word_scores_array,
-)
+from postscore.embeddings import EmbeddingTable
+from postscore.model import LinearModel, TrainingMeta, score_tokenized_posts, word_scores_array
+from postscore.wordrank import WordScore, iter_ranked, project_2d, training_token_counts
+
+from oracles import post_vector, predict_post, score_word
 
 
 def _model(w, b=0.0, target_mean=500.0):
@@ -28,51 +23,52 @@ def _table_with_scores(scores):
 
 
 class TestScoreWord:
+    """Word scores on the route the CLI runs (``word_scores_array``)."""
+
     def test_single_word_post_equals_word_score(self, tiny_table):
         rng = np.random.default_rng(0)
         model = _model(rng.standard_normal(3), b=250.0)
-        for word in tiny_table.words:
-            pv = post_vector(tiny_table, [word])
-            assert score_word(model, tiny_table, word) == predict_post(model, pv.vector)
+        scores = word_scores_array(model, tiny_table)
+        for i, word in enumerate(tiny_table.words):
+            direct = predict_post(model, post_vector(tiny_table, [word]))
+            assert scores[i] == pytest.approx(direct, abs=1e-9)
 
     def test_oov_is_absent(self, tiny_table):
         model = _model([1.0, 0.0, 0.0])
-        assert score_word(model, tiny_table, "zzz") is None
+        scores, n_matched = score_tokenized_posts(model, tiny_table, [["zzz"]])
+        assert n_matched.tolist() == [0]
+        assert scores.tolist() == [model.training_meta.target_mean]
 
     def test_stored_capitalized_word_is_scored(self):
         table = EmbeddingTable(["Apple", "pear"], np.array([[2.0], [3.0]], dtype=np.float32))
-        model = _model([10.0], b=1.0)
-        assert score_word(model, table, "Apple") == 21.0
-        assert score_word(model, table, "PEAR") == 31.0
-        assert score_word(model, table, "apple") is None
+        assert word_scores_array(_model([10.0], b=1.0), table).tolist() == [21.0, 31.0]
 
     def test_zero_weights_score_bias(self, tiny_table):
         model = _model([0.0, 0.0, 0.0], b=77.0)
-        assert score_word(model, tiny_table, "a") == 77.0
+        assert word_scores_array(model, tiny_table).tolist() == [77.0] * len(tiny_table)
 
     def test_dimension_mismatch(self, tiny_table):
-        with pytest.raises(ValueError, match="does not match"):
-            score_word(_model([1.0]), tiny_table, "a")
+        with pytest.raises(ValueError, match="model dimension 1 does not match table dim 3"):
+            word_scores_array(_model([1.0]), tiny_table)
 
     def test_post_score_is_mean_of_word_scores(self, tiny_table):
         """The central linearity identity, on random posts."""
         rng = np.random.default_rng(1)
         model = _model(rng.standard_normal(3), b=480.0)
+        scores = word_scores_array(model, tiny_table)
         words = tiny_table.words
         for _ in range(50):
             tokens = [words[i] for i in rng.integers(0, len(words), int(rng.integers(1, 9)))]
-            pv = post_vector(tiny_table, tokens)
-            mean_words = float(
-                np.mean([score_word(model, tiny_table, t) for t in tokens])
-            )
-            assert predict_post(model, pv.vector) == pytest.approx(mean_words, abs=1e-9)
+            mean_words = float(np.mean([scores[tiny_table.vocab[t]] for t in tokens]))
+            direct = predict_post(model, post_vector(tiny_table, tokens))
+            assert direct == pytest.approx(mean_words, abs=1e-9)
 
 
 class TestWordScoresArray:
     def test_bit_identical_for_any_chunking(self, monkeypatch):
         """Chunks of 1 row, 7 rows and the whole table give the same bits,
         in word_scores_array and in the scores of one-word posts, and each
-        is within 1e-9 of score_word."""
+        is within 1e-9 of the oracle's score_word."""
         rng = np.random.default_rng(22)
         d = 13
         words = [f"w{i}" for i in range(300)]
