@@ -5,9 +5,10 @@ bias, solved by normal equations on centered data with one symmetric
 eigendecomposition (numpy): its eigenvalue ratio is the condition number the
 fit reports, its smallest eigenvalue decides numerical singularity, and its
 vectors give the solution. Grouped LOOCV solves one system per user with a
-Cholesky (SPD) factorization: LAPACK's dpotrf and dpotrs from scipy's
-compiled LAPACK module, bound at its first solve without importing scipy
-itself, so no command loads scipy's Python package.
+Cholesky (SPD) factorization: LAPACK's dpotrf and dpotrs (and dtrttp and
+dtpttr, which pack and unpack triangles) from scipy's compiled LAPACK module,
+bound at LOOCV's first call without importing scipy itself, so no command
+loads scipy's Python package.
 
 Leave-one-user-out CV re-solves the same normal equations per user with that
 user's rows excluded. The per-user systems are assembled from per-user Gram
@@ -17,11 +18,13 @@ it never cancels a user's contribution against itself, and the system solved
 for user u contains no floating-point trace of u's rows at all, so u's
 held-out prediction is bit-identical no matter what u's training rows hold.
 Cost stays O(posts*d^2 + users*d^3) instead of a full retrain per user.
-Memory is about 3*sqrt(users) + 3 Gram matrices of (d+2)^2 float64 plus one
-block's rows [X, 1, y]: the suffix sums over blocks of users, the prefix and
-suffix sums within the current block (its user Grams are recomputed there,
-never kept for all users; the prefix buffer also carries the earlier blocks
-and the ridge diagonal) and the system solved.
+Memory is about 3*sqrt(users) + 3 moment matrices, each held as its packed
+lower triangle of (d+2)(d+3)/2 float64, plus one full (d+2)^2 GEMM result,
+one unpacked system and one block's rows [X, 1, y]: the suffix sums over
+blocks of users, the prefix and suffix sums within the current block (its
+user moments are recomputed there, never kept for all users; the prefix
+buffer also carries the earlier blocks and the ridge diagonal) and the
+system solved.
 """
 
 from __future__ import annotations
@@ -120,6 +123,22 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
+def group_codes(ids: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct ids, and for each item the int64 position of its
+    id among them: what ``np.unique(ids, return_inverse=True)`` gives on an
+    object array, in about a fifth of its time (4.8 against 26 ms for 40,000
+    ids). Codes are taken in order of first appearance in one dict pass,
+    then renumbered by sorted id."""
+    first: dict = {}
+    codes = np.fromiter(
+        (first.setdefault(u, len(first)) for u in ids), dtype=np.int64, count=len(ids)
+    )
+    users = sorted(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[[first[u] for u in users]] = np.arange(len(first))
+    return users, rank[codes]
+
+
 @dataclass
 class TrainingSet:
     """Post matrix X (n x d, float64), per-post targets y, and the author of
@@ -149,19 +168,10 @@ class TrainingSet:
             raise ValueError("X, y and groups must agree on the number of rows")
         if not (_all_finite(self.X) and _all_finite(self.y)):
             raise ValueError("training data contains non-finite values")
-        # Codes in order of first appearance (one dict pass, a third of
-        # np.unique's time on an object array), then renumbered by sorted id.
-        first: dict = {}
-        codes = np.fromiter(
-            (first.setdefault(u, len(first)) for u in self.groups.tolist()), dtype=np.int64, count=n
-        )
-        self.users = sorted(first)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[[first[u] for u in self.users]] = np.arange(len(first))
-        codes = rank[codes]
+        self.users, codes = group_codes(self.groups.tolist())
         self.index = np.argsort(codes, kind="stable")
-        self.offsets = np.zeros(len(first) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes, minlength=len(first)), out=self.offsets[1:])
+        self.offsets = np.zeros(len(self.users) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=len(self.users)), out=self.offsets[1:])
 
     @property
     def n_posts(self) -> int:
@@ -203,17 +213,18 @@ def _flapack_path():
 
 @functools.cache
 def _lapack():
-    """LAPACK's dpotrf and dpotrs, bound at LOOCV's first solve, once per
-    process.
+    """LAPACK's dpotrf, dpotrs, dtrttp and dtpttr, bound at LOOCV's first
+    call, once per process.
 
-    They are the routines scipy.linalg's cho_factor and cho_solve call, taken
-    from the same compiled module. Loading that module by file costs ~4 ms
-    and +2.5 MB RSS, where ``import scipy.linalg`` cost 0.24 s and +24 MB
-    (medians of 10 processes with numpy loaded), most of it scipy's
-    array-API shim importing numpy.testing, numpy.f2py and numpy.ma. The
-    module is registered as ``postscore._flapack``; no ``scipy`` module is
-    imported. An install without the module file falls back to
-    scipy.linalg.lapack, which holds the same two routines.
+    The first two are the routines scipy.linalg's cho_factor and cho_solve
+    call, taken from the same compiled module; the last two pack and unpack
+    the triangles LOOCV holds its moment matrices in. Loading that module by
+    file costs ~4 ms and +2.5 MB RSS, where ``import scipy.linalg`` cost
+    0.24 s and +24 MB (medians of 10 processes with numpy loaded), most of it
+    scipy's array-API shim importing numpy.testing, numpy.f2py and numpy.ma.
+    The module is registered as ``postscore._flapack``; no ``scipy`` module
+    is imported. An install without the module file falls back to
+    scipy.linalg.lapack, which holds the same four routines.
     """
     path = _flapack_path()
     if path is None:
@@ -223,7 +234,7 @@ def _lapack():
         loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
         spec = importlib.util.spec_from_loader(loader.name, loader)
         flapack = importlib.util.module_from_spec(spec)
-    return flapack.dpotrf, flapack.dpotrs
+    return flapack.dpotrf, flapack.dpotrs, flapack.dtrttp, flapack.dtpttr
 
 
 def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
@@ -239,7 +250,7 @@ def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
     # another OpenBLAS (d+1 = 301: 0.60 vs 1.52 ms, 1001: 16.1 vs 33.4 ms,
     # best of 8-30) and whose factor differs in the last bits. fit solves
     # once, with numpy's eigh.
-    dpotrf, dpotrs = _lapack()
+    dpotrf, dpotrs, _, _ = _lapack()
     factor, info = dpotrf(G, lower=1, clean=0)
     if info > 0:
         raise SingularSystemError(
@@ -368,15 +379,24 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     d = ts.d
     d1, d2 = d + 1, d + 2
     U = len(users)
-    # Each Gram here is the moment matrix of rows [X, 1, y]: its leading
-    # (d+1) x (d+1) block is the augmented system's matrix and the first d+1
-    # entries of its last column the right-hand side. Users go in blocks of
-    # m = ceil(sqrt(U)). Held at once: the block suffix sums (ceil(U/m) + 1
-    # Grams), the in-block prefix and suffix sums (m + 1 Grams each) and the
-    # system being solved, so about 3*sqrt(U) + 3 Grams of (d+2)^2 float64
-    # plus one block's rows, whatever U. No user's Gram outlives its block.
+    # Each sum here is the moment matrix of rows [X, 1, y], held as its
+    # packed lower triangle: row i's entries 0..i follow row i - 1's, so the
+    # augmented system's (d+1) x (d+1) matrix is the first n_sys entries and
+    # its right-hand side the next d+1 (row d+1 up to its diagonal). The
+    # packed rows of a C-order symmetric F are LAPACK's "U" column packing
+    # of F.T, so dtrttp packs a GEMM result and dtpttr unpacks a system for
+    # dpotrf, which reads only its lower triangle. Users go in blocks of
+    # m = ceil(sqrt(U)). Held at once: the block suffix sums (ceil(U/m) + 1),
+    # the in-block prefix and suffix sums (m + 1 each) and the system being
+    # solved, so about 3*sqrt(U) + 3 triangles of (d+2)(d+3)/2 float64, plus
+    # one full (d+2)^2 GEMM result, one unpacked system and one block's rows,
+    # whatever U. No user's moment matrix outlives its block.
+    _, _, dtrttp, dtpttr = _lapack()
+    n_sys = d1 * d2 // 2
+    n_packed = n_sys + d2
     m = math.isqrt(U - 1) + 1
     blocks = [users[s : s + m] for s in range(0, U, m)]
+    full = np.empty((d2, d2), dtype=np.float64)
 
     def block_rows(b):
         """Block b's rows [X, 1, y]; its user j has rows bounds[j]:bounds[j + 1]."""
@@ -388,37 +408,42 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
         Z[:, d1] = ts.y[idx]
         return Z, (bounds - bounds[0]).tolist()
 
+    def moments(Z, out):
+        """Z'Z into ``out``, packed."""
+        np.matmul(Z.T, Z, out=full)
+        out[:] = dtrttp(full.T, uplo="U")[0]
+
     # Pass 1: suffix[b] sums blocks b.. ; one GEMM per block.
-    suffix = np.zeros((len(blocks) + 1, d2, d2), dtype=np.float64)
+    suffix = np.zeros((len(blocks) + 1, n_packed), dtype=np.float64)
     for b in range(len(blocks) - 1, -1, -1):
         Z, _ = block_rows(b)
-        np.matmul(Z.T, Z, out=suffix[b])
+        moments(Z, suffix[b])
         suffix[b] += suffix[b + 1]
 
-    # Pass 2: per block, recompute the user Grams into the in-block suffix
+    # Pass 2: per block, recompute the user moments into the in-block suffix
     # buffer, then turn it into prefix sums before[j] (the ridge diagonal,
     # earlier blocks and the block's users < j) and suffix sums after[j]
     # (the block's users >= j and later blocks). User j's system is
     # before[j] + after[j + 1], one add, so j's own rows never enter it.
     # before[0] carries the running prefix from block to block.
-    before = np.zeros((m + 1, d2, d2), dtype=np.float64)
-    after = np.empty((m + 1, d2, d2), dtype=np.float64)
-    G = np.empty((d2, d2), dtype=np.float64)
-    before[0, range(d), range(d)] = lam
+    before = np.zeros((m + 1, n_packed), dtype=np.float64)
+    after = np.empty((m + 1, n_packed), dtype=np.float64)
+    G = np.empty(n_packed, dtype=np.float64)
+    ridge = np.arange(d)
+    before[0, ridge * (ridge + 3) // 2] = lam  # row i's diagonal: i(i+1)/2 + i
     predictions = []
     for b, block in enumerate(blocks):
         Z, bounds = block_rows(b)
         k = len(block)
         after[k] = suffix[b + 1]
         for j in range(k):
-            Zu = Z[bounds[j] : bounds[j + 1]]
-            np.matmul(Zu.T, Zu, out=after[j])
+            moments(Z[bounds[j] : bounds[j + 1]], after[j])
             np.add(before[j], after[j], out=before[j + 1])
         for j in range(k - 1, -1, -1):
             after[j] += after[j + 1]
         for j, u in enumerate(block):
             np.add(before[j], after[j + 1], out=G)
-            theta = _solve_spd(G[:d1, :d1], G[:d1, d1], u)
+            theta = _solve_spd(dtpttr(d1, G[:n_sys], uplo="U")[0].T, G[n_sys : n_sys + d1], u)
             scores = Z[bounds[j] : bounds[j + 1], :d] @ theta[:d] + theta[d]
             predictions.append(UserPrediction(u, float(scores.mean()), bounds[j + 1] - bounds[j]))
         before[0] = before[k]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, embeddings, textproc, tfidf
-from .model import LinearModel, TrainingSet, UserPrediction, score_tokenized_posts
+from .model import LinearModel, TrainingSet, UserPrediction, group_codes, score_tokenized_posts
 from .textproc import extract_features  # noqa: F401  (kept for callers of pipeline.extract_features)
 
 
@@ -123,14 +123,15 @@ def _user_means(model: LinearModel, user_ids, scores, counted) -> PredictionResu
     counted post falls back to the training target mean with
     n_posts_used == 0 and is listed in fallback_users.
     """
-    users, index = np.unique(np.asarray(user_ids, dtype=object), return_inverse=True)
-    sums = np.bincount(index[counted], weights=scores[counted], minlength=users.size)
-    counts = np.bincount(index[counted], minlength=users.size)
+    users, codes = group_codes(user_ids)
+    sums = np.bincount(codes[counted], weights=scores[counted], minlength=len(users))
+    counts = np.bincount(codes[counted], minlength=len(users))
     fallback = counts == 0
     means = np.where(fallback, model.training_meta.target_mean, sums / np.maximum(counts, 1))
-    rows = zip(users.tolist(), means.tolist(), counts.tolist())
+    rows = zip(users, means.tolist(), counts.tolist())
     predictions = [UserPrediction(u, mean, n) for u, mean, n in rows]
-    return PredictionResult(predictions=predictions, fallback_users=users[fallback].tolist())
+    fallback_users = [u for u, f in zip(users, fallback.tolist()) if f]
+    return PredictionResult(predictions=predictions, fallback_users=fallback_users)
 
 
 def predict_users_from_posts(

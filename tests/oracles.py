@@ -4,9 +4,14 @@ These deliberately avoid the code paths they verify: the regression oracle is
 plain gradient descent on the raw loss, the p-value oracle goes through
 mpmath's incomplete beta at 50 digits, and the post and word scores look each
 token up in ``table.vocab`` on its own and take one plain mean and dot
-product. (The leave-one-user-out checks retrain from scratch per user in the
-tests themselves.)
+product. ``loo_user_cv_full`` is grouped LOOCV as it was first written, with
+every moment matrix held whole, solved through scipy.linalg's Cholesky
+routines. (The naive leave-one-user-out checks retrain from scratch per user
+in the tests themselves.)
 """
+
+import math
+
 
 import mpmath as mp
 import numpy as np
@@ -72,3 +77,65 @@ def score_word(model, table, word):
     if idx is None:
         return None
     return predict_post(model, table.vectors[idx])
+
+
+def loo_user_cv_full(ts, lam=0.0, sample=None):
+    """Grouped leave-one-user-out UserPredictions, with each moment matrix
+    of rows [X, 1, y] held as a full (d+2) x (d+2) float64 array.
+
+    The blocks, the summation order and the own-rows rule are those of
+    ``postscore.model.loo_user_cv``: users go in blocks of ceil(sqrt(U));
+    suffix sums over blocks, then per block prefix sums ``before`` (ridge
+    diagonal, earlier blocks, earlier users) and suffix sums ``after``;
+    user j's system is ``before[j] + after[j + 1]``. Each system is solved
+    with ``cho_factor(lower=True)`` and ``cho_solve``.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    from postscore.model import UserPrediction
+
+    users, rows, offsets = (ts.users, ts.index, ts.offsets) if sample is None else sample
+    d = ts.d
+    d1, d2 = d + 1, d + 2
+    U = len(users)
+    m = math.isqrt(U - 1) + 1
+    blocks = [users[s : s + m] for s in range(0, U, m)]
+
+    def block_rows(b):
+        bounds = offsets[b * m : (b + 1) * m + 1]
+        idx = rows[bounds[0] : bounds[-1]]
+        Z = np.empty((idx.size, d2), dtype=np.float64)
+        Z[:, :d] = ts.X[idx]
+        Z[:, d] = 1.0
+        Z[:, d1] = ts.y[idx]
+        return Z, (bounds - bounds[0]).tolist()
+
+    suffix = np.zeros((len(blocks) + 1, d2, d2), dtype=np.float64)
+    for b in range(len(blocks) - 1, -1, -1):
+        Z, _ = block_rows(b)
+        np.matmul(Z.T, Z, out=suffix[b])
+        suffix[b] += suffix[b + 1]
+
+    before = np.zeros((m + 1, d2, d2), dtype=np.float64)
+    after = np.empty((m + 1, d2, d2), dtype=np.float64)
+    G = np.empty((d2, d2), dtype=np.float64)
+    before[0, range(d), range(d)] = lam
+    predictions = []
+    for b, block in enumerate(blocks):
+        Z, bounds = block_rows(b)
+        k = len(block)
+        after[k] = suffix[b + 1]
+        for j in range(k):
+            Zu = Z[bounds[j] : bounds[j + 1]]
+            np.matmul(Zu.T, Zu, out=after[j])
+            np.add(before[j], after[j], out=before[j + 1])
+        for j in range(k - 1, -1, -1):
+            after[j] += after[j + 1]
+        for j, u in enumerate(block):
+            np.add(before[j], after[j + 1], out=G)
+            factor = cho_factor(G[:d1, :d1], lower=True, check_finite=False)
+            theta = cho_solve(factor, G[:d1, d1], check_finite=False)
+            scores = Z[bounds[j] : bounds[j + 1], :d] @ theta[:d] + theta[d]
+            predictions.append(UserPrediction(u, float(scores.mean()), bounds[j + 1] - bounds[j]))
+        before[0] = before[k]
+    return predictions

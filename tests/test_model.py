@@ -25,7 +25,7 @@ from postscore.model import (
 )
 from postscore.stats import bootstrap_ci, pearson_r
 
-from oracles import gd_fit, post_vector, predict_post
+from oracles import gd_fit, loo_user_cv_full, post_vector, predict_post
 
 
 def _ts(X, y, groups):
@@ -44,11 +44,17 @@ def _random_grouped(seed, n_users, posts_per_user, d, noise=5.0, y_scale=30.0, y
 
 def _moment_views(seed, d1):
     """A random SPD (d+1)^2 system and its right-hand side, sliced as views
-    from a (d+2)^2 moment matrix, as loo_user_cv slices them."""
+    from a (d+2)^2 moment matrix."""
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((2 * d1 + 4, d1 + 1))
     M = Z.T @ Z
     return M[:d1, :d1], M[:d1, d1]
+
+
+def _prediction_bytes(predictions):
+    """(user, n_posts_used) pairs and the float64 bytes of the predictions."""
+    pairs = [(p.user_id, p.n_posts_used) for p in predictions]
+    return pairs, np.array([p.predicted for p in predictions]).tobytes()
 
 
 class TestLapackBinding:
@@ -63,7 +69,7 @@ class TestLapackBinding:
         G, rhs = _moment_views(d1, d1)
         ref_factor, lower = cho_factor(G, lower=True, check_finite=False)
         ref_x = cho_solve((ref_factor, lower), rhs, check_finite=False)
-        dpotrf, _ = model_module._lapack()
+        dpotrf = model_module._lapack()[0]
         factor, info = dpotrf(G, lower=1, clean=0)
         assert info == 0
         assert factor.tobytes() == ref_factor.tobytes()
@@ -78,12 +84,15 @@ class TestLapackBinding:
         from scipy.linalg import lapack
 
         G, rhs = _moment_views(3, 51)
+        ts = _random_grouped(22, n_users=17, posts_per_user=3, d=6)
         bound = _solve_spd(G, rhs, "u")
+        bound_loo = loo_user_cv(ts, lam=0.1)
         monkeypatch.setattr(model_module, "_flapack_path", lambda: None)
         fallback = model_module._lapack.__wrapped__()  # bypass the per-process cache
-        assert fallback == (lapack.dpotrf, lapack.dpotrs)
+        assert fallback == (lapack.dpotrf, lapack.dpotrs, lapack.dtrttp, lapack.dtpttr)
         monkeypatch.setattr(model_module, "_lapack", lambda: fallback)
         assert _solve_spd(G, rhs, "u").tobytes() == bound.tobytes()
+        assert _prediction_bytes(loo_user_cv(ts, lam=0.1)) == _prediction_bytes(bound_loo)
 
 
 class TestTrainingSet:
@@ -432,6 +441,67 @@ class TestLooUserCV:
             tracemalloc.stop()
         gram_bytes = (d + 1) ** 2 * 8
         assert peak <= 4 * (math.sqrt(n_users) + 2) * gram_bytes
+
+
+    def test_memory_is_sqrt_users_packed_triangles(self):
+        """Each moment matrix is held as its packed lower triangle: the peak
+        stays within 4*(sqrt(U)+2) triangles of (d+2)(d+3)/2 float64, about
+        half of what full (d+1)^2 matrices would take."""
+        n_users, d = 401, 60
+        ts = _random_grouped(16, n_users=n_users, posts_per_user=2, d=d)
+        tracemalloc.start()
+        try:
+            loo_user_cv(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        triangle_bytes = (d + 2) * (d + 3) // 2 * 8
+        assert peak <= 4 * (math.sqrt(n_users) + 2) * triangle_bytes
+
+
+class TestLooUserCVFullStorageReference:
+    """loo_user_cv against the full-storage loop it was written from
+    (``oracles.loo_user_cv_full``): the same blocks and summation order, so
+    the same bits, on interleaved users of 1-3 posts."""
+
+    @staticmethod
+    def _interleaved(seed, n_users, d):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 4, size=n_users)
+        groups = rng.permutation(np.repeat([f"u{i:03d}" for i in range(n_users)], sizes))
+        n = groups.size
+        X = rng.standard_normal((n, d))
+        y = 500.0 + 30.0 * (X @ rng.standard_normal(d)) + 20.0 * rng.standard_normal(n)
+        return _ts(X, y, groups.astype(object))
+
+    @pytest.mark.parametrize(
+        "n_users, d, lam",
+        [(2, 3, 0.3), (3, 3, 0.3), (4, 2, 0.3), (25, 5, 0.0), (25, 5, 0.3), (401, 12, 0.0),
+         (401, 60, 0.3)],
+    )
+    def test_bit_identical_to_full_storage(self, n_users, d, lam):
+        ts = self._interleaved(200 + n_users + d, n_users, d)
+        packed = loo_user_cv(ts, lam=lam)
+        assert len(packed) == n_users
+        assert _prediction_bytes(packed) == _prediction_bytes(loo_user_cv_full(ts, lam=lam))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_sample_bit_identical_to_full_storage(self, lam):
+        """The ``sample=`` route posts_curve takes: every other user, two of
+        their rows drawn at random, in row order."""
+        ts = self._interleaved(23, 60, 4)
+        rng = np.random.default_rng(24)
+        users, kept = [], []
+        for i in range(0, len(ts.users), 2):
+            rows = ts.index[ts.offsets[i] : ts.offsets[i + 1]]
+            if rows.size >= 2:
+                users.append(ts.users[i])
+                kept.append(np.sort(rng.choice(rows, size=2, replace=False)))
+        sample = (users, np.concatenate(kept), np.arange(len(users) + 1, dtype=np.int64) * 2)
+        packed = loo_user_cv(ts, lam=lam, sample=sample)
+        full = loo_user_cv_full(ts, lam=lam, sample=sample)
+        assert [p.user_id for p in packed] == users
+        assert _prediction_bytes(packed) == _prediction_bytes(full)
 
 
 class TestScoreTokenizedPosts:

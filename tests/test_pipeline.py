@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postscore import dataio, embeddings, pipeline, wordrank
 from postscore.embeddings import EmbeddingTable, flat_token_ids
@@ -90,6 +92,34 @@ class TestBuildEmbeddingTraining:
         clean = list(iter_clean_posts([RawPost("u", "p", "qqq")]))
         with pytest.raises(ValueError, match="usable"):
             build_embedding_training(clean, {"u": 1.0}, tiny_table)
+
+
+class TestUserMeans:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.lists(st.text(alphabet="abé", max_size=2), max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_unique_grouping(self, ids, seed):
+        """Interleaved ids, some users with no counted post: the same
+        users, means (bit for bit), counts and fallback users as grouping
+        by ``np.unique(..., return_inverse=True)`` on an object array."""
+        rng = np.random.default_rng(seed)
+        scores = 500.0 + 40.0 * rng.standard_normal(len(ids))
+        counted = rng.random(len(ids)) < 0.6
+        meta = TrainingMeta(n_posts=1, n_users=1, target_mean=503.25, target_sd=1.0)
+        model = LinearModel(np.zeros(1), 0.0, 0.0, 1, meta)
+        result = pipeline._user_means(model, ids, scores, counted)
+        users, index = np.unique(np.asarray(ids, dtype=object), return_inverse=True)
+        sums = np.bincount(index[counted], weights=scores[counted], minlength=users.size)
+        counts = np.bincount(index[counted], minlength=users.size)
+        fallback = counts == 0
+        means = np.where(fallback, meta.target_mean, sums / np.maximum(counts, 1))
+        assert [p.user_id for p in result.predictions] == users.tolist()
+        assert [p.n_posts_used for p in result.predictions] == counts.tolist()
+        got = np.array([p.predicted for p in result.predictions], dtype=np.float64)
+        assert got.tobytes() == means.tobytes()
+        assert result.fallback_users == users[fallback].tolist()
 
 
 class TestPredictUsersFromPosts:
