@@ -6,6 +6,10 @@ most of a small command's cost: featurize loads no numpy, and no command
 imports scipy (LOOCV in evaluate and curve calls scipy's compiled LAPACK
 routines directly, see model._lapack).
 
+BLAS runs on one thread whatever the environment says (see main), so a
+command's output bytes depend on its inputs and flags, not on the host's core
+count or on OPENBLAS_NUM_THREADS.
+
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
 and line when known), 3 numerical failure with a remediation hint.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -492,7 +497,16 @@ def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     return params, inputs, {"curve": curve_path}
 
 
+# OpenBLAS splits some GEMMs and factorizations differently at 2 threads than
+# at 1 (measured from d≈200 on), which moves the last bits of LOOCV's
+# predictions and curve.csv. numpy's and scipy's OpenBLAS each read these variables once, when
+# they load: numpy at a command's first numeric import, scipy at LOOCV's first
+# solve. No command loads either before main runs.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 def main(argv=None) -> int:
+    os.environ.update(_ONE_BLAS_THREAD)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_synth:

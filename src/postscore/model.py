@@ -103,16 +103,29 @@ class LinearModel:
         weights = np.asarray(payload["weights"], dtype=np.float64)
         if weights.shape != (payload["d"],):
             raise ValueError("weights length does not match d")
+        # JSON readers accept NaN and Infinity; a model holding one would
+        # score every user as nan or inf.
+        numbers = {
+            "bias": float(payload["bias"]),
+            "lambda": float(payload["lambda"]),
+            "target_mean": float(meta["target_mean"]),
+            "target_sd": float(meta["target_sd"]),
+        }
+        bad = [name for name, value in numbers.items() if not math.isfinite(value)]
+        if not _all_finite(weights):
+            bad.insert(0, "weights")
+        if bad:
+            raise ValueError(f"non-finite number in {', '.join(bad)}")
         return cls(
             weights=weights,
-            bias=float(payload["bias"]),
-            lam=float(payload["lambda"]),
+            bias=numbers["bias"],
+            lam=numbers["lambda"],
             d=int(payload["d"]),
             training_meta=TrainingMeta(
                 n_posts=int(meta["n_posts"]),
                 n_users=int(meta["n_users"]),
-                target_mean=float(meta["target_mean"]),
-                target_sd=float(meta["target_sd"]),
+                target_mean=numbers["target_mean"],
+                target_sd=numbers["target_sd"],
                 embedding_fingerprint=str(meta.get("embedding_fingerprint", "")),
             ),
         )

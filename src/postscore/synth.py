@@ -45,7 +45,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .textproc import RawPost
 
-__all__ = ["SynthConfig", "SynthTruth", "SynthData", "generate", "noise_for_ceiling"]
+__all__ = ["SynthConfig", "SynthTruth", "SynthData", "generate"]
 
 SCORE_MEAN = 500.0
 SCORE_SD = 100.0
@@ -54,13 +54,6 @@ _SIDECAR_TOKENS = 50_000_000
 
 # Stream tags: one substream family per entity kind.
 _TAG_GLOBAL, _TAG_WORDS, _TAG_COMMUNITY, _TAG_USER, _TAG_PROBE, _TAG_POST = range(1, 7)
-
-
-def noise_for_ceiling(r_star: float) -> float:
-    """noise_sd that places the analytic correlation ceiling at r_star."""
-    if not (0.0 < r_star <= 1.0):
-        raise ValueError("r_star must be in (0, 1]")
-    return SCORE_SD * np.sqrt(1.0 / (r_star * r_star) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,9 @@ class TfidfVocabulary:
             raise DataFormatError(f"`tfidf` has no entry {exc.args[0]!r}", path=path) from None
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"bad `tfidf` object: {exc}", path=path) from None
+        bad = next((t for t in terms if not math.isfinite(idf[t])), None)
+        if bad is not None:
+            raise DataFormatError(f"`idf` of {bad!r} is not finite: {idf[bad]}", path=path)
         return cls(terms=terms, df=df, idf=idf, n_docs=n_docs), stopwords
 
 

@@ -1,9 +1,19 @@
-import numpy as np
-import pytest
+import os
 
-from postscore.embeddings import EmbeddingTable
-from postscore.pipeline import build_embedding_training, iter_clean_posts
-from postscore.synth import SynthConfig, generate
+from postscore import cli
+
+# The CLI runs BLAS on one thread. Tests call cli.main in-process, after numpy
+# has loaded, so the suite sets the same variables before its first numpy
+# import: otherwise numpy's pool would follow the environment while scipy's,
+# loaded at LOOCV's first solve, would follow whichever test ran main first.
+os.environ.update(cli._ONE_BLAS_THREAD)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from postscore.embeddings import EmbeddingTable  # noqa: E402
+from postscore.pipeline import build_embedding_training, iter_clean_posts  # noqa: E402
+from postscore.synth import SynthConfig, generate  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ token up in ``table.vocab`` on its own and take one plain mean and dot
 product. ``loo_user_cv_full`` is grouped LOOCV as it was first written, with
 every moment matrix held whole, solved through scipy.linalg's Cholesky
 routines. (The naive leave-one-user-out checks retrain from scratch per user
-in the tests themselves.)
+in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
+correlation ceiling, so a test can ask for a dataset with a given one.
 """
 
 import math
@@ -15,6 +16,15 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from postscore.synth import SCORE_SD
+
+
+def noise_for_ceiling(r_star: float) -> float:
+    """noise_sd that places the analytic correlation ceiling at r_star."""
+    if not (0.0 < r_star <= 1.0):
+        raise ValueError("r_star must be in (0, 1]")
+    return SCORE_SD * np.sqrt(1.0 / (r_star * r_star) - 1.0)
 
 
 def gd_fit(X, y, lam=0.0, tol=1e-10, max_iter=500_000):

@@ -30,11 +30,11 @@ from postscore.pipeline import (
     iter_clean_posts,
 )
 from postscore.stats import pearson, student_t_two_sided_p
-from postscore.synth import SynthConfig, generate, noise_for_ceiling
+from postscore.synth import SynthConfig, generate
 from postscore.tfidf import build_vocab, tfidf_matrix
 from postscore.transfer import aggregate, compare
 
-from oracles import gd_fit, post_vector, predict_post, score_word
+from oracles import gd_fit, noise_for_ceiling, post_vector, predict_post, score_word
 
 R_STAR = 0.7
 NOISE_FOR_R_STAR = noise_for_ceiling(R_STAR)

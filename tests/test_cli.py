@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -668,6 +669,48 @@ class TestExitCodes:
         assert code == 3
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, path, value, command",
+        [
+            ("trained", ("weights", 0), "nan", "predict"),
+            ("trained", ("weights", 0), "nan", "rank-words"),
+            ("trained", ("bias",), "inf", "predict"),
+            ("trained", ("lambda",), "-inf", "predict"),
+            ("trained", ("training_meta", "target_mean"), "nan", "predict"),
+            ("trained", ("training_meta", "target_sd"), "inf", "rank-words"),
+            ("tfidf_trained", ("tfidf", "idf", None), "nan", "predict"),
+        ],
+        ids=["weights-predict", "weights-rank-words", "bias", "lambda", "target_mean",
+             "target_sd", "idf"],
+    )
+    def test_non_finite_model_number_is_2_before_posts(
+        self, request, dataset, tmp_path, capsys, source, path, value, command
+    ):
+        """A model file with NaN or +-inf in a number is refused, naming the
+        file and the field (the last name in ``path``; None there stands for
+        the first term). The posts file is broken, so an error naming the
+        model shows that it came before any post was read."""
+        payload = json.loads((request.getfixturevalue(source) / "model.json").read_text(encoding="utf-8"))
+        *parents, leaf = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[next(iter(node)) if leaf is None else leaf] = float(value)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("{broken\n", encoding="utf-8")
+        code = run_cli(
+            command, "--model", model, "--posts", posts, "--embeddings", dataset / "embeddings.vec",
+            "--output-dir", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        field = [key for key in path if isinstance(key, str)][-1]
+        assert f"{model}: " in err and field in err
+        assert "posts.jsonl" not in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
@@ -699,19 +742,67 @@ class TestDeterminism:
         assert after == snapshot
 
     def test_threads_do_not_change_training(self, dataset, tmp_path):
+        """--threads only splits post vectorization, whose means are
+        bit-identical for any split, so the model and the LOOCV predictions
+        are the same bytes."""
         outs = []
         for threads in (1, 4):
             out = tmp_path / f"t{threads}"
-            code = run_cli(
-                "train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
-                "--embeddings", dataset / "embeddings.vec", "--threads", threads,
-                "--output-dir", out,
-            )
-            assert code == 0
-            outs.append(json.loads((out / "model.json").read_text(encoding="utf-8")))
-        w1, w4 = outs[0]["weights"], outs[1]["weights"]
-        assert max(abs(a - b) for a, b in zip(w1, w4)) <= 1e-9
-        assert abs(outs[0]["bias"] - outs[1]["bias"]) <= 1e-9
+            for command in ("train", "evaluate"):
+                code = run_cli(
+                    command, "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                    "--embeddings", dataset / "embeddings.vec", "--threads", threads,
+                    "--output-dir", out / command,
+                )
+                assert code == 0
+            outs.append([(out / "train" / "model.json").read_bytes(),
+                         (out / "evaluate" / "loocv_predictions.csv").read_bytes()])
+        assert outs[0] == outs[1]
+
+    def test_blas_thread_environment_does_not_change_outputs(self, tmp_path):
+        """At d=200, OpenBLAS splits some GEMMs and Cholesky factorizations
+        differently on 2 threads than on 1, which moves the last bits of LOOCV.
+        The CLI runs BLAS on one thread whatever the environment says, so each
+        command writes the same bytes, manifest included, with the thread
+        variables unset, at 1 and at 2. Unset means one thread per core: on a
+        1-core host all three runs use one thread, and this test cannot fail."""
+        data = tmp_path / "data"
+        assert run_cli(
+            "synth", "--seed", 1, "--vocab-size", 2000, "--dim", 200, "--users", 300,
+            "--posts-per-user", 10, "--output-dir", data,
+        ) == 0
+        fit = ["--posts", data / "posts.jsonl", "--labels", data / "labels.csv"]
+        embedding = [*fit, "--embeddings", data / "embeddings.vec"]
+        commands = {
+            "evaluate": ["evaluate", *embedding],
+            "evaluate_tfidf": ["evaluate", *fit, "--vectorizer", "tfidf", "--top-terms", 200,
+                               "--lambda", 0.001],
+            "curve": ["curve", *embedding, "--n-max", 2, "--bootstrap", 100, "--lambda", 0.001],
+        }
+        src = str(Path(postscore.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        runs = {}
+        for threads in (None, "1", "2"):
+            env = dict(base)
+            if threads:
+                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            files = {}
+            for name, argv in commands.items():
+                out = tmp_path / "out" / name  # the same path each time, so manifests compare
+                proc = subprocess.run(
+                    [sys.executable, "-m", "postscore", *map(str, argv), "--output-dir", str(out)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                files.update({f"{name}/{p.name}": p.read_bytes() for p in out.iterdir()})
+                shutil.rmtree(out)
+            runs[threads] = files
+        assert len(runs[None]) == 8
+        differ = {t: sorted(n for n in runs[None].keys() | runs[t].keys()
+                            if runs[t].get(n) != runs[None].get(n)) for t in ("1", "2")}
+        assert differ == {"1": [], "2": []}
 
 
 # Runs CLI commands in one fresh interpreter and prints, after each, its exit

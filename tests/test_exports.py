@@ -22,10 +22,10 @@ def test_every_exported_name_resolves(module_name):
 
 
 def test_every_public_name_is_used_by_the_program():
-    """Each name in ``postscore.__all__`` is used somewhere in the package or
-    the bench, not only defined there and called by tests. A use is a name,
-    an attribute or a ``from ... import`` alias; a ``def`` or ``class``
-    statement alone is not."""
+    """Each name in the ``__all__`` of ``postscore`` or of any of its modules
+    is used somewhere in the package or the bench, not only defined there and
+    called by tests. A use is a name, an attribute or a ``from ... import``
+    alias; a ``def`` or ``class`` statement alone is not."""
     root = Path(__file__).resolve().parents[1]
     used = set()
     for path in [*(root / "src" / "postscore").glob("*.py"), *(root / "bench").glob("*.py")]:
@@ -36,5 +36,8 @@ def test_every_public_name_is_used_by_the_program():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    unused = [name for name in postscore.__all__ if name != "__version__" and name not in used]
+    exported = set(postscore.__all__)
+    for module_name in MODULES:
+        exported.update(getattr(importlib.import_module(module_name), "__all__", ()))
+    unused = sorted(name for name in exported - {"__version__"} if name not in used)
     assert unused == []

@@ -10,8 +10,10 @@ from postscore import synth
 from postscore.pipeline import build_embedding_training, iter_clean_posts
 from postscore.model import loo_user_cv
 from postscore.stats import pearson
-from postscore.synth import SynthConfig, generate, noise_for_ceiling
+from postscore.synth import SynthConfig, generate
 from postscore.textproc import tokenize
+
+from oracles import noise_for_ceiling
 
 
 def _cfg(**overrides):
