@@ -270,26 +270,23 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
     return {}, {"features": features_path, "labels": labels_path}, {"report": report_path}
 
 
-def _load_training(args):
-    """Clean posts, labels, filter stats, and the manifest inputs so far."""
+def _load_training(args, embedding: bool):
+    """Clean posts, labels, filter stats, the table (None unless
+    ``embedding``) and the manifest inputs so far. The table is loaded and
+    checked before the posts are read."""
     from . import pipeline
 
     posts_path = _check_input(args.posts)
     labels_path = _check_input(args.labels)
+    inputs = {"posts": posts_path, "labels": labels_path}
+    table = None
+    if embedding:
+        table = _load_table(args)
+        inputs["embeddings"] = Path(args.embeddings)
     fstats = pipeline.FilterStats()
     clean = pipeline.load_clean_posts(posts_path, fstats)
     labels = dataio.read_labels_csv(labels_path)
-    return clean, labels, fstats, {"posts": posts_path, "labels": labels_path}
-
-
-def _embedding_training(args, clean, labels, inputs):
-    """Post-vector training set and its table; records the table in inputs."""
-    from . import pipeline
-
-    table = _load_table(args)
-    inputs["embeddings"] = Path(args.embeddings)
-    ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
-    return ts, astats, table
+    return clean, labels, fstats, table, inputs
 
 
 def _tfidf_training(args, clean, labels, inputs):
@@ -320,12 +317,14 @@ def _fit_params(args) -> dict:
 
 
 def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
+    from . import pipeline
     from .model import fit
 
-    clean, labels, fstats, inputs = _load_training(args)
+    embedding = args.vectorizer == "embedding"
+    clean, labels, fstats, table, inputs = _load_training(args, embedding)
     outputs = {}
-    if args.vectorizer == "embedding":
-        ts, astats, table = _embedding_training(args, clean, labels, inputs)
+    if embedding:
+        ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
         fingerprint = table.fingerprint()
         del table, clean  # the fit needs only ts: its peak need not hold the table or posts
         model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
@@ -346,13 +345,17 @@ def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
+    from . import pipeline
     from .model import loo_user_cv
     from .stats import pearson
 
-    clean, labels, _, inputs = _load_training(args)
-    build = _embedding_training if args.vectorizer == "embedding" else _tfidf_training
-    ts = build(args, clean, labels, inputs)[0]
-    del clean  # LOOCV needs only ts: its peak need not hold the posts
+    embedding = args.vectorizer == "embedding"
+    clean, labels, _, table, inputs = _load_training(args, embedding)
+    if embedding:
+        ts = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)[0]
+    else:
+        ts = _tfidf_training(args, clean, labels, inputs)[0]
+    del clean, table  # LOOCV needs only ts: its peak need not hold the posts or table
     predictions = loo_user_cv(ts, lam=args.lam)
     truth = {u: labels[u] for u in {p.user_id for p in predictions}}
     rep = pearson(
@@ -480,12 +483,13 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
+    from . import pipeline
     from .model import posts_curve
 
     _print_seed(args.seed)
-    clean, labels, _, inputs = _load_training(args)
-    ts = _embedding_training(args, clean, labels, inputs)[0]
-    del clean  # the curve needs only ts: its peak need not hold the posts
+    clean, labels, _, table, inputs = _load_training(args, embedding=True)
+    ts = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)[0]
+    del clean, table  # the curve needs only ts: its peak need not hold the posts or table
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )

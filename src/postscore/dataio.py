@@ -174,7 +174,7 @@ def read_freq_csv(path) -> dict:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
-            if lineno == 1 and row[:2] == FREQ_HEADER:
+            if lineno == 1 and row == FREQ_HEADER:
                 continue
             if len(row) != 2:
                 raise DataFormatError("expected `word,count`", path=path, line=lineno)

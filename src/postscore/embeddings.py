@@ -4,13 +4,12 @@ Tables use 32-bit storage with 64-bit accumulation for means: a realistic
 table (millions of words x 300 dims) only fits in memory at float32, while
 averaging and all downstream regression run in float64.
 
-Loading has one route: numpy's C text parser reads the values, a plain line
-pass reads the words, and a space count checks that no row has extra fields.
-A pure-Python validating parser runs only when that route rejects a file. It
-names the offending line, or, for the rare value the C parser refuses but
-Python's float() takes (such as "1_0"), parses the file to the same result.
-Writing formats values with numpy a chunk at a time (``vectext``), to the
-same bytes as ``str()`` per value.
+Loading reads the file once: a generator splits each line's word from its
+values, and numpy's ``loadtxt`` parses the values it hands over, one line at
+a time, so a rejected line is named by the generator's count. numpy's float
+parser is the only one: a value only Python's float() takes (such as "1_0")
+is a data error. Writing formats values with numpy a chunk at a time
+(``vectext``), to the same bytes as ``str()`` per value.
 
 A post vector is the mean of its matched rows: ``segment_mean`` takes it for
 many posts at once, and ``model.score_tokenized_posts`` averages word scores
@@ -22,6 +21,7 @@ nothing holds a float64 copy or a mask of the whole table.
 from __future__ import annotations
 
 import hashlib
+import os
 from itertools import chain, repeat
 
 import numpy as np
@@ -147,18 +147,20 @@ class EmbeddingTable:
     @classmethod
     def load_vec(cls, path) -> "EmbeddingTable":
         """Parse a text .vec file: header "<count> <dim>", then one word and
-        dim space-separated reals per line.
+        dim values per line, each value after a single space.
 
         Raises DataFormatError naming the line for a malformed header, wrong
         field count, non-finite or unparseable value, duplicate word, or a
         count mismatch.
         """
-        count, dim = _read_vec_header(path)
-        parsed = _load_vec_fast(path, count, dim)
-        if parsed is None:
-            parsed = _load_vec_slow(path, count, dim)
-        words, vectors = parsed
-        _validate_rows(path, words, vectors, count)
+        words, vectors = _read_vec(path)
+        # A float64 sum of finite float32 values cannot overflow, and NaN or
+        # +-inf carries through it, so a row is finite exactly when its sum is;
+        # this needs no n x d mask.
+        finite = np.isfinite(vectors.sum(axis=1, dtype=np.float64))
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise DataFormatError("non-finite vector value", path=path, line=bad + 2)
         try:
             return cls(words, vectors)
         except DuplicateWordError as exc:
@@ -167,107 +169,81 @@ class EmbeddingTable:
             ) from None
 
 
-def _read_vec_header(path) -> tuple[int, int]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
-    parts = header.split()
-    if len(parts) != 2:
-        raise DataFormatError('header must be "<count> <dim>"', path=path, line=1)
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataFormatError('header must be "<count> <dim>"', path=path, line=1) from None
-    if count < 1 or dim < 1:
-        raise DataFormatError("count and dim must be positive", path=path, line=1)
-    return count, dim
+def _read_vec(path):
+    """(words, float32 vectors) of a .vec file, in one pass over it.
 
-
-def _load_vec_fast(path, count, dim):
-    """numpy C-parser route; returns None when anything looks off so the
-    validating parser can produce a precise error (or succeed)."""
+    A generator splits off each line's word and hands numpy's loadtxt the
+    values, so the line a fault is reported at is the one the generator last
+    read.
+    """
     words = []
-    trailing = 0  # spaces after a row's last value (fastText writes one)
     with open(path, "r", encoding="utf-8") as f:
-        f.readline()
-        for line in f:
-            words.append(line.split(" ", 1)[0])
-            if not line.endswith("\n") or line[-2:-1].isspace():
-                trailing += line.count(" ", len(line.rstrip()))
-    if not 0 < len(words) <= count:
-        return None
-    try:
-        vectors = np.loadtxt(
-            path,
-            dtype=np.float32,
-            delimiter=" ",
-            comments=None,
-            quotechar=None,
-            skiprows=1,
-            usecols=range(1, dim + 1),
-            ndmin=2,
-            encoding="utf-8",
-        )
-    except ValueError:
-        return None
-    # usecols drops extra fields, but loadtxt has rejected every row with
-    # fewer than dim values (and skipped blank lines, which the row count
-    # catches), so the file holds dim separating spaces per row exactly when
-    # no row has more fields than that.
-    if vectors.shape[0] != len(words) or _count_spaces(path) != dim * len(words) + trailing:
-        return None
-    return words, vectors
-
-
-def _count_spaces(path) -> int:
-    """Spaces after the first line of a file, counted block by block."""
-    n = 0
-    with open(path, "rb") as f:
-        f.readline()
-        for block in iter(lambda: f.read(1 << 18), b""):
-            n += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord(" ")))
-    return n
-
-
-def _load_vec_slow(path, count, dim):
-    """Line-by-line parser; errors carry exact line numbers."""
-    words = []
-    vectors = np.empty((count, dim), dtype=np.float32)
-    row = 0
-    with open(path, "r", encoding="utf-8") as f:
-        f.readline()
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").rstrip().split(" ")
-            if len(parts) != dim + 1:
-                raise DataFormatError(
-                    f"expected a word and {dim} values, found {len(parts)} fields",
-                    path=path,
-                    line=lineno,
-                )
-            if row >= count:
-                raise DataFormatError(
-                    f"more rows than the declared count {count}", path=path, line=lineno
-                )
-            words.append(parts[0])
+        try:
+            count, dim = map(int, f.readline().split())
+        except ValueError:
+            raise DataFormatError('header must be "<count> <dim>"', path=path, line=1) from None
+        if count < 1 or dim < 1:
+            raise DataFormatError("count and dim must be positive", path=path, line=1)
+        rows = _values_text(path, f, words, dim)
+        first = next(rows, None)
+        if first is None:
+            vectors = None
+        elif first.count(" ") != dim - 1:
+            # loadtxt takes its column count from the first row, so it would
+            # name the second row for a fault in the first.
+            raise _row_error(path, dim, line=2)
+        else:
+            # loadtxt allocates max_rows rows before it reads one. A row of
+            # dim values takes at least 2 * dim bytes, so no file holds
+            # size // (2 * dim) + 1 of them: the cap never ends the read, and
+            # an overstated header allocates no more than the file could hold.
+            max_rows = min(count, os.fstat(f.fileno()).st_size // (2 * dim) + 1)
             try:
-                vectors[row] = [float(v) for v in parts[1:]]
+                vectors = np.loadtxt(
+                    chain([first], rows),
+                    dtype=np.float32,
+                    delimiter=" ",
+                    comments=None,
+                    quotechar=None,
+                    ndmin=2,
+                    max_rows=max_rows,
+                )
+            except UnicodeDecodeError:
+                raise  # the decoder reads ahead, so no line is to blame
             except ValueError:
-                raise DataFormatError("unparseable vector value", path=path, line=lineno) from None
-            row += 1
-    return words, vectors[:row]
-
-
-def _validate_rows(path, words, vectors, count) -> None:
+                # an unparseable value or a changed column count; loadtxt
+                # pulls one line at a time, so it is the generator's last
+                raise _row_error(path, dim, line=len(words) + 1) from None
+            if next(rows, None) is not None:
+                raise DataFormatError(
+                    f"more rows than the declared count {count}", path=path, line=len(words) + 1
+                )
     if len(words) != count:
         raise DataFormatError(
             f"header declares {count} words but file has {len(words)}", path=path, line=1
         )
-    # A float64 sum of finite float32 values cannot overflow, and NaN or
-    # +-inf carries through it, so a row is finite exactly when its sum is;
-    # this needs no n x d mask.
-    finite = np.isfinite(vectors.sum(axis=1, dtype=np.float64))
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise DataFormatError("non-finite vector value", path=path, line=bad + 2)
+    return words, vectors
+
+
+def _values_text(path, lines, words, dim):
+    """Each line's text after its word, once the word is appended to
+    ``words``; a line with no space or no values is an error."""
+    for line in lines:
+        word, _, values = line.partition(" ")
+        # Only values that end in whitespace (fastText's trailing space, or
+        # the last line without a newline) pay for rstrip.
+        if values[-1:] != "\n" or not values[-2:-1].strip():
+            values = values.rstrip()
+            if not values:
+                raise _row_error(path, dim, line=len(words) + 2)
+        words.append(word)
+        yield values
+
+
+def _row_error(path, dim, line) -> DataFormatError:
+    return DataFormatError(
+        f"expected a word and {dim} numbers, each after a single space", path=path, line=line
+    )
 
 
 def flat_token_ids(table: EmbeddingTable, token_lists):

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they verify: the regression oracle is
 plain gradient descent on the raw loss, the p-value oracle goes through
 mpmath's incomplete beta at 50 digits, and the post and word scores look each
 token up in ``table.vocab`` on its own and take one plain mean and dot
-product. ``loo_user_cv_full`` is grouped LOOCV as it was first written, with
+product. ``read_vec`` parses a .vec file value by value with Python's
+``float()``. ``loo_user_cv_full`` is grouped LOOCV as it was first written, with
 every moment matrix held whole, solved through scipy.linalg's Cholesky
 routines. (The naive leave-one-user-out checks retrain from scratch per user
 in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
@@ -74,6 +75,17 @@ def post_vector(table, tokens):
     if not rows:
         return None
     return table.vectors[rows].astype(np.float64).mean(axis=0)
+
+
+def read_vec(path):
+    """(words, float32 vectors) of a well-formed .vec file, each value parsed
+    by ``float()`` and rounded to float32."""
+    with open(path, "r", encoding="utf-8") as f:
+        count, dim = map(int, f.readline().split())
+        rows = [line.rstrip().split(" ") for line in f]
+    assert len(rows) == count and all(len(r) == dim + 1 for r in rows)
+    vectors = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
+    return [r[0] for r in rows], vectors.astype(np.float32).reshape(count, dim)
 
 
 def predict_post(model, vector):

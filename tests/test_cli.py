@@ -470,6 +470,18 @@ class TestRankWordsCommand:
         assert "freq.csv:3: negative count -5" in capsys.readouterr().err
         assert not (out / "ranking.csv").exists()
 
+    def test_freq_header_with_extra_field_is_data_error(self, dataset, trained, tmp_path, capsys):
+        bad = tmp_path / "freq.csv"
+        bad.write_text("word,count,extra\nw000001,3\n", encoding="utf-8")
+        out = tmp_path / "rank_extra"
+        code = run_cli(
+            "rank-words", "--model", trained / "model.json",
+            "--embeddings", dataset / "embeddings.vec", "--freq", bad, "--output-dir", out,
+        )
+        assert code == 2
+        assert "freq.csv:1: expected `word,count`" in capsys.readouterr().err
+        assert not (out / "ranking.csv").exists()
+
     def test_posts_and_freq_are_exclusive(self, dataset, trained, tmp_path, capsys):
         out = tmp_path / "rank_both"
         with pytest.raises(SystemExit) as exc:
@@ -647,6 +659,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_overstated_table_header_is_2_naming_table(self, dataset, tmp_path, capsys):
+        table = tmp_path / "overstated.vec"
+        table.write_text("4000000000 300\na 1 0 0\n", encoding="utf-8")
+        code = run_cli(
+            "train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+            "--embeddings", table, "--output-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert f"{table}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "curve"])
+    def test_table_checked_before_posts(self, dataset, tmp_path, capsys, command):
+        """With both the posts and the table broken, the error names the
+        table: it is loaded before any post is read."""
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("{broken\n", encoding="utf-8")
+        table = tmp_path / "table.vec"
+        table.write_text("2 3\na 1 0 0\nb 0 1\n", encoding="utf-8")
+        code = run_cli(
+            command, "--posts", posts, "--labels", dataset / "labels.csv",
+            "--embeddings", table, "--output-dir", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{table}:3: " in err
+        assert "posts.jsonl" not in err
 
     def test_parse_error_is_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from postscore import dataio, embeddings, vectext
-from postscore.embeddings import (
-    EmbeddingTable,
-    _load_vec_fast,
-    _load_vec_slow,
-    flat_token_ids,
-    post_vectors_matrix,
-)
+from postscore.embeddings import EmbeddingTable, flat_token_ids, post_vectors_matrix
 from postscore.errors import DataFormatError
 from postscore.synth import SynthConfig, generate
 
-from oracles import post_vector
+from oracles import post_vector, read_vec
 
 
 def _write(tmp_path, text, name="table.vec"):
@@ -116,7 +110,6 @@ class TestLoadVec:
         table = EmbeddingTable.load_vec(path)
         assert table.words == ["a", "b"]
         assert table.vectors.tolist() == [[1, 0, 0], [0, 1, 0]]
-        assert _load_vec_fast(path, 2, 3) is not None  # no silent fallback
 
     def test_trailing_space_does_not_hide_long_row(self, tmp_path):
         path = _write(tmp_path, "2 3\na 1 0 0 \nb 0 1 0 9 \n")
@@ -142,11 +135,13 @@ class TestLoadVec:
         assert table.vectors.shape == (1, table.dim)
         assert table.vectors[0, 0] == np.float32(0.25)
 
-    def test_value_the_c_parser_rejects_still_parses(self, tmp_path):
-        # "1_0" is a valid Python float that numpy's parser refuses; the
-        # validating parser takes the file and gives the same values
-        table = EmbeddingTable.load_vec(_write(tmp_path, "2 2\na 1_0 0\nb 0 1\n"))
-        assert table.vectors.tolist() == [[10, 0], [0, 1]]
+    def test_value_only_python_float_reads_names_line(self, tmp_path):
+        # Python's float() takes these; numpy's parser, the only one, does not
+        for value in ["1_0", "0x1p3"]:
+            path = _write(tmp_path, f"2 2\na {value} 0\nb 0 1\n")
+            with pytest.raises(DataFormatError) as err:
+                EmbeddingTable.load_vec(path)
+            assert ":2:" in str(err.value)
 
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -174,12 +169,112 @@ class TestLoadVec:
         back = EmbeddingTable.load_vec(path)
         assert back.words == words
         assert np.array_equal(back.vectors.view(np.uint32), vectors.view(np.uint32))
-        # the C-parser route agrees bit for bit with the validating parser
-        fast_words, fast = _load_vec_fast(path, *vectors.shape)
-        slow_words, slow = _load_vec_slow(path, *vectors.shape)
-        assert fast_words == slow_words
-        assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
 
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_text_save_vec_never_writes_matches_float_reference(self, tmp_path, data):
+        """Values as other writers spell them (fixed or exponent digits,
+        -0.0), a trailing space on every row or none, LF or CRLF."""
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), label="shape")
+        bits = data.draw(hnp.arrays(np.uint32, shape, elements=st.integers(0, 2**32 - 1)))
+        vectors = bits.view(np.float32).astype(np.float64)
+        vectors[~np.isfinite(vectors)] = -0.0
+        spell = st.sampled_from(["%.4f", "%.9g", "%e", "%.3E", "%r"])
+        rows = [[data.draw(spell) % v for v in row] for row in vectors.tolist()]
+        after_last = data.draw(st.sampled_from([" ", ""]), label="after last value")
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        _assert_loads_as_float_reference(tmp_path, rows, after_last, newline)
+
+    def test_other_spellings_match_float_reference(self, tmp_path):
+        rows = [["0.1250", "-0.0", "1e-05", "-2.5E+3"], ["1.00000003e+00", "+7", ".5", "3."]]
+        _assert_loads_as_float_reference(tmp_path, rows, after_last="", newline="\n")
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            ("a 1 x 0 0", 3001),  # an unparseable value
+            ("a 1 0 0", 4567),  # a short row
+            ("a 1 0 0 0 9", 4999),  # a long row
+            ("a\t1\t0\t0\t0", 2345),  # no space at all
+            ("a ", 3333),  # no values
+        ],
+        ids=["unparseable", "short", "long", "no-space", "no-values"],
+    )
+    def test_fault_deep_in_table_names_its_line(self, tmp_path, row, line):
+        n = 5000
+        lines = [f"w{i} {i} 0.5 -1 2e-3" for i in range(n)]
+        lines[line - 2] = row
+        path = _write(tmp_path, f"{n} 4\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            EmbeddingTable.load_vec(path)
+        assert f":{line}:" in str(err.value)
+
+    def test_invalid_utf8_deep_in_table_is_not_blamed_on_a_line(self, tmp_path):
+        lines = [f"w{i} {i} 0.5".encode() for i in range(5000)]
+        lines[3000] = b"w\xff 1 0"
+        path = tmp_path / "latin1.vec"
+        path.write_bytes(b"5000 2\n" + b"\n".join(lines) + b"\n")
+        with pytest.raises(UnicodeDecodeError):
+            EmbeddingTable.load_vec(path)
+
+    @pytest.mark.parametrize("header", ["4000000000 300", "3 300"])
+    def test_overstated_header_allocates_nothing_it_declares(self, tmp_path, header):
+        path = _write(tmp_path, f"{header}\n" + "a " + " ".join(["1"] * 300) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="declares") as err:
+                EmbeddingTable.load_vec(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ":1:" in str(err.value)
+        assert peak < 1 << 20
+
+    def test_short_row_after_rows_that_fill_the_file_names_its_line(self, tmp_path):
+        # 10 full rows and a short one hold fewer bytes than 11 rows of 300
+        # values, so the line must still be parsed, not counted as extra
+        rows = ["a" * 9 + f"{i} " + " ".join(["1"] * 300) for i in range(10)]
+        path = _write(tmp_path, "20 300\n" + "\n".join(rows) + "\nshort 1 2\n")
+        with pytest.raises(DataFormatError, match="300 numbers") as err:
+            EmbeddingTable.load_vec(path)
+        assert ":12:" in str(err.value)
+
+    def test_empty_body_is_a_count_error_without_numpy_warning(self, tmp_path, recwarn):
+        with pytest.raises(DataFormatError, match="declares 2 words but file has 0"):
+            EmbeddingTable.load_vec(_write(tmp_path, "2 3\n"))
+        assert not recwarn.list
+
+    def test_peak_beyond_returned_table_is_bounded(self, tmp_path):
+        """The load holds the table once: loadtxt fills one array sized by
+        the header, and the lines pass through one at a time."""
+        rng = np.random.default_rng(5)
+        n, d = 20_000, 50
+        vectors = rng.standard_normal((n, d)).astype(np.float32)
+        path = tmp_path / "peak.vec"
+        EmbeddingTable([f"w{i}" for i in range(n)], vectors).save_vec(path)
+        tracemalloc.start()
+        try:
+            table = EmbeddingTable.load_vec(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.vectors, vectors)
+        assert peak - held < 1 << 20, (peak - held, held)
+
+
+def _assert_loads_as_float_reference(tmp_path, rows, after_last, newline):
+    """``load_vec`` reads the table of these value texts as ``float()`` does,
+    bit for bit after rounding to float32."""
+    lines = [f"{len(rows)} {len(rows[0])}"]
+    lines += [f"w{i} " + " ".join(row) + after_last for i, row in enumerate(rows)]
+    path = tmp_path / "spelled.vec"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    table = EmbeddingTable.load_vec(path)
+    words, vectors = read_vec(path)
+    assert table.words == words
+    assert np.array_equal(table.vectors.view(np.uint32), vectors.view(np.uint32))
 
 def _bits(*values):
     return [int(np.float32(v).view(np.uint32)) for v in values]
