@@ -537,6 +537,11 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"postscore: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate; a bare
+        # MemoryError has none.
+        print(f"postscore: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 3
     return 0
 
 

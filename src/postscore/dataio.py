@@ -19,7 +19,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import DataFormatError
+from .errors import DataFormatError, utf8_errors
 from .textproc import FEATURE_COLUMNS, RawPost, UserSurfaceFeatures
 
 if TYPE_CHECKING:
@@ -54,7 +54,7 @@ def _fmt(value: float) -> str:
 
 def iter_posts_jsonl(path) -> Iterator[RawPost]:
     """Stream posts from a JSON-lines file, one object per line."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, utf8_errors(path):
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -108,7 +108,7 @@ def _write_csv(path, header: list[str], rows: Iterable) -> int:
 
 
 def _read_csv_rows(path, header: list[str]):
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f, utf8_errors(path):
         reader = csv.reader(f)
         first = next(reader, None)
         if first != header:
@@ -170,7 +170,7 @@ def write_reference_csv(path, reference: dict) -> None:
 def read_freq_csv(path) -> dict:
     """Sidecar corpus frequencies: CSV rows `word,count` (header optional)."""
     freq = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f, utf8_errors(path):
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
@@ -317,7 +317,7 @@ def load_model_json(path) -> tuple[LinearModel, dict]:
     """Returns (model, full payload) so callers can read extension fields."""
     from .model import LinearModel
 
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, utf8_errors(path):
         try:
             payload = json.load(f)
         except json.JSONDecodeError as exc:

@@ -26,7 +26,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, utf8_errors
 
 __all__ = ["EmbeddingTable", "post_vectors_matrix"]
 
@@ -177,7 +177,7 @@ def _read_vec(path):
     read.
     """
     words = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, utf8_errors(path):
         try:
             count, dim = map(int, f.readline().split())
         except ValueError:
@@ -209,7 +209,7 @@ def _read_vec(path):
                     max_rows=max_rows,
                 )
             except UnicodeDecodeError:
-                raise  # the decoder reads ahead, so no line is to blame
+                raise  # a ValueError too; utf8_errors names its line
             except ValueError:
                 # an unparseable value or a changed column count; loadtxt
                 # pulls one line at a time, so it is the generator's last

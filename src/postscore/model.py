@@ -4,27 +4,35 @@ Fitting minimizes sum((x.w + b - y)^2) + lambda*||w||^2 with an unpenalized
 bias, solved by normal equations on centered data with one symmetric
 eigendecomposition (numpy): its eigenvalue ratio is the condition number the
 fit reports, its smallest eigenvalue decides numerical singularity, and its
-vectors give the solution. Grouped LOOCV solves one system per user with a
-Cholesky (SPD) factorization: LAPACK's dpotrf and dpotrs (and dtrttp and
-dtpttr, which pack and unpack triangles) from scipy's compiled LAPACK module,
-bound at LOOCV's first call without importing scipy itself, so no command
-loads scipy's Python package.
+vectors give the solution. Grouped LOOCV factors one base system per group
+of users with a Cholesky (SPD) factorization: LAPACK's dpotrf, dpotrs and
+dtrtrs (and dtrttp and dtpttr, which pack and unpack triangles) from scipy's
+compiled LAPACK module, bound at LOOCV's first call without importing scipy
+itself, so no command loads scipy's Python package.
 
-Leave-one-user-out CV re-solves the same normal equations per user with that
-user's rows excluded. The per-user systems are assembled from per-user Gram
-partials combined in a fixed user order (block prefix/suffix sums), which is
-algebraically the classic downdate X'X - Xu'Xu but has two extra properties:
-it never cancels a user's contribution against itself, and the system solved
-for user u contains no floating-point trace of u's rows at all, so u's
-held-out prediction is bit-identical no matter what u's training rows hold.
-Cost stays O(posts*d^2 + users*d^3) instead of a full retrain per user.
-Memory is about 3*sqrt(users) + 3 moment matrices, each held as its packed
-lower triangle of (d+2)(d+3)/2 float64, plus one full (d+2)^2 GEMM result,
-one unpacked system and one block's rows [X, 1, y]: the suffix sums over
-blocks of users, the prefix and suffix sums within the current block (its
-user moments are recomputed there, never kept for all users; the prefix
-buffer also carries the earlier blocks and the ridge diagonal) and the
-system solved.
+Leave-one-user-out CV solves, for each user, the normal equations of every
+other user's rows. Users go in groups of m consecutive users, m chosen from
+d, the user count and the rows per user (``_group_size``). A group's base
+system holds the ridge and every group's moments but its own, assembled from
+per-group moment partials combined in a fixed order (block prefix/suffix
+sums): nothing is ever subtracted, so no row cancels against itself. It is
+factored once; each of the group's users then adds the group's other rows
+back by Woodbury, in a system as small as the group's row count. The system
+solved for user u contains no floating-point trace of u's targets, so u's
+held-out prediction is bit-identical no matter what u's targets hold. Cost
+is O(posts*d^2 + (users/m)*d^3) plus, for m > 1, O(posts*d^2) for the
+triangular solves and an r^3 system per user, r being a group's rows,
+instead of a full retrain per user; a group whose own rows would make that
+dearer than one system per user (r >= d always does) is solved one user at
+a time. At m = 1 the arithmetic is that of one factorization and one solve
+per user. Memory is at most about 3*sqrt(users) + 3 moment matrices, each
+held as its packed lower triangle of (d+2)(d+3)/2 float64, plus one full
+(d+2)^2 GEMM result, one unpacked system and its factor, a group's V and K
+(under (d+1)^2 each) and one block's rows [X, 1, y]: the suffix sums over
+blocks of users, the prefix and suffix sums over the groups of the current
+block (their moments are recomputed there, never kept for all users; the
+prefix buffer also carries the earlier blocks and the ridge diagonal) and
+the base solved.
 """
 
 from __future__ import annotations
@@ -58,6 +66,13 @@ __all__ = [
 ]
 
 CONDITION_ADVISORY = 1e12
+# Largest K_ii = w_i' A^-1 w_i that a LOOCV group's Woodbury step accepts
+# (see _group_predictions). The step's rounding grows with K. Near
+# rank-deficient bases (groups of 9 single-post users at d=60, 70-72
+# users, lambda=0, 90 runs), K up to 1.6e7 left errors up to 2.3e-8
+# against a least-squares refit, and K under 2^13 = eps^-1/4 stayed within
+# 8e-11, as one system per user does; the bench shapes' K stays under 5.
+_MAX_LEVERAGE = np.finfo(np.float64).eps ** -0.25
 MODEL_FORMAT_VERSION = 1
 
 
@@ -226,28 +241,36 @@ def _flapack_path():
 
 @functools.cache
 def _lapack():
-    """LAPACK's dpotrf, dpotrs, dtrttp and dtpttr, bound at LOOCV's first
-    call, once per process.
+    """scipy's compiled LAPACK module, loaded at LOOCV's first call, once
+    per process. LOOCV takes dpotrf, dpotrs and dtrtrs from it, the routines
+    scipy.linalg's cho_factor, cho_solve and solve_triangular call, and
+    dtrttp and dtpttr, which pack and unpack the triangles it holds its
+    moment matrices in.
 
-    The first two are the routines scipy.linalg's cho_factor and cho_solve
-    call, taken from the same compiled module; the last two pack and unpack
-    the triangles LOOCV holds its moment matrices in. Loading that module by
-    file costs ~4 ms and +2.5 MB RSS, where ``import scipy.linalg`` cost
-    0.24 s and +24 MB (medians of 10 processes with numpy loaded), most of it
-    scipy's array-API shim importing numpy.testing, numpy.f2py and numpy.ma.
-    The module is registered as ``postscore._flapack``; no ``scipy`` module
-    is imported. An install without the module file falls back to
-    scipy.linalg.lapack, which holds the same four routines.
+    Loading the module by file costs ~4 ms and +2.5 MB RSS, where ``import
+    scipy.linalg`` cost 0.24 s and +24 MB (medians of 10 processes with
+    numpy loaded), most of it scipy's array-API shim importing
+    numpy.testing, numpy.f2py and numpy.ma. The module is named
+    ``postscore._flapack``; no ``scipy`` module is imported. An install
+    without the module file falls back to scipy.linalg.lapack, which holds
+    the same routines.
     """
     path = _flapack_path()
     if path is None:
-        from scipy.linalg import lapack as flapack
-    else:
-        # The last name component selects the module's init function.
-        loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
-        spec = importlib.util.spec_from_loader(loader.name, loader)
-        flapack = importlib.util.module_from_spec(spec)
-    return flapack.dpotrf, flapack.dpotrs, flapack.dtrttp, flapack.dtpttr
+        from scipy.linalg import lapack
+
+        return lapack
+    # The last name component selects the module's init function.
+    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
+    spec = importlib.util.spec_from_loader(loader.name, loader)
+    return importlib.util.module_from_spec(spec)
+
+
+def _not_positive_definite(held_out: str, order: int) -> SingularSystemError:
+    return SingularSystemError(
+        f"the LOOCV system that holds out user {held_out!r} is not positive "
+        f"definite (leading minor of order {order})"
+    )
 
 
 def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
@@ -258,19 +281,17 @@ def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
     Raises SingularSystemError naming ``held_out`` (LOOCV's held-out user)
     and the leading minor that is not positive definite.
     """
-    # Only loo_user_cv solves here: it factors one system per user, and at
-    # one thread scipy's dpotrf beats np.linalg.cholesky, whose wheel bundles
-    # another OpenBLAS (d+1 = 301: 0.60 vs 1.52 ms, 1001: 16.1 vs 33.4 ms,
-    # best of 8-30) and whose factor differs in the last bits. fit solves
-    # once, with numpy's eigh.
-    dpotrf, dpotrs, _, _ = _lapack()
-    factor, info = dpotrf(G, lower=1, clean=0)
+    # LOOCV solves here each user's r x r system I + K_oo; its group bases
+    # are factored by the same dpotrf in _group_predictions, which keeps the
+    # factor for dtrtrs. At one thread scipy's dpotrf beats
+    # np.linalg.cholesky, whose wheel bundles another OpenBLAS (d+1 = 301:
+    # 0.60 vs 1.52 ms, 1001: 16.1 vs 33.4 ms, best of 8-30) and whose factor
+    # differs in the last bits. fit solves once, with numpy's eigh.
+    flapack = _lapack()
+    factor, info = flapack.dpotrf(G, lower=1, clean=0)
     if info > 0:
-        raise SingularSystemError(
-            f"the LOOCV system that holds out user {held_out!r} is not positive "
-            f"definite (leading minor of order {info})"
-        )
-    x, _ = dpotrs(factor, rhs, lower=1)
+        raise _not_positive_definite(held_out, info)
+    x, _ = flapack.dpotrs(factor, rhs, lower=1)
     return x
 
 
@@ -282,8 +303,9 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     condition number s_max/s_min (the 2-norm one; inf when s_min <= 0) is
     warned about when it exceeds 1e12. SingularSystemError is raised when
     s_min <= d*eps*s_max, the numerical-rank rule, since no solve of such a
-    system means anything. Otherwise w = V((V'r)/s). LOOCV keeps a Cholesky
-    solve instead, because it factors one system per user (see _solve_spd).
+    system means anything. Otherwise w = V((V'r)/s). LOOCV keeps Cholesky
+    solves instead, because it factors one base per group of users (see
+    _group_predictions).
 
     The centered Gram matrix and right-hand side r are summed over chunks of
     about 1 MB of rows. Each chunk is centered on the mean of the whole of X
@@ -371,13 +393,118 @@ def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=No
     return scores, n_matched
 
 
+def _group_flops(d: int, rows) -> float:
+    """Flops LOOCV spends on a group of users holding ``rows`` rows each.
+
+    One user's system costs its factorization, d^3/3. A group of several
+    users with r rows in all costs its base's factorization, d^3/3, V
+    (d^2 r), K (d r^2), each user u's factorization of I + K_oo
+    ((r - rows[u])^3 / 3) and a flat 115,000 a user for the r x r step's
+    dozen array and LAPACK calls: 17 us at 0.15 ns a flop, both fitted by
+    least squares to one-core timings of LOOCV on a grid of d in {20, 50,
+    100, 150, 200, 300} x rows per user in {1, 2, 5, 10, 20} at U=300.
+    """
+    if len(rows) == 1:
+        return d**3 / 3
+    r = sum(rows)
+    steps = sum((r - p) ** 3 for p in rows) / 3 + 115_000 * len(rows)
+    return d**3 / 3 + d * d * r + d * r * r + steps
+
+
+def _group_size(d: int, n_users: int, rows_per_user: float) -> int:
+    """Users per LOOCV group: the m whose groups of m users of
+    ``rows_per_user`` rows cost the fewest flops a user (``_group_flops``).
+
+    m ranges over ceil(B/g) for g = 1..B, B = ceil(sqrt(U)) being LOOCV's
+    outer block, so the groups split a block about evenly. Small d or many
+    rows a user give m = 1: d=20 at any p, d=50 with 20 posts a user and
+    d=100 with 10, where no m > 1 measured faster end to end. At 300 users
+    and d=200, 10 posts a user give m = 6, and 1 or 2 posts a user (the
+    first curve points) the whole block of 18. The rule reads the mean
+    rows a user; _group_predictions checks each group's own rows.
+    """
+    B = math.isqrt(n_users - 1) + 1
+    return min(
+        sorted({-(-B // g) for g in range(1, B + 1)}),
+        key=lambda m: _group_flops(d, [rows_per_user] * m) / m,
+    )
+
+
+def _group_predictions(Z, bounds, names, G, out) -> bool:
+    """Append the held-out predictions of a group of users to ``out``.
+
+    Z holds the group's rows [X, 1, y], user j's being Z[bounds[j]:
+    bounds[j + 1]]; G is the group's base, the ridge plus every other
+    group's moments, packed. Returns False, appending nothing, when a group
+    of several users holds rows enough that one system per user costs fewer
+    flops (``_group_flops``; a user with far more rows than the mean can
+    make r exceed d, and the r x r step cost r^3 per user), when its base is
+    not positive definite or when K has a diagonal entry above
+    ``_MAX_LEVERAGE``. For one user it raises SingularSystemError naming the
+    user when the base is not positive definite.
+
+    With A the base's (d+1)^2 system, c its right-hand side and W = [X, 1]
+    the group's rows, one Cholesky factor A = LL' serves every user: theta =
+    A^-1 c gives e = W theta, and V = L^-1 W' gives K = V'V = W A^-1 W'. For
+    user u, whose group has other rows o, the system with o's rows added is
+    A + W_o'W_o with right-hand side c + W_o'y_o, and by Woodbury u's
+    predictions are e_u + K_uo (I + K_oo)^-1 (y_o - e_o): an r x r solve,
+    r being the group's row count, and no (d+1)^2 one. (These are V_u's,
+    with q = L^-1 c, t = q + V_o y_o and s = t - V_o (I + K_oo)^-1 V_o't,
+    rewritten through e = V'q so that a user costs O(r^3), not O(d r).)
+    Only u's features enter it; u's targets are read for the other users
+    only. A group of one user has no o: its predictions are W theta, one
+    factorization and one solve of its own system.
+    """
+    d1 = Z.shape[1] - 1
+    rows = [b - a for a, b in zip(bounds, bounds[1:])]
+    if _group_flops(d1 - 1, rows) > len(rows) * _group_flops(d1 - 1, rows[:1]):
+        return False
+    flapack = _lapack()
+    n_sys = d1 * (d1 + 1) // 2
+    factor, info = flapack.dpotrf(flapack.dtpttr(d1, G[:n_sys], uplo="U")[0].T, lower=1, clean=0)
+    if info > 0:
+        if len(names) > 1:
+            return False
+        raise _not_positive_definite(names[0], info)
+    theta, _ = flapack.dpotrs(factor, G[n_sys : n_sys + d1], lower=1)
+    e = Z[:, : d1 - 1] @ theta[:-1] + theta[-1]
+    r = e.size
+    if len(names) > 1:
+        V, _ = flapack.dtrtrs(factor, Z[:, :d1].T, lower=1)
+        K = V.T @ V
+        # Too few rows outside the group leave its base singular or nearly
+        # so, yet dpotrf can finish on a pivot of rounding size; K then
+        # holds entries up to 1/eps, and the step would amplify rounding.
+        if K.diagonal().max() > _MAX_LEVERAGE:
+            return False
+        residual = Z[:, d1] - e
+    for j, u in enumerate(names):
+        a, b = bounds[j], bounds[j + 1]
+        scores = e[a:b]
+        if b - a < r:
+            o = np.r_[0:a, b:r]
+            inner = K[np.ix_(o, o)]
+            inner.flat[:: o.size + 1] += 1.0
+            scores = scores + K[a:b, o] @ _solve_spd(inner, residual[o], u)
+        out.append(UserPrediction(u, float(scores.mean()), b - a))
+    return True
+
+
 def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPrediction]:
     """Grouped leave-one-user-out predictions, one per user in user order
     (sorted by id unless ``sample`` orders them otherwise).
 
-    For each user the augmented normal equations are re-assembled from the
-    other users' Gram partials (fixed summation order) and re-solved; the
-    result matches naive per-user retraining to solver precision.
+    Each user's prediction is that of the ridge fit to every other user's
+    rows, applied to the user's own rows and averaged; it matches naive
+    per-user retraining to solver precision. Users go in groups of m
+    consecutive users (``_group_size``). A group's base system holds the
+    ridge and every other group's rows and is factored once; the group's
+    other users' rows are then added to it for each of its users in an
+    r x r system, r being the group's row count (see ``_group_predictions``).
+    No row is ever subtracted, and a user's targets are never read for that
+    user, so u's held-out prediction is bit-identical whatever u's targets
+    hold.
 
     ``sample`` restricts the cross-validation to some of ts's rows without
     copying them: a triple (users, rows, offsets) in the layout of
@@ -394,26 +521,30 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     U = len(users)
     # Each sum here is the moment matrix of rows [X, 1, y], held as its
     # packed lower triangle: row i's entries 0..i follow row i - 1's, so the
-    # augmented system's (d+1) x (d+1) matrix is the first n_sys entries and
-    # its right-hand side the next d+1 (row d+1 up to its diagonal). The
-    # packed rows of a C-order symmetric F are LAPACK's "U" column packing
-    # of F.T, so dtrttp packs a GEMM result and dtpttr unpacks a system for
-    # dpotrf, which reads only its lower triangle. Users go in blocks of
-    # m = ceil(sqrt(U)). Held at once: the block suffix sums (ceil(U/m) + 1),
-    # the in-block prefix and suffix sums (m + 1 each) and the system being
-    # solved, so about 3*sqrt(U) + 3 triangles of (d+2)(d+3)/2 float64, plus
-    # one full (d+2)^2 GEMM result, one unpacked system and one block's rows,
-    # whatever U. No user's moment matrix outlives its block.
-    _, _, dtrttp, dtpttr = _lapack()
-    n_sys = d1 * d2 // 2
-    n_packed = n_sys + d2
-    m = math.isqrt(U - 1) + 1
-    blocks = [users[s : s + m] for s in range(0, U, m)]
+    # augmented system's (d+1) x (d+1) matrix is the first (d+1)(d+2)/2
+    # entries and its right-hand side the next d+1 (row d+1 up to its
+    # diagonal). The packed rows of a C-order symmetric F are LAPACK's "U"
+    # column packing of F.T, so dtrttp packs a GEMM result and dtpttr
+    # unpacks a system for dpotrf, which reads only its lower triangle.
+    # Users go in outer blocks of B = ceil(sqrt(U)), and each block in
+    # groups of m <= B users. Held at once: the block suffix sums
+    # (ceil(U/B) + 1), the in-block group prefix and suffix sums
+    # (ceil(B/m) + 1 each) and the base being solved, so at most about
+    # 3*sqrt(U) + 3 triangles of (d+2)(d+3)/2 float64, plus one full
+    # (d+2)^2 GEMM result, one unpacked system and its factor, one block's
+    # rows and a group's V and K ((d+1) x r and r x r), whatever U. r stays
+    # under d: a group whose step costs more than one system per user,
+    # which any r >= d does, is redone at m = 1, and that adds 2(m + 1)
+    # triangles while it is. No group's moment matrix outlives its block.
+    dtrttp = _lapack().dtrttp
+    n_packed = d1 * d2 // 2 + d2
+    B = math.isqrt(U - 1) + 1
+    m = _group_size(d, U, (offsets[-1] - offsets[0]) / U)
     full = np.empty((d2, d2), dtype=np.float64)
 
     def block_rows(b):
         """Block b's rows [X, 1, y]; its user j has rows bounds[j]:bounds[j + 1]."""
-        bounds = offsets[b * m : (b + 1) * m + 1]
+        bounds = offsets[b * B : (b + 1) * B + 1]
         idx = rows[bounds[0] : bounds[-1]]
         Z = np.empty((idx.size, d2), dtype=np.float64)
         Z[:, :d] = ts.X[idx]
@@ -426,39 +557,64 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
         np.matmul(Z.T, Z, out=full)
         out[:] = dtrttp(full.T, uplo="U")[0]
 
+    def sums(Z, cuts, before, after):
+        """Prefix and suffix sums over the parts Z[cuts[i]:cuts[i + 1]],
+        given before[0] and after[k] (what comes before and after Z):
+        before[i + 1] = before[i] + part i's moments, after[i] = part i's
+        moments + after[i + 1]. Part i's base is before[i] + after[i + 1],
+        one add, so its own rows never enter it."""
+        k = len(cuts) - 1
+        for i in range(k):
+            moments(Z[cuts[i] : cuts[i + 1]], after[i])
+            np.add(before[i], after[i], out=before[i + 1])
+        for i in range(k - 1, -1, -1):
+            after[i] += after[i + 1]
+
     # Pass 1: suffix[b] sums blocks b.. ; one GEMM per block.
-    suffix = np.zeros((len(blocks) + 1, n_packed), dtype=np.float64)
-    for b in range(len(blocks) - 1, -1, -1):
+    n_blocks = -(-U // B)
+    suffix = np.zeros((n_blocks + 1, n_packed), dtype=np.float64)
+    for b in range(n_blocks - 1, -1, -1):
         Z, _ = block_rows(b)
         moments(Z, suffix[b])
         suffix[b] += suffix[b + 1]
 
-    # Pass 2: per block, recompute the user moments into the in-block suffix
-    # buffer, then turn it into prefix sums before[j] (the ridge diagonal,
-    # earlier blocks and the block's users < j) and suffix sums after[j]
-    # (the block's users >= j and later blocks). User j's system is
-    # before[j] + after[j + 1], one add, so j's own rows never enter it.
-    # before[0] carries the running prefix from block to block.
-    before = np.zeros((m + 1, n_packed), dtype=np.float64)
-    after = np.empty((m + 1, n_packed), dtype=np.float64)
+    # Pass 2: per block, group prefix sums before[g] (the ridge diagonal,
+    # earlier blocks and the block's groups < g) and suffix sums after[g]
+    # (the block's groups >= g and later blocks). before[0] carries the
+    # running prefix from block to block. A group whose rows make its
+    # Woodbury step dearer than one system per user, or whose base is not
+    # positive definite or too near singular for that step, is redone at
+    # m = 1: the same sums over its users, between before[g] and
+    # after[g + 1], give each user's base, and the first user whose own base
+    # fails is named.
+    before = np.zeros((-(-B // m) + 1, n_packed), dtype=np.float64)
+    after = np.empty_like(before)
     G = np.empty(n_packed, dtype=np.float64)
     ridge = np.arange(d)
     before[0, ridge * (ridge + 3) // 2] = lam  # row i's diagonal: i(i+1)/2 + i
     predictions = []
-    for b, block in enumerate(blocks):
+    for b in range(n_blocks):
         Z, bounds = block_rows(b)
-        k = len(block)
+        names = users[b * B : (b + 1) * B]
+        starts = list(range(0, len(names), m))
+        k = len(starts)
         after[k] = suffix[b + 1]
-        for j in range(k):
-            moments(Z[bounds[j] : bounds[j + 1]], after[j])
-            np.add(before[j], after[j], out=before[j + 1])
-        for j in range(k - 1, -1, -1):
-            after[j] += after[j + 1]
-        for j, u in enumerate(block):
-            np.add(before[j], after[j + 1], out=G)
-            theta = _solve_spd(dtpttr(d1, G[:n_sys], uplo="U")[0].T, G[n_sys : n_sys + d1], u)
-            scores = Z[bounds[j] : bounds[j + 1], :d] @ theta[:d] + theta[d]
-            predictions.append(UserPrediction(u, float(scores.mean()), bounds[j + 1] - bounds[j]))
+        sums(Z, [bounds[s] for s in starts] + [bounds[-1]], before, after)
+        for g, s in enumerate(starts):
+            group = names[s : s + m]
+            cuts = [c - bounds[s] for c in bounds[s : s + m + 1]]
+            Zg = Z[bounds[s] : bounds[s] + cuts[-1]]
+            np.add(before[g], after[g + 1], out=G)
+            if _group_predictions(Zg, cuts, group, G, predictions):
+                continue
+            one_before = np.empty((len(group) + 1, n_packed), dtype=np.float64)
+            one_after = np.empty_like(one_before)
+            one_before[0], one_after[-1] = before[g], after[g + 1]
+            sums(Zg, cuts, one_before, one_after)
+            for j, u in enumerate(group):
+                np.add(one_before[j], one_after[j + 1], out=G)
+                _group_predictions(Zg[cuts[j] : cuts[j + 1]], [0, cuts[j + 1] - cuts[j]], [u], G,
+                                   predictions)
         before[0] = before[k]
     return predictions
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, utf8_errors
 
 __all__ = ["TfidfVocabulary", "build_vocab", "tfidf_vector", "tfidf_matrix", "load_stopwords"]
 
@@ -27,7 +27,7 @@ __all__ = ["TfidfVocabulary", "build_vocab", "tfidf_vector", "tfidf_matrix", "lo
 def load_stopwords(path) -> frozenset[str]:
     """One word per line, UTF-8; blank lines ignored."""
     words = set()
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, utf8_errors(path):
         for line in f:
             w = line.strip()
             if w:

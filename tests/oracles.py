@@ -5,10 +5,10 @@ plain gradient descent on the raw loss, the p-value oracle goes through
 mpmath's incomplete beta at 50 digits, and the post and word scores look each
 token up in ``table.vocab`` on its own and take one plain mean and dot
 product. ``read_vec`` parses a .vec file value by value with Python's
-``float()``. ``loo_user_cv_full`` is grouped LOOCV as it was first written, with
-every moment matrix held whole, solved through scipy.linalg's Cholesky
-routines. (The naive leave-one-user-out checks retrain from scratch per user
-in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
+``float()``. ``loo_user_cv_full`` is grouped LOOCV's group scheme with
+every moment matrix held whole, solved through scipy.linalg's Cholesky and
+triangular routines. (The naive leave-one-user-out checks retrain from
+scratch per user in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
 correlation ceiling, so a test can ask for a dataset with a given one.
 """
 
@@ -105,26 +105,35 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
     """Grouped leave-one-user-out UserPredictions, with each moment matrix
     of rows [X, 1, y] held as a full (d+2) x (d+2) float64 array.
 
-    The blocks, the summation order and the own-rows rule are those of
-    ``postscore.model.loo_user_cv``: users go in blocks of ceil(sqrt(U));
-    suffix sums over blocks, then per block prefix sums ``before`` (ridge
-    diagonal, earlier blocks, earlier users) and suffix sums ``after``;
-    user j's system is ``before[j] + after[j + 1]``. Each system is solved
-    with ``cho_factor(lower=True)`` and ``cho_solve``.
+    The blocks, groups, summation order and solves are those of
+    ``postscore.model.loo_user_cv``: users go in blocks of ceil(sqrt(U)),
+    each in groups of ``postscore.model._group_size`` users; suffix sums
+    over blocks, then per block prefix sums ``before`` (ridge diagonal,
+    earlier blocks, earlier groups) and suffix sums ``after``; group g's
+    base is ``before[g] + after[g + 1]``, redone one user at a time when
+    its rows make ``_group_flops`` exceed one system per user, when it is
+    not positive definite or when K has an entry above ``_MAX_LEVERAGE`` on
+    its diagonal. Each base is factored with
+    ``cho_factor(lower=True)``; ``cho_solve`` gives theta and
+    ``solve_triangular`` gives V = L^-1 [X_g, 1]'. User u's predictions are
+    e_u + K_uo (I + K_oo)^-1 (y_o - e_o), with e = [X_g, 1] theta, K = V'V
+    and o the group's other rows.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
-    from postscore.model import UserPrediction
+    from postscore.model import _MAX_LEVERAGE, UserPrediction, _group_flops, _group_size
 
     users, rows, offsets = (ts.users, ts.index, ts.offsets) if sample is None else sample
     d = ts.d
     d1, d2 = d + 1, d + 2
     U = len(users)
-    m = math.isqrt(U - 1) + 1
-    blocks = [users[s : s + m] for s in range(0, U, m)]
+    B = math.isqrt(U - 1) + 1
+    m = _group_size(d, U, (offsets[-1] - offsets[0]) / U)
+    n_blocks = -(-U // B)
+    predictions = []
 
     def block_rows(b):
-        bounds = offsets[b * m : (b + 1) * m + 1]
+        bounds = offsets[b * B : (b + 1) * B + 1]
         idx = rows[bounds[0] : bounds[-1]]
         Z = np.empty((idx.size, d2), dtype=np.float64)
         Z[:, :d] = ts.X[idx]
@@ -132,32 +141,75 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
         Z[:, d1] = ts.y[idx]
         return Z, (bounds - bounds[0]).tolist()
 
-    suffix = np.zeros((len(blocks) + 1, d2, d2), dtype=np.float64)
-    for b in range(len(blocks) - 1, -1, -1):
+    def sums(Z, cuts, before, after):
+        k = len(cuts) - 1
+        for i in range(k):
+            part = Z[cuts[i] : cuts[i + 1]]
+            np.matmul(part.T, part, out=after[i])
+            np.add(before[i], after[i], out=before[i + 1])
+        for i in range(k - 1, -1, -1):
+            after[i] += after[i + 1]
+
+    def group(Z, cuts, names, G):
+        rows = [b - a for a, b in zip(cuts, cuts[1:])]
+        if _group_flops(d, rows) > len(rows) * _group_flops(d, rows[:1]):
+            return False
+        try:
+            factor = cho_factor(G[:d1, :d1], lower=True, check_finite=False)
+        except LinAlgError:
+            if len(names) > 1:
+                return False
+            raise
+        theta = cho_solve(factor, G[:d1, d1], check_finite=False)
+        e = Z[:, :d] @ theta[:d] + theta[d]
+        r = e.size
+        if len(names) > 1:
+            V = solve_triangular(factor[0], Z[:, :d1].T, lower=True, check_finite=False)
+            K = V.T @ V
+            if K.diagonal().max() > _MAX_LEVERAGE:
+                return False
+            residual = Z[:, d1] - e
+        for j, u in enumerate(names):
+            a, b = cuts[j], cuts[j + 1]
+            scores = e[a:b]
+            if b - a < r:
+                o = np.r_[0:a, b:r]
+                inner = K[np.ix_(o, o)]
+                inner[np.diag_indices(o.size)] += 1.0
+                x = cho_solve(cho_factor(inner, lower=True, check_finite=False), residual[o],
+                              check_finite=False)
+                scores = scores + K[a:b, o] @ x
+            predictions.append(UserPrediction(u, float(scores.mean()), b - a))
+        return True
+
+    suffix = np.zeros((n_blocks + 1, d2, d2), dtype=np.float64)
+    for b in range(n_blocks - 1, -1, -1):
         Z, _ = block_rows(b)
         np.matmul(Z.T, Z, out=suffix[b])
         suffix[b] += suffix[b + 1]
 
-    before = np.zeros((m + 1, d2, d2), dtype=np.float64)
-    after = np.empty((m + 1, d2, d2), dtype=np.float64)
-    G = np.empty((d2, d2), dtype=np.float64)
+    before = np.zeros((-(-B // m) + 1, d2, d2), dtype=np.float64)
+    after = np.empty_like(before)
     before[0, range(d), range(d)] = lam
-    predictions = []
-    for b, block in enumerate(blocks):
+    for b in range(n_blocks):
         Z, bounds = block_rows(b)
-        k = len(block)
+        names = users[b * B : (b + 1) * B]
+        starts = list(range(0, len(names), m))
+        k = len(starts)
         after[k] = suffix[b + 1]
-        for j in range(k):
-            Zu = Z[bounds[j] : bounds[j + 1]]
-            np.matmul(Zu.T, Zu, out=after[j])
-            np.add(before[j], after[j], out=before[j + 1])
-        for j in range(k - 1, -1, -1):
-            after[j] += after[j + 1]
-        for j, u in enumerate(block):
-            np.add(before[j], after[j + 1], out=G)
-            factor = cho_factor(G[:d1, :d1], lower=True, check_finite=False)
-            theta = cho_solve(factor, G[:d1, d1], check_finite=False)
-            scores = Z[bounds[j] : bounds[j + 1], :d] @ theta[:d] + theta[d]
-            predictions.append(UserPrediction(u, float(scores.mean()), bounds[j + 1] - bounds[j]))
+        sums(Z, [bounds[s] for s in starts] + [bounds[-1]], before, after)
+        for g, s in enumerate(starts):
+            members = names[s : s + m]
+            cuts = [c - bounds[s] for c in bounds[s : s + m + 1]]
+            Zg = Z[bounds[s] : bounds[s] + cuts[-1]]
+            if group(Zg, cuts, members, before[g] + after[g + 1]):
+                continue
+            one_before = np.empty((len(members) + 1, d2, d2), dtype=np.float64)
+            one_after = np.empty_like(one_before)
+            one_before[0], one_after[-1] = before[g], after[g + 1]
+            sums(Zg, cuts, one_before, one_after)
+            for j, u in enumerate(members):
+                group(Zg[cuts[j] : cuts[j + 1]], [0, cuts[j + 1] - cuts[j]], [u],
+                      one_before[j] + one_after[j + 1])
         before[0] = before[k]
     return predictions

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import postscore
@@ -707,6 +708,62 @@ class TestExitCodes:
         )
         assert code == 3
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(__import__("resource"), "RLIMIT_AS"), reason="needs RLIMIT_AS")
+    def test_out_of_memory_is_3_in_one_line(self, tmp_path):
+        """tf-idf LOOCV at d=3,001 over 1,200 users first asks for its 36
+        block sums, 1.21 GiB, about 2.5 times the 500 MB address space the
+        child gets; the run peaks near 300 MB before that. numpy cannot
+        allocate them: one line on stderr naming the array, no traceback,
+        exit 3."""
+        import resource
+
+        rng = np.random.default_rng(40)
+        words = [f"w{i:04d}" for i in range(6000)]
+        posts, labels = tmp_path / "posts.jsonl", tmp_path / "labels.csv"
+        with open(posts, "w", encoding="utf-8") as f:
+            for u in range(1200):
+                for k in range(2):
+                    text = " ".join(words[i] for i in rng.integers(0, 6000, size=40))
+                    f.write(json.dumps({"user_id": f"u{u:04d}", "post_id": f"{u}-{k}", "text": text}) + "\n")
+        dataio.write_labels_csv(labels, {f"u{u:04d}": float(u % 7) for u in range(1200)})
+        cap = 500 * 2**20
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "postscore", "evaluate", "--posts", str(posts),
+             "--labels", str(labels), "--vectorizer", "tfidf", "--top-terms", "3000",
+             "--lambda", "0.001", "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("postscore: out of memory: Unable to allocate 1.21 GiB ")
+        assert "shape (36, 4507503)" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["embeddings", "posts", "labels"])
+    def test_undecodable_byte_is_2_naming_file_and_line(self, dataset, tmp_path, which):
+        """A byte that is not UTF-8 deep in a file is named by its line."""
+        paths = {
+            "embeddings": dataset / "embeddings.vec",
+            "posts": dataset / "posts.jsonl",
+            "labels": dataset / "labels.csv",
+        }
+        lines = paths[which].read_bytes().split(b"\n")
+        line = len(lines) - 3
+        lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][4:]
+        paths[which] = tmp_path / paths[which].name
+        paths[which].write_bytes(b"\n".join(lines))
+        proc = run_cli_subprocess(
+            "train", "--posts", paths["posts"], "--labels", paths["labels"],
+            "--embeddings", paths["embeddings"], "--output-dir", tmp_path / "o",
+        )
+        assert proc.returncode == 2
+        assert f"{paths[which]}:{line}: not UTF-8: byte 0xff at column 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "source, path, value, command",

@@ -211,12 +211,13 @@ class TestLoadVec:
             EmbeddingTable.load_vec(path)
         assert f":{line}:" in str(err.value)
 
-    def test_invalid_utf8_deep_in_table_is_not_blamed_on_a_line(self, tmp_path):
+    def test_invalid_utf8_deep_in_table_names_its_line(self, tmp_path):
+        """The decoder reads ahead, so the line is found by a binary rescan."""
         lines = [f"w{i} {i} 0.5".encode() for i in range(5000)]
         lines[3000] = b"w\xff 1 0"
         path = tmp_path / "latin1.vec"
         path.write_bytes(b"5000 2\n" + b"\n".join(lines) + b"\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(DataFormatError, match=r"latin1\.vec:3002: not UTF-8: byte 0xff at column 2"):
             EmbeddingTable.load_vec(path)
 
     @pytest.mark.parametrize("header", ["4000000000 300", "3 300"])

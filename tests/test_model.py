@@ -69,8 +69,7 @@ class TestLapackBinding:
         G, rhs = _moment_views(d1, d1)
         ref_factor, lower = cho_factor(G, lower=True, check_finite=False)
         ref_x = cho_solve((ref_factor, lower), rhs, check_finite=False)
-        dpotrf = model_module._lapack()[0]
-        factor, info = dpotrf(G, lower=1, clean=0)
+        factor, info = model_module._lapack().dpotrf(G, lower=1, clean=0)
         assert info == 0
         assert factor.tobytes() == ref_factor.tobytes()
         assert _solve_spd(G, rhs, "u").tobytes() == ref_x.tobytes()
@@ -81,18 +80,23 @@ class TestLapackBinding:
             _solve_spd(G[:2, :2], G[:2, 2], "u7")
 
     def test_fallback_without_module_file_gives_same_bits(self, monkeypatch):
+        """One system per user (d=6) and groups of 10 users (d=80), whose
+        steps also take dtrtrs from the module."""
         from scipy.linalg import lapack
 
         G, rhs = _moment_views(3, 51)
-        ts = _random_grouped(22, n_users=17, posts_per_user=3, d=6)
+        sets = [_random_grouped(22, n_users=17, posts_per_user=3, d=6),
+                _random_grouped(23, n_users=100, posts_per_user=2, d=80)]
+        assert model_module._group_size(80, 100, 2) == 10
         bound = _solve_spd(G, rhs, "u")
-        bound_loo = loo_user_cv(ts, lam=0.1)
+        bound_loo = [loo_user_cv(ts, lam=0.1) for ts in sets]
         monkeypatch.setattr(model_module, "_flapack_path", lambda: None)
         fallback = model_module._lapack.__wrapped__()  # bypass the per-process cache
-        assert fallback == (lapack.dpotrf, lapack.dpotrs, lapack.dtrttp, lapack.dtpttr)
+        assert fallback is lapack
         monkeypatch.setattr(model_module, "_lapack", lambda: fallback)
         assert _solve_spd(G, rhs, "u").tobytes() == bound.tobytes()
-        assert _prediction_bytes(loo_user_cv(ts, lam=0.1)) == _prediction_bytes(bound_loo)
+        for ts, loo in zip(sets, bound_loo):
+            assert _prediction_bytes(loo_user_cv(ts, lam=0.1)) == _prediction_bytes(loo)
 
 
 class TestTrainingSet:
@@ -459,10 +463,126 @@ class TestLooUserCV:
         assert peak <= 4 * (math.sqrt(n_users) + 2) * triangle_bytes
 
 
+def _naive_loo(ts, lam):
+    """Each user's held-out mean prediction from a fit on every other row."""
+    naive = {}
+    for u in ts.users:
+        keep = ts.groups != u
+        model = fit(_ts(ts.X[keep], ts.y[keep], ts.groups[keep]), lam=lam)
+        naive[u] = float((ts.X[~keep] @ model.weights + model.bias).mean())
+    return naive
+
+
+class TestLooUserCVGroups:
+    """Shapes where ``_group_size`` puts several users in a group, so each
+    user's prediction comes from the group's base and the r x r step."""
+
+    @staticmethod
+    def _grouped(seed, n_users, posts_per_user, d):
+        ts = _random_grouped(seed, n_users=n_users, posts_per_user=posts_per_user, d=d)
+        m = model_module._group_size(d, n_users, posts_per_user)
+        assert m > 1
+        return ts, m
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_matches_naive_retraining(self, lam):
+        ts, _ = self._grouped(30, n_users=100, posts_per_user=2, d=80)
+        fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=lam)}
+        for u, naive in _naive_loo(ts, lam).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+    def test_own_targets_leave_prediction_bit_identical(self):
+        """Zeroing the targets of the first, a middle and the last user of a
+        group leaves each one's prediction bit-identical: they enter the
+        other users' systems of the group, never their own."""
+        ts, m = self._grouped(31, n_users=100, posts_per_user=2, d=80)
+        base = {p.user_id: p.predicted for p in loo_user_cv(ts)}
+        block = math.isqrt(len(ts.users) - 1) + 1
+        first = 2 * block  # the third block's first group
+        for u in (ts.users[first], ts.users[first + m // 2], ts.users[first + m - 1]):
+            y2 = ts.y.copy()
+            y2[ts.groups == u] = 0.0
+            pred = {p.user_id: p.predicted for p in loo_user_cv(_ts(ts.X, y2, ts.groups))}
+            assert pred[u] == base[u]
+            assert sum(pred[v] != base[v] for v in ts.users) > 1
+
+    def test_singular_group_base_redone_one_user_at_a_time(self):
+        """At lambda=0, 86 single-post users at d=80 leave 76 rows outside a
+        group of 10 and 80 outside the last group of 6, too few for the
+        base, while each user's own system keeps 85: every group is redone
+        at m = 1, and every prediction matches naive retraining."""
+        ts = _random_grouped(32, n_users=86, posts_per_user=1, d=80)
+        assert model_module._group_size(80, 86, 1) == 10
+        with mock.patch.object(
+            model_module, "_group_predictions", wraps=model_module._group_predictions
+        ) as spy:
+            fast = {p.user_id: p.predicted for p in loo_user_cv(ts)}
+        singles = [call.args[2] for call in spy.call_args_list if len(call.args[2]) == 1]
+        assert singles == [[u] for u in ts.users]
+        for u, naive in _naive_loo(ts, 0.0).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_numerically_singular_group_base_redone(self, seed):
+        """90 single-post users at d=80 leave 80 rows outside a group of 10,
+        one short of the 81 unknowns; dpotrf often finishes such a base on a
+        pivot of rounding size, and only K's size shows it."""
+        ts = _random_grouped(40 + seed, n_users=90, posts_per_user=1, d=80)
+        assert model_module._group_size(80, 90, 1) == 10
+        fast = {p.user_id: p.predicted for p in loo_user_cv(ts)}
+        for u, naive in _naive_loo(ts, 0.0).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+    def test_group_of_every_user_redone_with_ridge(self):
+        """Two users at d=100 make one group holding every row, whose base
+        is the ridge alone; each user's own system is then solved."""
+        ts = _random_grouped(33, n_users=2, posts_per_user=1, d=100)
+        assert model_module._group_size(100, 2, 1) == 2
+        fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=1.0)}
+        for u, naive in _naive_loo(ts, 1.0).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+    def test_user_with_most_rows_is_solved_alone(self):
+        """One user with 1,000 posts among 99 with 2 lifts the mean to 12
+        posts, where the rule groups 4 users at d=120. The big user's group
+        would hold 1,006 rows, and an r x r step per user of 1,006^2 (8 MB
+        for K); it is redone one user at a time instead. Beyond the block
+        sums, the peak holds the big user's block of rows (once as gathered,
+        once as [X, 1, y]) and no r x r matrix."""
+        n_users, d, big = 100, 120, 1000
+        rng = np.random.default_rng(35)
+        sizes = np.full(n_users, 2)
+        sizes[45] = big
+        groups = np.repeat([f"u{i:04d}" for i in range(n_users)], sizes).astype(object)
+        X = rng.standard_normal((groups.size, d))
+        y = 500.0 + 30.0 * (X @ rng.standard_normal(d)) + 5.0 * rng.standard_normal(groups.size)
+        ts = _ts(X, y, groups)
+        assert model_module._group_size(d, n_users, groups.size / n_users) == 4
+        tracemalloc.start()
+        try:
+            fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=0.5)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for u, naive in _naive_loo(ts, 0.5).items():
+            assert abs(naive - fast[u]) < 1e-8
+        triangle_bytes = (d + 2) * (d + 3) // 2 * 8
+        block_rows_bytes = (9 * 2 + big) * (d + 2) * 8
+        assert peak <= 4 * (math.sqrt(n_users) + 2) * triangle_bytes + 2 * block_rows_bytes
+
+    @pytest.mark.parametrize("n_users, posts_per_user", [(2, 5), (3, 3)])
+    def test_two_and_three_users_at_lambda_zero(self, n_users, posts_per_user):
+        ts = _random_grouped(34 + n_users, n_users=n_users, posts_per_user=posts_per_user, d=2)
+        fast = {p.user_id: p.predicted for p in loo_user_cv(ts)}
+        for u, naive in _naive_loo(ts, 0.0).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+
 class TestLooUserCVFullStorageReference:
-    """loo_user_cv against the full-storage loop it was written from
-    (``oracles.loo_user_cv_full``): the same blocks and summation order, so
-    the same bits, on interleaved users of 1-3 posts."""
+    """loo_user_cv against a full-storage copy of its group scheme
+    (``oracles.loo_user_cv_full``): the same blocks, groups, summation order
+    and LAPACK routines, so the same bits, mostly on interleaved users of
+    1-3 posts."""
 
     @staticmethod
     def _interleaved(seed, n_users, d):
@@ -477,7 +597,7 @@ class TestLooUserCVFullStorageReference:
     @pytest.mark.parametrize(
         "n_users, d, lam",
         [(2, 3, 0.3), (3, 3, 0.3), (4, 2, 0.3), (25, 5, 0.0), (25, 5, 0.3), (401, 12, 0.0),
-         (401, 60, 0.3)],
+         (401, 60, 0.3), (300, 80, 0.0), (150, 100, 1e-3), (401, 100, 0.3)],
     )
     def test_bit_identical_to_full_storage(self, n_users, d, lam):
         ts = self._interleaved(200 + n_users + d, n_users, d)
@@ -502,6 +622,25 @@ class TestLooUserCVFullStorageReference:
         full = loo_user_cv_full(ts, lam=lam, sample=sample)
         assert [p.user_id for p in packed] == users
         assert _prediction_bytes(packed) == _prediction_bytes(full)
+
+    @pytest.mark.parametrize("n_users", [86, 90])
+    def test_redone_groups_bit_identical_to_full_storage(self, n_users):
+        """Groups redone one user at a time: at 86 users dpotrf rejects the
+        bases, at 90 the leverage bound does."""
+        ts = _random_grouped(40, n_users=n_users, posts_per_user=1, d=80)
+        assert _prediction_bytes(loo_user_cv(ts)) == _prediction_bytes(loo_user_cv_full(ts))
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_one_row_per_user_sample_bit_identical_to_full_storage(self, lam):
+        """A curve point at N=1: one row of each user, which puts a whole
+        block of users in each group."""
+        ts = self._interleaved(25, 300, 80)
+        rng = np.random.default_rng(26)
+        kept = [rng.choice(ts.index[ts.offsets[i] : ts.offsets[i + 1]]) for i in range(300)]
+        sample = (ts.users, np.array(kept), np.arange(301, dtype=np.int64))
+        assert model_module._group_size(80, 300, 1) > 1
+        packed = loo_user_cv(ts, lam=lam, sample=sample)
+        assert _prediction_bytes(packed) == _prediction_bytes(loo_user_cv_full(ts, lam=lam, sample=sample))
 
 
 class TestScoreTokenizedPosts:
