@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
     p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0, help="ridge coefficient")
-    p.add_argument("--top-terms", type=_positive_int, default=1000, help="tfidf vocabulary size")
+    p.add_argument("--top-terms", type=_positive_int, help="tfidf vocabulary size (default 1000)")
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_train)
 
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords")
     p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
     p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0)
-    p.add_argument("--top-terms", type=_positive_int, default=1000)
+    p.add_argument("--top-terms", type=_positive_int)
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -357,10 +357,7 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
         ts = _tfidf_training(args, clean, labels, inputs)[0]
     del clean, table  # LOOCV needs only ts: its peak need not hold the posts or table
     predictions = loo_user_cv(ts, lam=args.lam)
-    truth = {u: labels[u] for u in {p.user_id for p in predictions}}
-    rep = pearson(
-        [p.predicted for p in predictions], [truth[p.user_id] for p in predictions]
-    )
+    rep = pearson([p.predicted for p in predictions], [labels[p.user_id] for p in predictions])
     outputs = {"loocv_predictions": out / "loocv_predictions.csv", "report": out / "report.csv"}
     dataio.write_predictions_csv(outputs["loocv_predictions"], predictions)
     dataio.write_report_csv(outputs["report"], [("loocv_user_pearson_r", rep)])
@@ -501,6 +498,10 @@ def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     return params, inputs, {"curve": curve_path}
 
 
+# The flags of train and evaluate that each vectorizer never reads.
+_UNREAD_FLAGS = {"embedding": ("stopwords", "top_terms"), "tfidf": ("embeddings",)}
+
+
 # OpenBLAS splits some GEMMs and factorizations differently at 2 threads than
 # at 1 (measured from d≈200 on), which moves the last bits of LOOCV's
 # predictions and curve.csv. numpy's and scipy's OpenBLAS each read these variables once, when
@@ -520,6 +521,13 @@ def main(argv=None) -> int:
             _synth_config(args)
         except ValueError as exc:
             parser.error(f"invalid synth configuration: {exc}")
+    if args.func in (cmd_train, cmd_evaluate):
+        unread = [f"--{n.replace('_', '-')}" for n in _UNREAD_FLAGS[args.vectorizer]
+                  if getattr(args, n) is not None]
+        if unread:
+            parser.error(f"{' and '.join(unread)} not read by --vectorizer {args.vectorizer}")
+        if args.vectorizer == "tfidf" and args.top_terms is None:
+            args.top_terms = 1000
     try:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -11,28 +11,35 @@ compiled LAPACK module, bound at LOOCV's first call without importing scipy
 itself, so no command loads scipy's Python package.
 
 Leave-one-user-out CV solves, for each user, the normal equations of every
-other user's rows. Users go in groups of m consecutive users, m chosen from
-d, the user count and the rows per user (``_group_size``). A group's base
-system holds the ridge and every group's moments but its own, assembled from
-per-group moment partials combined in a fixed order (block prefix/suffix
-sums): nothing is ever subtracted, so no row cancels against itself. It is
-factored once; each of the group's users then adds the group's other rows
-back by Woodbury, in a system as small as the group's row count. The system
-solved for user u contains no floating-point trace of u's targets, so u's
-held-out prediction is bit-identical no matter what u's targets hold. Cost
-is O(posts*d^2 + (users/m)*d^3) plus, for m > 1, O(posts*d^2) for the
-triangular solves and an r^3 system per user, r being a group's rows,
-instead of a full retrain per user; a group whose own rows would make that
-dearer than one system per user (r >= d always does) is solved one user at
-a time. At m = 1 the arithmetic is that of one factorization and one solve
-per user. Memory is at most about 3*sqrt(users) + 3 moment matrices, each
-held as its packed lower triangle of (d+2)(d+3)/2 float64, plus one full
-(d+2)^2 GEMM result, one unpacked system and its factor, a group's V and K
-(under (d+1)^2 each) and one block's rows [X, 1, y]: the suffix sums over
-blocks of users, the prefix and suffix sums over the groups of the current
-block (their moments are recomputed there, never kept for all users; the
-prefix buffer also carries the earlier blocks and the ridge diagonal) and
-the base solved.
+other user's rows. Users go in outer blocks of B = ceil(sqrt(U)), each cut
+into groups of m users (``_group_size``). One routine, ``span`` in
+``loo_user_cv``, builds the prefix and suffix moment sums over a run of
+groups and solves each group from its base, the ridge plus every other
+group's moments: one add of the sums before and after it, so no row is
+ever subtracted. The base is factored once, and each of the group's users
+adds the group's other rows back by Woodbury in an r x r system, r being
+the group's rows; u's targets never enter u's system, so u's prediction is
+bit-identical whatever they hold. Cost is O(posts*d^2 + (U/m)*d^3), plus
+for m > 1 O(posts*d^2) of triangular solves and r^3 a user.
+
+A group of several users is routed by its row counts first, before
+anything is factored: it is declined when its step costs more flops than
+one system per user (``_group_flops``; any r >= d does) or when, at
+lambda = 0, it leaves at most d rows outside it, too few for a regular
+base. Then ``_group_predictions`` declines it numerically: dpotrf fails, or
+K has a diagonal entry above ``_MAX_LEVERAGE``. ``span`` redoes a declined
+group with groups of one user between the same sums, so each user's
+system is m = 1's adds in m = 1's order, and the first user whose own
+system is not positive definite is named.
+
+Each moment matrix of rows [X, 1, y] is held as a packed lower triangle of
+(d+2)(d+3)/2 float64. Held at once are the block suffix sums (ceil(U/B) +
+1), the current block's group prefix and suffix sums (ceil(B/m) + 1 each;
+the prefix carries the earlier blocks and the ridge diagonal) and the base:
+at most about 3*sqrt(U) + 3 triangles, plus m + 1 each side while a group
+is redone. Besides them: one (d+2)^2 GEMM result, one unpacked system and
+its factor, one block's rows and a group's V and K ((d+1) x r and r x r,
+r < d).
 """
 
 from __future__ import annotations
@@ -421,7 +428,7 @@ def _group_size(d: int, n_users: int, rows_per_user: float) -> int:
     d=100 with 10, where no m > 1 measured faster end to end. At 300 users
     and d=200, 10 posts a user give m = 6, and 1 or 2 posts a user (the
     first curve points) the whole block of 18. The rule reads the mean
-    rows a user; _group_predictions checks each group's own rows.
+    rows a user; loo_user_cv checks each group's own rows.
     """
     B = math.isqrt(n_users - 1) + 1
     return min(
@@ -436,12 +443,10 @@ def _group_predictions(Z, bounds, names, G, out) -> bool:
     Z holds the group's rows [X, 1, y], user j's being Z[bounds[j]:
     bounds[j + 1]]; G is the group's base, the ridge plus every other
     group's moments, packed. Returns False, appending nothing, when a group
-    of several users holds rows enough that one system per user costs fewer
-    flops (``_group_flops``; a user with far more rows than the mean can
-    make r exceed d, and the r x r step cost r^3 per user), when its base is
-    not positive definite or when K has a diagonal entry above
-    ``_MAX_LEVERAGE``. For one user it raises SingularSystemError naming the
-    user when the base is not positive definite.
+    of several users is declined numerically: its base is not positive
+    definite, or K has a diagonal entry above ``_MAX_LEVERAGE``. For one
+    user it raises SingularSystemError naming the user when the base is not
+    positive definite.
 
     With A the base's (d+1)^2 system, c its right-hand side and W = [X, 1]
     the group's rows, one Cholesky factor A = LL' serves every user: theta =
@@ -457,9 +462,6 @@ def _group_predictions(Z, bounds, names, G, out) -> bool:
     factorization and one solve of its own system.
     """
     d1 = Z.shape[1] - 1
-    rows = [b - a for a, b in zip(bounds, bounds[1:])]
-    if _group_flops(d1 - 1, rows) > len(rows) * _group_flops(d1 - 1, rows[:1]):
-        return False
     flapack = _lapack()
     n_sys = d1 * (d1 + 1) // 2
     factor, info = flapack.dpotrf(flapack.dtpttr(d1, G[:n_sys], uplo="U")[0].T, lower=1, clean=0)
@@ -473,9 +475,10 @@ def _group_predictions(Z, bounds, names, G, out) -> bool:
     if len(names) > 1:
         V, _ = flapack.dtrtrs(factor, Z[:, :d1].T, lower=1)
         K = V.T @ V
-        # Too few rows outside the group leave its base singular or nearly
-        # so, yet dpotrf can finish on a pivot of rounding size; K then
-        # holds entries up to 1/eps, and the step would amplify rounding.
+        # A base that is nearly singular (d + 1 rows outside the group at
+        # lambda = 0, or fewer under a tiny ridge) can still pass dpotrf on a
+        # pivot of rounding size; K then holds entries up to 1/eps, and the
+        # step would amplify rounding.
         if K.diagonal().max() > _MAX_LEVERAGE:
             return False
         residual = Z[:, d1] - e
@@ -497,14 +500,8 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
 
     Each user's prediction is that of the ridge fit to every other user's
     rows, applied to the user's own rows and averaged; it matches naive
-    per-user retraining to solver precision. Users go in groups of m
-    consecutive users (``_group_size``). A group's base system holds the
-    ridge and every other group's rows and is factored once; the group's
-    other users' rows are then added to it for each of its users in an
-    r x r system, r being the group's row count (see ``_group_predictions``).
-    No row is ever subtracted, and a user's targets are never read for that
-    user, so u's held-out prediction is bit-identical whatever u's targets
-    hold.
+    per-user retraining to solver precision. The groups, their route and
+    what is held are in the module docstring.
 
     ``sample`` restricts the cross-validation to some of ts's rows without
     copying them: a triple (users, rows, offsets) in the layout of
@@ -519,28 +516,20 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     d = ts.d
     d1, d2 = d + 1, d + 2
     U = len(users)
-    # Each sum here is the moment matrix of rows [X, 1, y], held as its
-    # packed lower triangle: row i's entries 0..i follow row i - 1's, so the
-    # augmented system's (d+1) x (d+1) matrix is the first (d+1)(d+2)/2
+    n_rows = offsets[-1] - offsets[0]
+    # A packed triangle's row i holds entries 0..i after row i - 1's, so the
+    # augmented system's (d+1) x (d+1) matrix is its first (d+1)(d+2)/2
     # entries and its right-hand side the next d+1 (row d+1 up to its
     # diagonal). The packed rows of a C-order symmetric F are LAPACK's "U"
     # column packing of F.T, so dtrttp packs a GEMM result and dtpttr
     # unpacks a system for dpotrf, which reads only its lower triangle.
-    # Users go in outer blocks of B = ceil(sqrt(U)), and each block in
-    # groups of m <= B users. Held at once: the block suffix sums
-    # (ceil(U/B) + 1), the in-block group prefix and suffix sums
-    # (ceil(B/m) + 1 each) and the base being solved, so at most about
-    # 3*sqrt(U) + 3 triangles of (d+2)(d+3)/2 float64, plus one full
-    # (d+2)^2 GEMM result, one unpacked system and its factor, one block's
-    # rows and a group's V and K ((d+1) x r and r x r), whatever U. r stays
-    # under d: a group whose step costs more than one system per user,
-    # which any r >= d does, is redone at m = 1, and that adds 2(m + 1)
-    # triangles while it is. No group's moment matrix outlives its block.
     dtrttp = _lapack().dtrttp
     n_packed = d1 * d2 // 2 + d2
     B = math.isqrt(U - 1) + 1
-    m = _group_size(d, U, (offsets[-1] - offsets[0]) / U)
+    m = _group_size(d, U, n_rows / U)
     full = np.empty((d2, d2), dtype=np.float64)
+    G = np.empty(n_packed, dtype=np.float64)
+    predictions = []
 
     def block_rows(b):
         """Block b's rows [X, 1, y]; its user j has rows bounds[j]:bounds[j + 1]."""
@@ -557,65 +546,58 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
         np.matmul(Z.T, Z, out=full)
         out[:] = dtrttp(full.T, uplo="U")[0]
 
-    def sums(Z, cuts, before, after):
-        """Prefix and suffix sums over the parts Z[cuts[i]:cuts[i + 1]],
-        given before[0] and after[k] (what comes before and after Z):
-        before[i + 1] = before[i] + part i's moments, after[i] = part i's
-        moments + after[i + 1]. Part i's base is before[i] + after[i + 1],
-        one add, so its own rows never enter it."""
-        k = len(cuts) - 1
-        for i in range(k):
-            moments(Z[cuts[i] : cuts[i + 1]], after[i])
+    def span(Z, cuts, names, size, before, after):
+        """Predictions of the users ``names``, user j's rows being
+        Z[cuts[j]:cuts[j + 1]], in groups of ``size`` users. before[0] and
+        after[k], k being the number of groups, hold the sums before and
+        after Z; group i's base is before[i] + after[i + 1]."""
+        starts = range(0, len(names), size)
+        ends = [*starts[1:], len(names)]
+        for i, (s, e) in enumerate(zip(starts, ends)):
+            moments(Z[cuts[s] : cuts[e]], after[i])
             np.add(before[i], after[i], out=before[i + 1])
-        for i in range(k - 1, -1, -1):
+        for i in range(len(starts) - 1, -1, -1):
             after[i] += after[i + 1]
+        for i, (s, e) in enumerate(zip(starts, ends)):
+            group, Zg = names[s:e], Z[cuts[s] : cuts[e]]
+            bounds = [c - cuts[s] for c in cuts[s : e + 1]]
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            # Row counts decline a group before anything is factored: a step
+            # dearer than one system per user, or at lambda = 0 a base of at
+            # most d rows for d + 1 unknowns.
+            by_count = len(group) > 1 and (
+                lam == 0 and n_rows - len(Zg) <= d
+                or _group_flops(d, sizes) > len(group) * _group_flops(d, sizes[:1])
+            )
+            if not by_count:
+                np.add(before[i], after[i + 1], out=G)
+                if _group_predictions(Zg, bounds, group, G, predictions):
+                    continue
+            one_before = np.empty((len(group) + 1, n_packed), dtype=np.float64)
+            one_after = np.empty_like(one_before)
+            one_before[0], one_after[-1] = before[i], after[i + 1]
+            span(Zg, bounds, group, 1, one_before, one_after)
 
-    # Pass 1: suffix[b] sums blocks b.. ; one GEMM per block.
+    # suffix[b] sums blocks b.., one GEMM per block; before[0] carries the
+    # ridge diagonal and then the blocks done so far.
     n_blocks = -(-U // B)
     suffix = np.zeros((n_blocks + 1, n_packed), dtype=np.float64)
     for b in range(n_blocks - 1, -1, -1):
         Z, _ = block_rows(b)
         moments(Z, suffix[b])
         suffix[b] += suffix[b + 1]
-
-    # Pass 2: per block, group prefix sums before[g] (the ridge diagonal,
-    # earlier blocks and the block's groups < g) and suffix sums after[g]
-    # (the block's groups >= g and later blocks). before[0] carries the
-    # running prefix from block to block. A group whose rows make its
-    # Woodbury step dearer than one system per user, or whose base is not
-    # positive definite or too near singular for that step, is redone at
-    # m = 1: the same sums over its users, between before[g] and
-    # after[g + 1], give each user's base, and the first user whose own base
-    # fails is named.
     before = np.zeros((-(-B // m) + 1, n_packed), dtype=np.float64)
     after = np.empty_like(before)
-    G = np.empty(n_packed, dtype=np.float64)
     ridge = np.arange(d)
     before[0, ridge * (ridge + 3) // 2] = lam  # row i's diagonal: i(i+1)/2 + i
-    predictions = []
     for b in range(n_blocks):
         Z, bounds = block_rows(b)
         names = users[b * B : (b + 1) * B]
-        starts = list(range(0, len(names), m))
-        k = len(starts)
+        k = -(-len(names) // m)
         after[k] = suffix[b + 1]
-        sums(Z, [bounds[s] for s in starts] + [bounds[-1]], before, after)
-        for g, s in enumerate(starts):
-            group = names[s : s + m]
-            cuts = [c - bounds[s] for c in bounds[s : s + m + 1]]
-            Zg = Z[bounds[s] : bounds[s] + cuts[-1]]
-            np.add(before[g], after[g + 1], out=G)
-            if _group_predictions(Zg, cuts, group, G, predictions):
-                continue
-            one_before = np.empty((len(group) + 1, n_packed), dtype=np.float64)
-            one_after = np.empty_like(one_before)
-            one_before[0], one_after[-1] = before[g], after[g + 1]
-            sums(Zg, cuts, one_before, one_after)
-            for j, u in enumerate(group):
-                np.add(one_before[j], one_after[j + 1], out=G)
-                _group_predictions(Zg[cuts[j] : cuts[j + 1]], [0, cuts[j + 1] - cuts[j]], [u], G,
-                                   predictions)
+        span(Z, bounds, names, m, before, after)
         before[0] = before[k]
+    del span  # it refers to itself; left, that cycle holds full and G until gc runs
     return predictions
 
 

@@ -49,6 +49,12 @@ __all__ = ["SynthConfig", "SynthTruth", "SynthData", "generate"]
 
 SCORE_MEAN = 500.0
 SCORE_SD = 100.0
+# Shape of the construction, fixed for every config; truth.json's config
+# block lists them beside the SynthConfig fields.
+ZIPF_EXPONENT = 1.1
+TOPIC_SPREAD = 1.0
+WORD_SPREAD = 0.15
+INSTITUTION_COHESION = 6.0
 _PROBE_USERS = 2048
 _SIDECAR_TOKENS = 50_000_000
 
@@ -69,10 +75,6 @@ class SynthConfig:
     users_per_institution: int = 10
     seed: int = 0
     heldout_per_topic: int = 0
-    zipf_exponent: float = 1.1
-    topic_spread: float = 1.0
-    word_spread: float = 0.15
-    institution_cohesion: float = 6.0
 
     def validate(self) -> None:
         for name in (
@@ -150,7 +152,7 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
 
 
 def _mixture(rng: np.random.Generator, profile: np.ndarray, cfg: SynthConfig) -> np.ndarray:
-    conc = cfg.institution_cohesion * cfg.n_topics * profile + 0.02
+    conc = INSTITUTION_COHESION * cfg.n_topics * profile + 0.02
     return rng.dirichlet(conc)
 
 
@@ -206,7 +208,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
     blocks = _topic_blocks(cfg)
 
     g_global = _rng(cfg, _TAG_GLOBAL)
-    centers = g_global.standard_normal((cfg.n_topics, cfg.dim)) * cfg.topic_spread
+    centers = g_global.standard_normal((cfg.n_topics, cfg.dim)) * TOPIC_SPREAD
     direction = g_global.standard_normal(cfg.dim)
     direction /= np.linalg.norm(direction)
 
@@ -214,7 +216,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
     vectors = np.empty((cfg.vocab_size, cfg.dim), dtype=np.float64)
     word_topic = np.empty(cfg.vocab_size, dtype=np.int64)
     for t, block in enumerate(blocks):
-        vectors[block] = centers[t] + cfg.word_spread * g_words.standard_normal(
+        vectors[block] = centers[t] + WORD_SPREAD * g_words.standard_normal(
             (block.size, cfg.dim)
         )
         word_topic[block] = t
@@ -231,7 +233,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
         n_heldout = cfg.heldout_per_topic
         pool = block[: block.size - n_heldout] if n_heldout else block
         heldout.extend(_word_name(i) for i in block[block.size - n_heldout :])
-        probs = _zipf_weights(pool.size, cfg.zipf_exponent)
+        probs = _zipf_weights(pool.size, ZIPF_EXPONENT)
         pools.append(pool)
         pool_probs.append(probs)
         expected_topic_vec[t] = probs @ np.asarray(table.vectors[pool], dtype=np.float64)
@@ -246,7 +248,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
     probe_mean = float(probe.mean())
     probe_sd = float(probe.std())
     if probe_sd <= 0:
-        raise ValueError("degenerate synthetic signal; increase n_topics or topic_spread")
+        raise ValueError("degenerate synthetic signal; increase n_topics")
 
     scale = SCORE_SD / probe_sd
     # Effective affine map from embedding space to score space:
@@ -296,7 +298,7 @@ def generate(config: SynthConfig, out_dir=None) -> SynthData:
     # half to even, as round() does.
     freq: dict[str, int] = {}
     for block in blocks:
-        expected = _zipf_weights(block.size, cfg.zipf_exponent) * (_SIDECAR_TOKENS / cfg.n_topics)
+        expected = _zipf_weights(block.size, ZIPF_EXPONENT) * (_SIDECAR_TOKENS / cfg.n_topics)
         counts = np.maximum(1, np.rint(expected)).astype(np.int64)
         freq.update(zip(names[block].tolist(), counts.tolist()))
 
@@ -349,7 +351,8 @@ def _write_dataset(data: SynthData, out_dir: Path) -> dict:
         "institution_latent": data.truth.institution_latent,
         "word_topics": data.truth.word_topics,
         "heldout_words": data.truth.heldout_words,
-        "config": asdict(data.config),
+        "config": {**asdict(data.config), "zipf_exponent": ZIPF_EXPONENT, "topic_spread": TOPIC_SPREAD,
+                   "word_spread": WORD_SPREAD, "institution_cohesion": INSTITUTION_COHESION},
     }
     dataio.write_json(paths["truth"], truth_payload)
     return {k: str(v) for k, v in paths.items()}

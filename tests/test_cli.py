@@ -136,14 +136,14 @@ class TestTrainPredictEvaluate:
         """On the synthetic construction the embedding route must beat the
         count baseline, end to end through the CLI."""
         rs = {}
-        for vec in ("embedding", "tfidf"):
+        own_flags = {"embedding": ["--embeddings", dataset / "embeddings.vec"],
+                     "tfidf": ["--top-terms", 200]}
+        for vec, flags in own_flags.items():
             out = tmp_path / f"eval_{vec}"
             code = run_cli(
                 "evaluate", "--posts", dataset / "posts.jsonl",
-                "--labels", dataset / "labels.csv",
-                "--embeddings", dataset / "embeddings.vec",
-                "--vectorizer", vec, "--top-terms", 200, "--lambda", 0.001,
-                "--output-dir", out,
+                "--labels", dataset / "labels.csv", *flags,
+                "--vectorizer", vec, "--lambda", 0.001, "--output-dir", out,
             )
             assert code == 0
             with open(out / "report.csv", encoding="utf-8", newline="") as f:
@@ -222,20 +222,21 @@ class TestTrainPredictEvaluate:
         assert not (out / dataio.MANIFEST_NAME).exists()
 
     def test_top_terms_recorded_for_tfidf_only(self, dataset, trained, tfidf_trained, tmp_path):
+        """--top-terms defaults to 1000 for tf-idf."""
         def params(out):
             return json.loads((out / dataio.MANIFEST_NAME).read_text(encoding="utf-8"))["params"]
 
         assert params(tfidf_trained)["top_terms"] == 80
         assert "top_terms" not in params(trained)
-        for k in (100, 200):
+        for k in (None, 100, 200):
             code = run_cli(
                 "evaluate", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
-                "--vectorizer", "tfidf", "--top-terms", k, "--lambda", 0.001,
+                "--vectorizer", "tfidf", *(["--top-terms", k] if k else []), "--lambda", 0.001,
                 "--output-dir", tmp_path / f"eval{k}",
             )
             assert code == 0
             assert params(tmp_path / f"eval{k}") == {
-                "vectorizer": "tfidf", "lambda": 0.001, "threads": 1, "top_terms": k,
+                "vectorizer": "tfidf", "lambda": 0.001, "threads": 1, "top_terms": k or 1000,
             }
 
 
@@ -636,12 +637,22 @@ class TestExitCodes:
             (["curve", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
               "--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
             (["synth", "--seed", "-1"], "--seed: must be a non-negative integer, got -1"),
+            (["train", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--stopwords", "sw.txt"], "--stopwords not read by --vectorizer embedding"),
+            (["evaluate", "--posts", "p.jsonl", "--labels", "l.csv", "--embeddings", "e.vec",
+              "--top-terms", "50", "--stopwords", "sw.txt"],
+             "--stopwords and --top-terms not read by --vectorizer embedding"),
+            (["evaluate", "--posts", "p.jsonl", "--labels", "l.csv", "--vectorizer", "tfidf",
+              "--embeddings", "nonexistent.vec"], "--embeddings not read by --vectorizer tfidf"),
+            (["train", "--posts", "p.jsonl", "--labels", "l.csv", "--vectorizer", "tfidf",
+              "--embeddings", "e.vec"], "--embeddings not read by --vectorizer tfidf"),
         ],
         ids=["top", "bottom", "n-max", "train-threads", "evaluate-threads", "top-terms",
              "predict-threads", "synth-users", "synth-institutions", "synth-noise-nan",
              "synth-noise-inf", "bootstrap", "level",
              "level-nan", "evaluate-lambda", "train-lambda", "curve-lambda", "min-users",
-             "min-count", "curve-seed-negative", "synth-seed-negative"],
+             "min-count", "curve-seed-negative", "synth-seed-negative", "train-embedding-stopwords",
+             "evaluate-embedding-tfidf-flags", "evaluate-tfidf-embeddings", "train-tfidf-embeddings"],
     )
     def test_out_of_range_size_is_usage_error(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,6 +1,8 @@
 import ast
+import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,28 @@ def test_every_public_name_is_used_by_the_program():
         exported.update(getattr(importlib.import_module(module_name), "__all__", ()))
     unused = sorted(name for name in exported - {"__version__"} if name not in used)
     assert unused == []
+
+
+def test_every_bench_reference_resolves():
+    """Each ``ps.<module>.<name>...`` chain and each ``wrap(ps.<module>,
+    "<name>", ...)`` in bench/*.py names something in the package, so a
+    rename that would break the bench's traced replay fails here. The bench
+    files are only read."""
+    root = Path(__file__).resolve().parents[1]
+    chains, wrapped = set(), set()
+    for path in (root / "bench").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        chains.update(tuple(c.split(".")) for c in re.findall(r"\bps\.(\w+(?:\.\w+)+)", text))
+        wrapped.update(re.findall(r"\bwrap\(\s*ps\.(\w+),\s*\"(\w+)\"", text))
+    assert chains and wrapped
+
+    def resolves(module, *names):
+        try:
+            obj = importlib.import_module(f"postscore.{module}")
+            functools.reduce(getattr, names, obj)
+        except (ImportError, AttributeError):
+            return False
+        return True
+
+    missing = sorted(".".join(ref) for ref in chains | wrapped if not resolves(*ref))
+    assert missing == []

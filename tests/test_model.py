@@ -533,6 +533,53 @@ class TestLooUserCVGroups:
         for u, naive in _naive_loo(ts, 0.0).items():
             assert abs(naive - fast[u]) < 1e-8
 
+    @pytest.mark.parametrize("n_users", [86, 90])
+    def test_group_leaving_at_most_d_rows_is_never_factored(self, n_users):
+        """At lambda=0 a base of at most d rows is singular by count, so a
+        group of several users that leaves at most d rows outside it goes
+        straight to one user per group: 86 and 90 single-post users at d=80
+        leave 76-80 rows outside each group, and no group of several users
+        reaches _group_predictions."""
+        ts = _random_grouped(40, n_users=n_users, posts_per_user=1, d=80)
+        assert model_module._group_size(80, n_users, 1) == 10
+        with mock.patch.object(
+            model_module, "_group_predictions", wraps=model_module._group_predictions
+        ) as spy:
+            loo_user_cv(ts)
+        assert [len(call.args[2]) for call in spy.call_args_list] == [1] * n_users
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_group_declined_after_its_base_is_factored(self, seed):
+        """91 single-post users at d=80 leave 81 rows outside a group of 10,
+        as many as the unknowns, so every group passes the count. Their
+        bases are factored, and the leverage bound declines 1-5 of the 9 on
+        these seeds; those are redone one user at a time."""
+        ts = _random_grouped(40 + seed, n_users=91, posts_per_user=1, d=80)
+        assert model_module._group_size(80, 91, 1) == 10
+        outcomes = []
+
+        def spy(Z, bounds, names, G, out, real=model_module._group_predictions):
+            outcomes.append((len(names), real(Z, bounds, names, G, out)))
+            return outcomes[-1][1]
+
+        with mock.patch.object(model_module, "_group_predictions", spy):
+            fast = {p.user_id: p.predicted for p in loo_user_cv(ts)}
+        assert sum(n > 1 for n, _ in outcomes) == 9
+        assert any(n > 1 and not solved for n, solved in outcomes)
+        for u, naive in _naive_loo(ts, 0.0).items():
+            assert abs(naive - fast[u]) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_singular_base_under_a_tiny_ridge_redone(self, seed):
+        """At lambda=1e-9 the count declines nothing, yet 90 single-post
+        users at d=80 leave each group's base one row short of regular but
+        for the ridge. dpotrf factors it, and only K's size shows it: taken
+        as it is, the Woodbury step is off by about 1e-6."""
+        ts = _random_grouped(40 + seed, n_users=90, posts_per_user=1, d=80)
+        fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=1e-9)}
+        for u, naive in _naive_loo(ts, 1e-9).items():
+            assert abs(naive - fast[u]) < 1e-8
+
     def test_group_of_every_user_redone_with_ridge(self):
         """Two users at d=100 make one group holding every row, whose base
         is the ridge alone; each user's own system is then solved."""

@@ -143,7 +143,7 @@ def _reference_posts(cfg):
     """Post texts from the per-post Generator.choice loop: one choice over the
     user's topic mixture, then one over each distinct topic's word pool."""
     pools = [b[: b.size - cfg.heldout_per_topic] for b in synth._topic_blocks(cfg)]
-    pool_probs = [synth._zipf_weights(pool.size, cfg.zipf_exponent) for pool in pools]
+    pool_probs = [synth._zipf_weights(pool.size, synth.ZIPF_EXPONENT) for pool in pools]
     n_assigned = cfg.institution_count * cfg.users_per_institution
     texts = []
     for i in range(cfg.n_users):
