@@ -189,12 +189,17 @@ def _print_seed(seed: int) -> None:
     print(f"seed: {seed}")
 
 
-def _load_table(args) -> EmbeddingTable:
-    from .embeddings import EmbeddingTable
+def _load_table(args, inputs: dict) -> EmbeddingTable:
+    """The --embeddings table, recorded in ``inputs`` with its sha256: the
+    file is hashed once, for both the table cache's key and the manifest."""
+    from .embeddings import load_vec_cached
 
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
-    table = EmbeddingTable.load_vec(_check_input(args.embeddings))
+    path = _check_input(args.embeddings)
+    digest = dataio.sha256_file(path)
+    table = load_vec_cached(path, digest)
+    inputs["embeddings"] = (path, digest)
     # Post tokens are lowercased and matched exactly, so none reaches a cased row.
     unreachable = sum(w != w.lower() for w in table.words)
     if unreachable:
@@ -281,8 +286,7 @@ def _load_training(args, embedding: bool):
     inputs = {"posts": posts_path, "labels": labels_path}
     table = None
     if embedding:
-        table = _load_table(args)
-        inputs["embeddings"] = Path(args.embeddings)
+        table = _load_table(args, inputs)
     fstats = pipeline.FilterStats()
     clean = pipeline.load_clean_posts(posts_path, fstats)
     labels = dataio.read_labels_csv(labels_path)
@@ -380,8 +384,7 @@ def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
         clean = pipeline.load_clean_posts(posts_path)
         result = pipeline.predict_users_tfidf(model, vocab, clean, stopwords)
     else:
-        table = _load_table(args)
-        inputs["embeddings"] = Path(args.embeddings)
+        table = _load_table(args, inputs)
         expected = model.training_meta.embedding_fingerprint
         if expected and expected != table.fingerprint():
             print("warning: embedding table differs from the one used in training", file=sys.stderr)
@@ -448,8 +451,8 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     model, payload = dataio.load_model_json(model_path)
     if payload.get("vectorizer") == "tfidf":
         raise DataFormatError("rank-words needs an embedding model, not a tf-idf one", path=model_path)
-    table = _load_table(args)
-    inputs = {"model": model_path, "embeddings": Path(args.embeddings)}
+    inputs = {"model": model_path}
+    table = _load_table(args, inputs)
     counts = None
     if args.posts:
         posts_path = _check_input(args.posts)

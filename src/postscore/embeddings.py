@@ -11,6 +11,10 @@ parser is the only one: a value only Python's float() takes (such as "1_0")
 is a data error. Writing formats values with numpy a chunk at a time
 (``vectext``), to the same bytes as ``str()`` per value.
 
+``load_vec_cached`` keeps parsed tables in a cache keyed by the file's
+sha256, so a table used again is memory-mapped from a ``.npy`` file instead
+of parsed: parsing is most of a command's time on a large table.
+
 A post vector is the mean of its matched rows: ``segment_mean`` takes it for
 many posts at once, and ``model.score_tokenized_posts`` averages word scores
 with it too. Word scores (``EmbeddingTable.dot``), the fingerprint and the
@@ -21,14 +25,17 @@ nothing holds a float64 copy or a mask of the whole table.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import tempfile
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError, utf8_errors
 
-__all__ = ["EmbeddingTable", "post_vectors_matrix"]
+__all__ = ["EmbeddingTable", "load_vec_cached", "post_vectors_matrix"]
 
 # Bytes of matched token rows gathered at once by post_vectors_matrix (as
 # float32 and float64: 12*dim bytes a row); chunks end on post boundaries.
@@ -36,6 +43,14 @@ __all__ = ["EmbeddingTable", "post_vectors_matrix"]
 # small enough to stay in cache: on 3,000 posts at d=200, 1 MB chunks gather
 # in ~20 ms, 39 MB chunks in ~42 ms.
 _CHUNK_BYTES = 1 << 20
+
+# Tables the cache keeps (see load_vec_cached); the least recently used goes
+# first. A 2M x 300 table is 2.4 GB as float32, so the bound is also one on
+# disk.
+CACHE_ENTRIES = 4
+# Written into every entry's words file; an entry of another format is a
+# miss. A change to what load_vec accepts or returns changes this number.
+_CACHE_FORMAT = 1
 
 
 class DuplicateWordError(ValueError):
@@ -223,6 +238,134 @@ def _read_vec(path):
             f"header declares {count} words but file has {len(words)}", path=path, line=1
         )
     return words, vectors
+
+
+def load_vec_cached(path, sha256: str) -> EmbeddingTable:
+    """``EmbeddingTable.load_vec(path)``, through a cache of parsed tables.
+
+    ``sha256`` is the digest of the file's bytes and the entry's key. An
+    entry is two files in ``$XDG_CACHE_HOME/postscore`` (``~/.cache/postscore``
+    when that variable is unset or relative): ``<sha256>.npy``, the float32
+    vectors in C order, memory-mapped read-only, and ``<sha256>.json``, the
+    words and the table's ``fingerprint()``. An entry is used only when it
+    passes the checks a parse makes and one more: its shape matches its
+    words, every row's float64 sum is finite, no word is repeated, and the
+    fingerprint recomputed from it equals the stored one. Anything else (no
+    entry, a damaged one, a cache that cannot be found or written) is
+    parsed by ``load_vec``, which raises as it always does. The entry is
+    then written again, unless the file changed while it was parsed: the
+    vectors first and the words last, each to a temporary file that is then
+    renamed, so no reader sees half of one. Then the least recently used
+    entries beyond ``CACHE_ENTRIES`` are removed. A cache that cannot be
+    written costs the next command a parse and nothing else: no error or
+    message reaches the caller.
+    """
+    root = _cache_root()
+    if root is not None:
+        table = _read_entry(root, sha256)
+        if table is not None:
+            return table
+    before = _stamp(path)
+    table = EmbeddingTable.load_vec(path)
+    # A file written to during the parse may no longer hold the bytes that
+    # ``sha256`` names; its table is not stored under that key.
+    if root is not None and _stamp(path) == before:
+        try:
+            _write_entry(root, sha256, table)
+        except OSError:
+            pass
+    return table
+
+
+def _stamp(path):
+    """Inode, size and modification time: they change when a file is
+    rewritten."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_root():
+    """The cache directory, or None when no home directory can be found."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        try:
+            base = Path.home() / ".cache"
+        except RuntimeError:
+            return None
+    return Path(base) / "postscore"
+
+
+def _read_entry(root, key):
+    """The table stored under ``key``, or None unless the entry is whole."""
+    words_path = root / f"{key}.json"
+    try:
+        with open(words_path, "rb") as f:
+            entry = json.load(f)
+        vectors = np.load(root / f"{key}.npy", mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    words = entry.get("words") if isinstance(entry, dict) else None
+    if not (
+        isinstance(words, list)
+        and all(isinstance(w, str) for w in words)
+        and entry.get("format") == _CACHE_FORMAT
+    ):
+        return None
+    try:
+        table = EmbeddingTable(words, vectors)
+    except ValueError:  # a shape that does not match the words, or a repeated word
+        return None
+    if not (
+        np.isfinite(table.vectors.sum(axis=1, dtype=np.float64)).all()
+        and table.fingerprint() == entry.get("fingerprint")
+    ):
+        return None
+    try:
+        os.utime(words_path)  # recency, for eviction
+    except OSError:
+        pass
+    return table
+
+
+def _write_entry(root, key, table) -> None:
+    root.mkdir(parents=True, exist_ok=True)
+    _replace(root / f"{key}.npy", lambda f: np.save(f, table.vectors, allow_pickle=False))
+    entry = {"format": _CACHE_FORMAT, "fingerprint": table.fingerprint(), "words": table.words}
+    _replace(root / f"{key}.json", lambda f: f.write(json.dumps(entry, ensure_ascii=False).encode()))
+    _evict(root)
+
+
+def _evict(root) -> None:
+    """Remove the least recently used entries beyond CACHE_ENTRIES. An entry
+    is every file whose name starts with its key (temporary files too); its
+    words file is touched on each hit, so that file's time is its last use."""
+    entries = {}
+    for p in root.iterdir():
+        name = p.name.partition(".")[0]
+        if len(name) == 64:  # a sha256 in hex
+            entries.setdefault(name, []).append(p)
+    if len(entries) > CACHE_ENTRIES:
+        def last_use(name):
+            try:
+                return os.stat(root / f"{name}.json").st_mtime_ns
+            except OSError:
+                return 0
+        for name in sorted(entries, key=last_use)[: len(entries) - CACHE_ENTRIES]:
+            for p in entries[name]:
+                p.unlink(missing_ok=True)
+
+
+def _replace(path, write) -> None:
+    """Write ``path`` through ``write(file)`` on a temporary file beside it,
+    then rename that over ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name.partition(".")[0] + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _values_text(path, lines, words, dim):

@@ -24,10 +24,11 @@ for m > 1 O(posts*d^2) of triangular solves and r^3 a user.
 
 A group of several users is routed by its row counts first, before
 anything is factored: it is declined when its step costs more flops than
-one system per user (``_group_flops``; any r >= d does) or when, at
-lambda = 0, it leaves at most d rows outside it, too few for a regular
-base. Then ``_group_predictions`` declines it numerically: dpotrf fails, or
-K has a diagonal entry above ``_MAX_LEVERAGE``. ``span`` redoes a declined
+one system per user (``_group_flops``; any r >= d does) or when it
+leaves too few rows outside it for a regular base: at most d at lambda = 0,
+and none at any lambda, since the bias carries no ridge. Then
+``_group_predictions`` declines it numerically: dpotrf fails, or K has a
+diagonal entry above ``_MAX_LEVERAGE``. ``span`` redoes a declined
 group with groups of one user between the same sums, so each user's
 system is m = 1's adds in m = 1's order, and the first user whose own
 system is not positive definite is named.
@@ -563,10 +564,11 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
             bounds = [c - cuts[s] for c in cuts[s : e + 1]]
             sizes = [b - a for a, b in zip(bounds, bounds[1:])]
             # Row counts decline a group before anything is factored: a step
-            # dearer than one system per user, or at lambda = 0 a base of at
-            # most d rows for d + 1 unknowns.
+            # dearer than one system per user, or a base of at most d rows
+            # for d + 1 unknowns at lambda = 0, or of no row at any lambda
+            # (the ridge leaves the bias's pivot at the row count).
             by_count = len(group) > 1 and (
-                lam == 0 and n_rows - len(Zg) <= d
+                n_rows - len(Zg) <= (d if lam == 0 else 0)
                 or _group_flops(d, sizes) > len(group) * _group_flops(d, sizes[:1])
             )
             if not by_count:

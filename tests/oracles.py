@@ -113,7 +113,11 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
     base is ``before[g] + after[g + 1]``, redone one user at a time when
     its rows make ``_group_flops`` exceed one system per user, when it is
     not positive definite or when K has an entry above ``_MAX_LEVERAGE`` on
-    its diagonal. Each base is factored with
+    its diagonal. Unlike loo_user_cv, it has no check of the rows a group
+    leaves outside it: a group that check declines unfactored is factored
+    here, and declined by cho_factor or the leverage bound. Either way each
+    of its users is solved alone between the same sums, so the bits agree.
+    Each base is factored with
     ``cho_factor(lower=True)``; ``cho_solve`` gives theta and
     ``solve_triangular`` gives V = L^-1 [X_g, 1]'. User u's predictions are
     e_u + K_uo (I + K_oo)^-1 (y_o - e_o), with e = [X_g, 1] theta, K = V'V

@@ -5,14 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import postscore
-from postscore import dataio
+from postscore import dataio, embeddings
 from postscore.cli import main
+from postscore.embeddings import EmbeddingTable, load_vec_cached
 
 
 def run_cli(*argv):
@@ -980,3 +983,215 @@ class TestImportFootprint:
         assert loaded["featurize"][2] is False
         # train loads numpy, so the probe sees numpy when it is loaded
         assert loaded["train"][2] is True
+
+
+def _table_commands(d, model):
+    """argv of every command that reads a table, on dataset d."""
+    fit = ["--posts", d / "posts.jsonl", "--labels", d / "labels.csv", "--embeddings", d / "embeddings.vec"]
+    return {
+        "train": ["train", *fit],
+        "evaluate": ["evaluate", *fit],
+        "predict": ["predict", "--posts", d / "posts.jsonl", "--model", model,
+                    "--embeddings", d / "embeddings.vec"],
+        "rank-words": ["rank-words", "--model", model, "--embeddings", d / "embeddings.vec",
+                       "--posts", d / "posts.jsonl", "--project-2d", "--top", 20],
+        "curve": ["curve", *fit, "--n-max", 2, "--bootstrap", 100],
+    }
+
+
+def _run_captured(capsys, argv, out):
+    """(exit code, stdout, stderr, {name: bytes} of out) of one in-process
+    run into a fresh ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    code = run_cli(*argv, "--output-dir", out)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A spy on EmbeddingTable.load_vec, the parser."""
+    spy = mock.MagicMock(wraps=EmbeddingTable.load_vec)
+    monkeypatch.setattr(EmbeddingTable, "load_vec", spy)
+    return spy
+
+
+class TestTableCache:
+    def test_cold_and_warm_runs_byte_identical(self, dataset, trained, tmp_path, capsys,
+                                               cold_table_cache, parses):
+        """Each command parses the table on an empty cache and reads the
+        entry on the next run: exit code, stdout, stderr, outputs and
+        manifest are the same bytes."""
+        for name, argv in _table_commands(dataset, trained / "model.json").items():
+            shutil.rmtree(cold_table_cache, ignore_errors=True)
+            out = tmp_path / name  # the same path both times, so manifests compare
+            cold = _run_captured(capsys, argv, out)
+            assert parses.call_count == 1, name
+            warm = _run_captured(capsys, argv, out)
+            assert parses.call_count == 1, name
+            assert cold[0] == 0 and warm == cold, name
+            parses.reset_mock()
+
+    def test_hit_equals_parse(self, tmp_path, cold_table_cache, parses):
+        """A hit gives the parse's words, float32 bits and fingerprint, from
+        a read-only memory map."""
+        rng = np.random.default_rng(3)
+        words = ["a", "\u00fc", "\u65e5\u672c", "x" * 40, "b-c", "Cased"]
+        vectors = rng.standard_normal((6, 7)).astype(np.float32)
+        vectors[0, :3] = [np.float32(1e-42), np.float32(-3.4e38), np.float32(2.0**-20)]
+        path = tmp_path / "table.vec"
+        EmbeddingTable(words, vectors).save_vec(path)
+        digest = dataio.sha256_file(path)
+        parsed = EmbeddingTable.load_vec(path)
+        cold = load_vec_cached(path, digest)
+        hit = load_vec_cached(path, digest)
+        assert parses.call_count == 2  # the direct parse and the cold load
+        assert sorted(p.name for p in cold_table_cache.iterdir()) == [f"{digest}.json", f"{digest}.npy"]
+        for table in (cold, hit):
+            assert table.words == parsed.words == words
+            assert table.vectors.dtype == np.float32
+            assert np.array_equal(table.vectors.view(np.uint32), parsed.vectors.view(np.uint32))
+            assert table.fingerprint() == parsed.fingerprint()
+        assert isinstance(hit.vectors.base, np.memmap)
+        assert not hit.vectors.flags.writeable
+
+    def test_changed_value_in_cached_table_is_data_error(self, dataset, tmp_path, capsys):
+        """A value of a cached table changed to nan changes the file's
+        digest, so the parse names the line."""
+        table = tmp_path / "table.vec"
+        shutil.copy(dataset / "embeddings.vec", table)
+        argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                "--embeddings", table]
+        assert run_cli(*argv, "--output-dir", tmp_path / "warm") == 0
+        lines = table.read_text(encoding="utf-8").splitlines(True)
+        fields = lines[5].split(" ")
+        fields[3] = "nan"
+        lines[5] = " ".join(fields)
+        table.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(*argv, "--output-dir", tmp_path / "bad") == 2
+        assert capsys.readouterr().err == f"postscore: data error: {table}:6: non-finite vector value\n"
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated-vectors", "garbled-words", "wrong-fingerprint", "reordered-words",
+                   "nan-in-vectors", "repeated-word", "missing-row", "other-format"]
+    )
+    def test_damaged_entry_is_parsed_and_rewritten(self, dataset, tmp_path, capsys, cold_table_cache,
+                                                   parses, damage):
+        """An entry that fails a check is a miss: the table is parsed, and
+        the entry written again. Where the stored fingerprint could match
+        the damaged entry, it is made to, so only the check named fails."""
+        argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                "--embeddings", dataset / "embeddings.vec"]
+        cold = _run_captured(capsys, argv, tmp_path / "out")
+        entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
+        (vectors_name,) = (n for n in entry if n.endswith(".npy"))
+        (words_name,) = (n for n in entry if n.endswith(".json"))
+        vectors_file, words_file = cold_table_cache / vectors_name, cold_table_cache / words_name
+        payload = json.loads(entry[words_name])
+        vectors = np.load(vectors_file)
+
+        def fingerprint(words, vectors):
+            """fingerprint() of a table that EmbeddingTable would refuse."""
+            unchecked = mock.Mock(_fingerprint=None, words=words, dim=vectors.shape[1], vectors=vectors)
+            return EmbeddingTable.fingerprint(unchecked)
+
+        if damage == "truncated-vectors":
+            vectors_file.write_bytes(entry[vectors_name][:-4])
+        elif damage == "garbled-words":
+            words_file.write_bytes(entry[words_name][: len(entry[words_name]) // 2])
+        elif damage == "wrong-fingerprint":
+            payload["fingerprint"] = "0" * 64
+        elif damage == "reordered-words":
+            payload["words"][:2] = payload["words"][1::-1]
+        elif damage == "nan-in-vectors":
+            vectors[3, 2] = np.nan
+            np.save(vectors_file, vectors)
+            payload["fingerprint"] = fingerprint(payload["words"], vectors)
+        elif damage == "repeated-word":
+            payload["words"][1] = payload["words"][0]
+            payload["fingerprint"] = fingerprint(payload["words"], vectors)
+        elif damage == "missing-row":
+            np.save(vectors_file, vectors[:-1])
+            payload["fingerprint"] = fingerprint(payload["words"], vectors[:-1])
+        else:
+            payload["format"] += 1
+        if damage not in ("truncated-vectors", "garbled-words"):
+            words_file.write_text(json.dumps(payload), encoding="utf-8")
+        again = _run_captured(capsys, argv, tmp_path / "out")
+        assert again == cold
+        assert parses.call_count == 2
+        assert {p.name: p.read_bytes() for p in cold_table_cache.iterdir()} == entry
+
+    @pytest.mark.parametrize("blocked", ["cache-home", "cache-directory"])
+    def test_unwritable_cache_is_silent(self, dataset, trained, tmp_path, capsys, monkeypatch, blocked):
+        """A cache directory that cannot be made (a file stands at its
+        path) changes nothing a command writes or prints."""
+        commands = _table_commands(dataset, trained / "model.json")
+        reference = {name: _run_captured(capsys, argv, tmp_path / name) for name, argv in commands.items()}
+        home = tmp_path / "home"
+        if blocked == "cache-home":
+            home.write_text("")
+        else:
+            home.mkdir()
+            (home / "postscore").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        for name, argv in commands.items():
+            result = _run_captured(capsys, argv, tmp_path / name)
+            assert result == reference[name] and result[0] == 0 and result[2] == "", name
+
+    def test_table_changed_during_the_parse_is_not_stored(self, tmp_path, cold_table_cache,
+                                                          monkeypatch):
+        """A .vec rewritten while it is parsed may no longer hold the bytes
+        its digest names, so no entry is written under that digest."""
+        path = tmp_path / "table.vec"
+        EmbeddingTable(["a", "b"], np.ones((2, 3), dtype=np.float32)).save_vec(path)
+        digest = dataio.sha256_file(path)
+        load_vec = EmbeddingTable.load_vec
+
+        def parse_then_rewrite(p):
+            table = load_vec(p)
+            EmbeddingTable(["a", "b"], np.zeros((2, 3), dtype=np.float32)).save_vec(path)
+            os.utime(path, ns=(0, 0))  # a new time even where the clock is coarse
+            return table
+
+        monkeypatch.setattr(EmbeddingTable, "load_vec", parse_then_rewrite)
+        assert load_vec_cached(path, digest).vectors[0, 0] == 1
+        assert not cold_table_cache.exists()
+
+    def test_each_command_hashes_the_table_once(self, dataset, trained, tmp_path, cold_table_cache,
+                                                monkeypatch):
+        """The digest that keys the cache is the manifest's: cold or warm,
+        no command reads the .vec twice for hashing."""
+        vec = dataset / "embeddings.vec"
+        hashed = []
+        sha256_file = dataio.sha256_file
+        monkeypatch.setattr(dataio, "sha256_file", lambda p: hashed.append(Path(p)) or sha256_file(p))
+        for name, argv in _table_commands(dataset, trained / "model.json").items():
+            shutil.rmtree(cold_table_cache, ignore_errors=True)
+            for run in ("cold", "warm"):
+                hashed.clear()
+                out = tmp_path / name / run
+                assert run_cli(*argv, "--output-dir", out) == 0
+                assert hashed.count(vec) == 1, (name, run)
+                manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+                assert manifest["inputs"]["embeddings"] == {"path": str(vec), "sha256": sha256_file(vec)}
+
+    def test_entries_stay_within_the_limit(self, tmp_path, cold_table_cache, parses):
+        """The least recently used entry goes first, and a hit counts as a
+        use: after tables 0-3, a hit on 0, then tables 4 and 5, the cache
+        holds 0, 3, 4 and 5 and nothing else."""
+        assert embeddings.CACHE_ENTRIES == 4
+        keys, paths = [], []
+        for i in range(6):
+            paths.append(tmp_path / f"t{i}.vec")
+            EmbeddingTable(["a", "b"], np.full((2, 3), i, dtype=np.float32)).save_vec(paths[-1])
+            keys.append(dataio.sha256_file(paths[-1]))
+        for i in [0, 1, 2, 3, 0, 4, 5]:
+            time.sleep(0.02)  # file times tick as coarsely as 10 ms
+            assert load_vec_cached(paths[i], keys[i]).vectors[0, 0] == i
+            assert len({p.name.partition(".")[0] for p in cold_table_cache.iterdir()}) <= 4
+        assert parses.call_count == 6
+        assert sorted(p.name for p in cold_table_cache.iterdir()) == sorted(
+            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".json", ".npy")
+        )

@@ -525,8 +525,10 @@ class TestLooUserCVGroups:
     @pytest.mark.parametrize("seed", range(5))
     def test_numerically_singular_group_base_redone(self, seed):
         """90 single-post users at d=80 leave 80 rows outside a group of 10,
-        one short of the 81 unknowns; dpotrf often finishes such a base on a
-        pivot of rounding size, and only K's size shows it."""
+        one short of the 81 unknowns, a singular base: the count declines
+        every such group before it is factored, and each of its users is
+        solved alone (``test_group_leaving_at_most_d_rows_is_never_factored``
+        spies on that route)."""
         ts = _random_grouped(40 + seed, n_users=90, posts_per_user=1, d=80)
         assert model_module._group_size(80, 90, 1) == 10
         fast = {p.user_id: p.predicted for p in loo_user_cv(ts)}
@@ -582,10 +584,16 @@ class TestLooUserCVGroups:
 
     def test_group_of_every_user_redone_with_ridge(self):
         """Two users at d=100 make one group holding every row, whose base
-        is the ridge alone; each user's own system is then solved."""
+        is the ridge alone: its bias pivot is 0 whatever lambda is, so the
+        count declines it before anything is factored, and each user's own
+        system is solved."""
         ts = _random_grouped(33, n_users=2, posts_per_user=1, d=100)
         assert model_module._group_size(100, 2, 1) == 2
-        fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=1.0)}
+        with mock.patch.object(
+            model_module, "_group_predictions", wraps=model_module._group_predictions
+        ) as spy:
+            fast = {p.user_id: p.predicted for p in loo_user_cv(ts, lam=1.0)}
+        assert [len(call.args[2]) for call in spy.call_args_list] == [1, 1]
         for u, naive in _naive_loo(ts, 1.0).items():
             assert abs(naive - fast[u]) < 1e-8
 
@@ -672,8 +680,11 @@ class TestLooUserCVFullStorageReference:
 
     @pytest.mark.parametrize("n_users", [86, 90])
     def test_redone_groups_bit_identical_to_full_storage(self, n_users):
-        """Groups redone one user at a time: at 86 users dpotrf rejects the
-        bases, at 90 the leverage bound does."""
+        """Groups redone one user at a time. loo_user_cv declines them by
+        their row count before factoring; the reference has no count check
+        at lambda = 0 and factors them, and cho_factor declines the bases at
+        86 users, the leverage bound at 90. Each route then solves each user
+        alone between the same sums, so the bits agree."""
         ts = _random_grouped(40, n_users=n_users, posts_per_user=1, d=80)
         assert _prediction_bytes(loo_user_cv(ts)) == _prediction_bytes(loo_user_cv_full(ts))
 
