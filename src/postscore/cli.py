@@ -31,6 +31,7 @@ from .textproc import FEATURE_COLUMNS, extract_features
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingTable
+    from .pipeline import Corpus
     from .synth import SynthConfig
 
 
@@ -189,22 +190,43 @@ def _print_seed(seed: int) -> None:
     print(f"seed: {seed}")
 
 
+def _hashed(path: Path):
+    """(sha256, stamp) of an input the cache of parsed inputs keys by its
+    digest. The stamp is taken first, so a file rewritten once the stamp is
+    taken is not stored under a digest it may no longer have."""
+    from .cache import stamp
+
+    before = stamp(path)
+    return dataio.sha256_file(path), before
+
+
 def _load_table(args, inputs: dict) -> EmbeddingTable:
     """The --embeddings table, recorded in ``inputs`` with its sha256: the
-    file is hashed once, for both the table cache's key and the manifest."""
+    file is hashed once, for both the cache's key and the manifest."""
     from .embeddings import load_vec_cached
 
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
     path = _check_input(args.embeddings)
-    digest = dataio.sha256_file(path)
-    table = load_vec_cached(path, digest)
+    digest, before = _hashed(path)
+    table = load_vec_cached(path, digest, before)
     inputs["embeddings"] = (path, digest)
     # Post tokens are lowercased and matched exactly, so none reaches a cased row.
     unreachable = sum(w != w.lower() for w in table.words)
     if unreachable:
         print(f"warning: {unreachable} table words are not lowercase; no post token matches them", file=sys.stderr)
     return table
+
+
+def _load_corpus(path: Path, inputs: dict) -> Corpus:
+    """The corpus of the posts file at ``path``, recorded in ``inputs`` as
+    ``posts`` with its sha256, hashed once as the table is."""
+    from .pipeline import load_corpus
+
+    digest, before = _hashed(path)
+    corpus = load_corpus(path, digest, before)
+    inputs["posts"] = (path, digest)
+    return corpus
 
 
 def _synth_config(args) -> SynthConfig:
@@ -276,24 +298,21 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def _load_training(args, embedding: bool):
-    """Clean posts, labels, filter stats, the table (None unless
-    ``embedding``) and the manifest inputs so far. The table is loaded and
-    checked before the posts are read."""
-    from . import pipeline
-
+    """The posts corpus, labels, the table (None unless ``embedding``) and
+    the manifest inputs so far. The table is loaded and checked before the
+    posts are read."""
     posts_path = _check_input(args.posts)
     labels_path = _check_input(args.labels)
     inputs = {"posts": posts_path, "labels": labels_path}
     table = None
     if embedding:
         table = _load_table(args, inputs)
-    fstats = pipeline.FilterStats()
-    clean = pipeline.load_clean_posts(posts_path, fstats)
+    corpus = _load_corpus(posts_path, inputs)
     labels = dataio.read_labels_csv(labels_path)
-    return clean, labels, fstats, table, inputs
+    return corpus, labels, table, inputs
 
 
-def _tfidf_training(args, clean, labels, inputs):
+def _tfidf_training(args, corpus, labels, inputs):
     """tf-idf training set, its vocabulary and stopwords; records the
     stopword file in inputs."""
     from . import pipeline, tfidf
@@ -303,11 +322,11 @@ def _tfidf_training(args, clean, labels, inputs):
         stopwords_path = _check_input(args.stopwords)
         stopwords = tfidf.load_stopwords(stopwords_path)
         inputs["stopwords"] = stopwords_path
-    if not any(tp.user_id in labels for tp in clean):
+    labeled = corpus.labeled(labels)
+    if not labeled.any():
         raise ValueError("no labeled training posts")
-    labeled_tokens = (tp.tokens for tp in clean if tp.user_id in labels)
-    vocab = tfidf.build_vocab(labeled_tokens, stopwords, k=args.top_terms)
-    ts, astats = pipeline.build_tfidf_training(clean, labels, vocab, stopwords)
+    vocab = tfidf.build_vocab(corpus.select(labeled).lists(), stopwords, k=args.top_terms)
+    ts, astats = pipeline.build_tfidf_training(corpus, labels, vocab, stopwords)
     return ts, astats, vocab, stopwords
 
 
@@ -325,16 +344,17 @@ def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
     from .model import fit
 
     embedding = args.vectorizer == "embedding"
-    clean, labels, fstats, table, inputs = _load_training(args, embedding)
+    corpus, labels, table, inputs = _load_training(args, embedding)
+    fstats = corpus.stats
     outputs = {}
     if embedding:
-        ts, astats = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)
+        ts, astats = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)
         fingerprint = table.fingerprint()
-        del table, clean  # the fit needs only ts: its peak need not hold the table or posts
+        del table, corpus  # the fit needs only ts: its peak need not hold the table or posts
         model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
         extra = None
     else:
-        ts, astats, vocab, stopwords = _tfidf_training(args, clean, labels, inputs)
+        ts, astats, vocab, stopwords = _tfidf_training(args, corpus, labels, inputs)
         model = fit(ts, lam=args.lam)
         outputs["tfidf_vocab"] = out / "tfidf_vocab.csv"
         dataio.write_tfidf_vocab_csv(outputs["tfidf_vocab"], vocab)
@@ -354,12 +374,12 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
     from .stats import pearson
 
     embedding = args.vectorizer == "embedding"
-    clean, labels, _, table, inputs = _load_training(args, embedding)
+    corpus, labels, table, inputs = _load_training(args, embedding)
     if embedding:
-        ts = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)[0]
+        ts = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)[0]
     else:
-        ts = _tfidf_training(args, clean, labels, inputs)[0]
-    del clean, table  # LOOCV needs only ts: its peak need not hold the posts or table
+        ts = _tfidf_training(args, corpus, labels, inputs)[0]
+    del corpus, table  # LOOCV needs only ts: its peak need not hold the posts or table
     predictions = loo_user_cv(ts, lam=args.lam)
     rep = pearson([p.predicted for p in predictions], [labels[p.user_id] for p in predictions])
     outputs = {"loocv_predictions": out / "loocv_predictions.csv", "report": out / "report.csv"}
@@ -381,15 +401,15 @@ def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
         vocab, stopwords = tfidf.TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
         if len(vocab) != model.d:
             raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=model_path)
-        clean = pipeline.load_clean_posts(posts_path)
-        result = pipeline.predict_users_tfidf(model, vocab, clean, stopwords)
+        corpus = _load_corpus(posts_path, inputs)
+        result = pipeline.predict_users_tfidf(model, vocab, corpus, stopwords)
     else:
         table = _load_table(args, inputs)
         expected = model.training_meta.embedding_fingerprint
         if expected and expected != table.fingerprint():
             print("warning: embedding table differs from the one used in training", file=sys.stderr)
-        clean = pipeline.load_clean_posts(posts_path)
-        result = pipeline.predict_users_from_posts(model, table, clean)
+        corpus = _load_corpus(posts_path, inputs)
+        result = pipeline.predict_users_from_posts(model, table, corpus)
     predictions_path = out / "predictions.csv"
     dataio.write_predictions_csv(predictions_path, result.predictions)
     note = f", {len(result.fallback_users)} fell back to the training mean" if result.fallback_users else ""
@@ -445,7 +465,7 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
-    from . import pipeline, wordrank
+    from . import wordrank
 
     model_path = _check_input(args.model)
     model, payload = dataio.load_model_json(model_path)
@@ -455,10 +475,7 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     table = _load_table(args, inputs)
     counts = None
     if args.posts:
-        posts_path = _check_input(args.posts)
-        clean = pipeline.iter_clean_posts(dataio.iter_posts_jsonl(posts_path))
-        counts = wordrank.training_token_counts(tp.tokens for tp in clean)
-        inputs["posts"] = posts_path
+        counts = wordrank.training_token_counts(_load_corpus(_check_input(args.posts), inputs))
     elif args.freq:
         freq_path = _check_input(args.freq)
         counts = dataio.read_freq_csv(freq_path)
@@ -487,9 +504,9 @@ def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     from .model import posts_curve
 
     _print_seed(args.seed)
-    clean, labels, _, table, inputs = _load_training(args, embedding=True)
-    ts = pipeline.build_embedding_training(clean, labels, table, threads=args.threads)[0]
-    del clean, table  # the curve needs only ts: its peak need not hold the posts or table
+    corpus, labels, table, inputs = _load_training(args, embedding=True)
+    ts = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)[0]
+    del corpus, table  # the curve needs only ts: its peak need not hold the posts or table
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )

@@ -11,15 +11,18 @@ parser is the only one: a value only Python's float() takes (such as "1_0")
 is a data error. Writing formats values with numpy a chunk at a time
 (``vectext``), to the same bytes as ``str()`` per value.
 
-``load_vec_cached`` keeps parsed tables in a cache keyed by the file's
-sha256, so a table used again is memory-mapped from a ``.npy`` file instead
-of parsed: parsing is most of a command's time on a large table.
+``load_vec_cached`` keeps parsed tables in the cache of parsed inputs
+(``cache``), keyed by the file's sha256, so a table used again is
+memory-mapped from a ``.npy`` file instead of parsed: parsing is most of a
+command's time on a large table.
 
-A post vector is the mean of its matched rows: ``segment_mean`` takes it for
-many posts at once, and ``model.score_tokenized_posts`` averages word scores
-with it too. Word scores (``EmbeddingTable.dot``), the fingerprint and the
-load checks read the float32 table in place or ~1 MB of rows at a time, so
-nothing holds a float64 copy or a mask of the whole table.
+Posts arrive as token ids (``TokenIds``): each distinct token is looked up
+in the table once, and rows are gathered by id. A post vector is the mean of
+its matched rows: ``segment_mean`` takes it for many posts at once, and
+``model.score_tokenized_posts`` averages word scores with it too. Word
+scores (``EmbeddingTable.dot``), the fingerprint and the load checks read
+the float32 table in place or ~1 MB of rows at a time, so nothing holds a
+float64 copy or a mask of the whole table.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+from array import array
+from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from .errors import DataFormatError, utf8_errors
 
-__all__ = ["EmbeddingTable", "load_vec_cached", "post_vectors_matrix"]
+__all__ = ["EmbeddingTable", "TokenIds", "load_vec_cached", "post_vectors_matrix"]
 
 # Bytes of matched token rows gathered at once by post_vectors_matrix (as
 # float32 and float64: 12*dim bytes a row); chunks end on post boundaries.
@@ -240,69 +244,33 @@ def _read_vec(path):
     return words, vectors
 
 
-def load_vec_cached(path, sha256: str) -> EmbeddingTable:
-    """``EmbeddingTable.load_vec(path)``, through a cache of parsed tables.
+def load_vec_cached(path, sha256: str, before=None) -> EmbeddingTable:
+    """``EmbeddingTable.load_vec(path)``, through the cache of parsed inputs
+    (``cache.load``).
 
-    ``sha256`` is the digest of the file's bytes and the entry's key. An
-    entry is two files in ``$XDG_CACHE_HOME/postscore`` (``~/.cache/postscore``
-    when that variable is unset or relative): ``<sha256>.npy``, the float32
-    vectors in C order, memory-mapped read-only, and ``<sha256>.json``, the
-    words and the table's ``fingerprint()``. An entry is used only when it
-    passes the checks a parse makes and one more: its shape matches its
-    words, every row's float64 sum is finite, no word is repeated, and the
-    fingerprint recomputed from it equals the stored one. Anything else (no
-    entry, a damaged one, a cache that cannot be found or written) is
-    parsed by ``load_vec``, which raises as it always does. The entry is
-    then written again, unless the file changed while it was parsed: the
-    vectors first and the words last, each to a temporary file that is then
-    renamed, so no reader sees half of one. Then the least recently used
-    entries beyond ``CACHE_ENTRIES`` are removed. A cache that cannot be
-    written costs the next command a parse and nothing else: no error or
-    message reaches the caller.
+    ``sha256`` is the digest of the file's bytes and the entry's key, and
+    ``before`` the file's ``cache.stamp()`` taken before it was hashed. An
+    entry is ``<sha256>.npy``, the float32 vectors in C order, memory-mapped
+    read-only, and ``<sha256>.json``, the words and the table's
+    ``fingerprint()``. An entry is used only when it passes the checks a
+    parse makes and one more: its shape matches its words, every row's
+    float64 sum is finite, no word is repeated, and the fingerprint
+    recomputed from it equals the stored one. Anything else is parsed by
+    ``load_vec``, which raises as it always does, and written again: the
+    vectors first and the words last. At most ``CACHE_ENTRIES`` tables are
+    kept.
     """
-    root = _cache_root()
-    if root is not None:
-        table = _read_entry(root, sha256)
-        if table is not None:
-            return table
-    before = _stamp(path)
-    table = EmbeddingTable.load_vec(path)
-    # A file written to during the parse may no longer hold the bytes that
-    # ``sha256`` names; its table is not stored under that key.
-    if root is not None and _stamp(path) == before:
-        try:
-            _write_entry(root, sha256, table)
-        except OSError:
-            pass
-    return table
-
-
-def _stamp(path):
-    """Inode, size and modification time: they change when a file is
-    rewritten."""
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _cache_root():
-    """The cache directory, or None when no home directory can be found."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        try:
-            base = Path.home() / ".cache"
-        except RuntimeError:
-            return None
-    return Path(base) / "postscore"
+    return cache.load(path, sha256, before, "table", CACHE_ENTRIES, _read_entry,
+                      EmbeddingTable.load_vec, _write_entry)
 
 
 def _read_entry(root, key):
     """The table stored under ``key``, or None unless the entry is whole."""
-    words_path = root / f"{key}.json"
     try:
-        with open(words_path, "rb") as f:
+        with open(root / f"{key}.json", "rb") as f:
             entry = json.load(f)
         vectors = np.load(root / f"{key}.npy", mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError):
+    except (OSError, ValueError, EOFError):  # np.load raises EOFError on an empty file
         return None
     words = entry.get("words") if isinstance(entry, dict) else None
     if not (
@@ -320,52 +288,13 @@ def _read_entry(root, key):
         and table.fingerprint() == entry.get("fingerprint")
     ):
         return None
-    try:
-        os.utime(words_path)  # recency, for eviction
-    except OSError:
-        pass
     return table
 
 
 def _write_entry(root, key, table) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    _replace(root / f"{key}.npy", lambda f: np.save(f, table.vectors, allow_pickle=False))
+    cache.replace(root / f"{key}.npy", lambda f: np.save(f, table.vectors, allow_pickle=False))
     entry = {"format": _CACHE_FORMAT, "fingerprint": table.fingerprint(), "words": table.words}
-    _replace(root / f"{key}.json", lambda f: f.write(json.dumps(entry, ensure_ascii=False).encode()))
-    _evict(root)
-
-
-def _evict(root) -> None:
-    """Remove the least recently used entries beyond CACHE_ENTRIES. An entry
-    is every file whose name starts with its key (temporary files too); its
-    words file is touched on each hit, so that file's time is its last use."""
-    entries = {}
-    for p in root.iterdir():
-        name = p.name.partition(".")[0]
-        if len(name) == 64:  # a sha256 in hex
-            entries.setdefault(name, []).append(p)
-    if len(entries) > CACHE_ENTRIES:
-        def last_use(name):
-            try:
-                return os.stat(root / f"{name}.json").st_mtime_ns
-            except OSError:
-                return 0
-        for name in sorted(entries, key=last_use)[: len(entries) - CACHE_ENTRIES]:
-            for p in entries[name]:
-                p.unlink(missing_ok=True)
-
-
-def _replace(path, write) -> None:
-    """Write ``path`` through ``write(file)`` on a temporary file beside it,
-    then rename that over ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name.partition(".")[0] + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            write(f)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    cache.replace(root / f"{key}.json", lambda f: f.write(json.dumps(entry, ensure_ascii=False).encode()))
 
 
 def _values_text(path, lines, words, dim):
@@ -389,28 +318,81 @@ def _row_error(path, dim, line) -> DataFormatError:
     )
 
 
-def flat_token_ids(table: EmbeddingTable, token_lists):
+class _Interner(dict):
+    """Maps each key to the number of keys seen before it first arrived."""
+
+    def __missing__(self, key):
+        self[key] = n = len(self)
+        return n
+
+
+@dataclass(eq=False)
+class TokenIds:
+    """Posts as ids into their distinct tokens: post i's tokens are
+    ``tokens[j]`` for j in ``ids[offsets[i]:offsets[i + 1]]``. ``tokens``
+    lists each distinct token once, in order of first appearance; ``ids`` is
+    int32 and ``offsets`` int64, so a token costs 4 bytes and a post 8,
+    besides the distinct strings. ``len()`` is the number of posts.
+    """
+
+    tokens: list
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_lists(cls, token_lists) -> "TokenIds":
+        """Intern an iterable of token lists, one list at a time."""
+        index = _Interner()
+        ids, ends = array("i"), array("q")
+        for tokens in token_lists:
+            ids.extend(map(index.__getitem__, tokens))
+            ends.append(len(ids))
+        offsets = np.zeros(len(ends) + 1, dtype=np.int64)
+        offsets[1:] = np.frombuffer(ends, dtype=np.int64)
+        return cls(list(index), np.frombuffer(ids, dtype=np.int32), offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def select(self, keep) -> "TokenIds":
+        """The posts where the boolean mask ``keep`` is true, in order."""
+        if keep.all():
+            return self
+        lengths = np.diff(self.offsets)
+        offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(lengths[keep], out=offsets[1:])
+        return TokenIds(self.tokens, self.ids[np.repeat(keep, lengths)], offsets)
+
+    def lists(self) -> list:
+        """Each post's tokens as a list of the distinct strings."""
+        flat = np.asarray(self.tokens, dtype=object)[self.ids].tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def flat_token_ids(table: EmbeddingTable, posts):
     """Vocabulary row ids of all matched tokens, with per-post match counts.
+
+    ``posts`` is a TokenIds, or token lists, which are interned into one
+    first. Each distinct token is looked up in the table once, and the
+    posts' row ids are gathered from those lookups by token id.
 
     Returns (flat_ids, n_matched, n_tokens) where flat_ids concatenates the
     matched ids post by post.
     """
-    n_posts = len(token_lists)
-    n_tokens = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_posts)
-    ends = np.cumsum(n_tokens)
-    total = int(ends[-1]) if n_posts else 0
-    ids = np.fromiter(
-        map(table.vocab.get, chain.from_iterable(token_lists), repeat(-1)),
-        dtype=np.int64,
-        count=total,
+    if not isinstance(posts, TokenIds):
+        posts = TokenIds.from_lists(posts)
+    rows = np.fromiter(
+        map(table.vocab.get, posts.tokens, repeat(-1)), dtype=np.int64, count=len(posts.tokens)
     )
+    ids = rows[posts.ids]
     hit = ids >= 0
     # hits[k] = matched tokens among the first k, so a post's match count is
     # the difference at its two token boundaries.
-    hits = np.zeros(total + 1, dtype=np.int64)
+    hits = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(hit, out=hits[1:])
-    n_matched = hits[ends] - hits[ends - n_tokens]
-    return ids[hit], n_matched, n_tokens
+    n_matched = hits[posts.offsets[1:]] - hits[posts.offsets[:-1]]
+    return ids[hit], n_matched, np.diff(posts.offsets)
 
 
 def segment_mean(rows, counts, out) -> None:
@@ -430,8 +412,9 @@ def segment_mean(rows, counts, out) -> None:
     out[nonempty] = sums / counts[nonempty].reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
-    """Post vectors for many posts at once.
+def post_vectors_matrix(table: EmbeddingTable, posts, threads: int = 1):
+    """Post vectors for many posts at once; ``posts`` is a TokenIds or token
+    lists, as for ``flat_token_ids``.
 
     Returns (means, n_matched, n_tokens): ``means`` is float64 with one row
     per post that has at least one matched token, in post order, so its rows
@@ -443,7 +426,7 @@ def post_vectors_matrix(table: EmbeddingTable, token_lists, threads: int = 1):
     when threads > 1) land in disjoint slices of the preallocated output, so
     the result is bit-identical for any chunking and any thread count.
     """
-    flat, n_matched, n_tokens = flat_token_ids(table, token_lists)
+    flat, n_matched, n_tokens = flat_token_ids(table, posts)
     # A post with no match gathers no rows, so dropping its count leaves the
     # others' rows and means as they are.
     counts = n_matched[n_matched > 0]

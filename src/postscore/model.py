@@ -381,21 +381,23 @@ def word_scores_array(model: LinearModel, table) -> np.ndarray:
     return scores
 
 
-def score_tokenized_posts(model: LinearModel, table, token_lists, word_scores=None):
+def score_tokenized_posts(model: LinearModel, table, posts, word_scores=None):
     """Scores for already-tokenized posts, the high-throughput path.
 
-    Exploits linearity: a post's score is the mean of its matched words'
-    scores, so per-word scores are computed once (``word_scores_array``) and
-    each post needs only a gather and a segment mean. Posts with no
-    in-vocabulary token receive the training target mean. Callers scoring
-    many batches can compute ``word_scores`` once and pass it in.
+    ``posts`` is an ``embeddings.TokenIds`` (a ``pipeline.Corpus`` is one) or
+    token lists. Exploits linearity: a post's score is the mean of its
+    matched words' scores, so per-word scores are computed once
+    (``word_scores_array``) and each post needs only a gather and a segment
+    mean. Posts with no in-vocabulary token receive the training target
+    mean. Callers scoring many batches can compute ``word_scores`` once and
+    pass it in.
 
     Returns (scores, n_matched) as float64/int64 arrays.
     """
     if word_scores is None:
         word_scores = word_scores_array(model, table)
-    flat, n_matched, _ = flat_token_ids(table, token_lists)
-    scores = np.empty(len(token_lists), dtype=np.float64)
+    flat, n_matched, _ = flat_token_ids(table, posts)
+    scores = np.empty(n_matched.size, dtype=np.float64)
     segment_mean(word_scores[flat], n_matched, scores)
     scores[n_matched == 0] = model.training_meta.target_mean
     return scores, n_matched

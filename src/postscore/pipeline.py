@@ -1,21 +1,39 @@
-"""Glue between file ingestion and the model: filtering, vectorization,
-training-set assembly, and per-user prediction.
+"""Glue between file ingestion and the model: filtering, the posts corpus,
+vectorization, training-set assembly, and per-user prediction.
 
-Posts are read and tokenized in one pass; vectorization and scoring then run
-over the whole list at once (``post_vectors_matrix`` batches internally).
-Both predict routes score every post first and then take one per-user mean
-(``_user_means``), with no per-user loop, dict or matrix.
+A posts file becomes one ``Corpus``: its kept posts as an int32 user code
+and int32 token ids each, with the distinct user ids and tokens stored once,
+and the ``FilterStats`` of the read. ``iter_clean_posts`` is the one filter
+and tokenize rule; ``load_corpus`` streams it into a corpus, interning as it
+goes, and keeps the corpus in the cache of parsed inputs (``cache``) under
+the file's sha256, so a posts file used again is loaded, not re-read. Every
+model route reads a corpus: post vectors and scores gather table rows by
+token id (``embeddings.flat_token_ids``), and the tf-idf routes rebuild
+token lists from it. A list of TokenizedPost is interned into a corpus on
+entry. Both predict routes score every post first and then take one
+per-user mean (``_user_means``), with no per-user loop, dict or matrix.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, embeddings, textproc, tfidf
+from . import cache, dataio, embeddings, textproc, tfidf
+from .embeddings import TokenIds
 from .model import LinearModel, TrainingSet, UserPrediction, group_codes, score_tokenized_posts
 from .textproc import extract_features  # noqa: F401  (kept for callers of pipeline.extract_features)
+
+# Posts corpora the cache keeps (see load_corpus), apart from its tables; the
+# least recently used goes first.
+CORPUS_ENTRIES = 4
+# Written into every corpus entry; an entry of another format is a miss. A
+# change to what iter_clean_posts keeps or yields changes this number.
+_CORPUS_FORMAT = 1
 
 
 @dataclass
@@ -50,6 +68,133 @@ def load_clean_posts(path, stats: FilterStats | None = None) -> list:
     return list(iter_clean_posts(dataio.iter_posts_jsonl(path), stats))
 
 
+@dataclass(eq=False)
+class Corpus(TokenIds):
+    """Kept posts as token ids (``TokenIds``) and user codes: post i is by
+    ``users[codes[i]]``. ``users`` lists each distinct user id once, in order
+    of first appearance, and ``codes`` is int32. ``stats`` counts the posts
+    the filter kept and removed."""
+
+    users: list
+    codes: np.ndarray
+    stats: FilterStats
+
+    @classmethod
+    def from_posts(cls, clean_posts, stats: FilterStats | None = None) -> "Corpus":
+        """Intern a TokenizedPost iterable, one post at a time; ``stats``
+        defaults to every post kept."""
+        users, codes = {}, array("i")
+
+        def token_lists():
+            for tp in clean_posts:
+                codes.append(users.setdefault(tp.user_id, len(users)))
+                yield tp.tokens
+
+        text = TokenIds.from_lists(token_lists())
+        if stats is None:
+            stats = FilterStats(kept=len(codes))
+        return cls(text.tokens, text.ids, text.offsets, list(users),
+                   np.frombuffer(codes, dtype=np.int32), stats)
+
+    def labeled(self, labels: dict) -> np.ndarray:
+        """Per post, whether its author has a label."""
+        has = np.fromiter((u in labels for u in self.users), dtype=bool, count=len(self.users))
+        return has[self.codes]
+
+    def digest(self) -> str:
+        """sha256 over the stats, the distinct strings and the arrays."""
+        h = hashlib.sha256(b"postscore-corpus-v1")
+        s = self.stats
+        h.update(json.dumps([[s.kept, s.url, s.repost, s.empty], self.users, self.tokens]).encode())
+        for a in (self.codes, self.offsets, self.ids):
+            h.update(a)
+        return h.hexdigest()
+
+
+def _as_corpus(clean_posts) -> Corpus:
+    return clean_posts if isinstance(clean_posts, Corpus) else Corpus.from_posts(clean_posts)
+
+
+def load_corpus(path, sha256: str, before=None) -> Corpus:
+    """The corpus of a posts file: ``iter_clean_posts`` over its posts,
+    through the cache of parsed inputs (``cache.load``).
+
+    ``sha256`` is the digest of the file's bytes and the entry's key, and
+    ``before`` the file's ``cache.stamp()`` taken before it was hashed. An
+    entry is ``<sha256>.posts.arrays``, the codes, offsets and ids as three
+    ``.npy`` arrays one after another, and ``<sha256>.posts.meta``, a JSON
+    object of the format number, the stats, the users, the tokens and the
+    corpus's ``digest()``. An entry is used only when the format number is
+    this one, each array has its dtype and the shape the stats and offsets
+    give, the codes and ids are in range, the offsets start at 0 and never
+    fall, no user or token is listed twice, and the digest recomputed from
+    it equals the stored one. Anything else is read again from the file,
+    which raises as a read always does. At most ``CORPUS_ENTRIES`` corpora
+    are kept.
+    """
+    def parse(path):
+        stats = FilterStats()
+        return Corpus.from_posts(iter_clean_posts(dataio.iter_posts_jsonl(path), stats), stats)
+
+    return cache.load(path, sha256, before, "posts", CORPUS_ENTRIES, _read_corpus, parse, _write_corpus)
+
+
+def _read_corpus(root, key):
+    """The corpus stored under ``key``, or None unless the entry is whole."""
+    try:
+        with open(root / f"{key}.posts.meta", "rb") as f:
+            meta = json.load(f)
+        with open(root / f"{key}.posts.arrays", "rb") as f:
+            codes, offsets, ids = (np.load(f, allow_pickle=False) for _ in range(3))
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (isinstance(meta, dict) and meta.get("format") == _CORPUS_FORMAT):
+        return None
+    users, tokens, counts = meta.get("users"), meta.get("tokens"), meta.get("stats")
+    if not (
+        _distinct_strings(users)
+        and _distinct_strings(tokens)
+        and isinstance(counts, list)
+        and len(counts) == 4
+        and all(type(c) is int and c >= 0 for c in counts)
+    ):
+        return None
+    n = counts[0]
+    if not (
+        codes.dtype == np.int32 and codes.shape == (n,)
+        and offsets.dtype == np.int64 and offsets.shape == (n + 1,)
+        and ids.dtype == np.int32 and ids.ndim == 1
+        and offsets[0] == 0 and offsets[-1] == ids.size
+        and (np.diff(offsets) >= 0).all()
+        and _in_range(codes, len(users))
+        and _in_range(ids, len(tokens))
+    ):
+        return None
+    corpus = Corpus(tokens, ids, offsets, users, codes, FilterStats(*counts))
+    return corpus if corpus.digest() == meta.get("digest") else None
+
+
+def _distinct_strings(items) -> bool:
+    return isinstance(items, list) and all(isinstance(x, str) for x in items) and len(set(items)) == len(items)
+
+
+def _in_range(a, n: int) -> bool:
+    return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < n)
+
+
+def _write_corpus(root, key, corpus: Corpus) -> None:
+    def arrays(f):
+        for a in (corpus.codes, corpus.offsets, corpus.ids):
+            np.save(f, a, allow_pickle=False)
+
+    cache.replace(root / f"{key}.posts.arrays", arrays)
+    s = corpus.stats
+    meta = {"format": _CORPUS_FORMAT, "digest": corpus.digest(),
+            "stats": [s.kept, s.url, s.repost, s.empty], "users": corpus.users, "tokens": corpus.tokens}
+    # ASCII JSON: a user id may hold a lone surrogate, which UTF-8 cannot encode.
+    cache.replace(root / f"{key}.posts.meta", lambda f: f.write(json.dumps(meta).encode()))
+
+
 @dataclass
 class AssemblyStats:
     n_posts: int = 0
@@ -66,27 +211,33 @@ def build_embedding_training(
 ) -> tuple[TrainingSet, AssemblyStats]:
     """Post-vector training set; each row carries its author's score.
 
-    Rows are the labeled posts with at least one in-vocabulary token, in post
-    order. ``post_vectors_matrix`` returns exactly the means of those posts,
-    so its output is X and no other n x d matrix is made; each row is the
-    post's own mean, bit-identical for any chunking or thread count.
+    ``clean_posts`` is a Corpus or TokenizedPosts. Rows are the labeled
+    posts with at least one in-vocabulary token, in post order.
+    ``post_vectors_matrix`` returns exactly the means of those posts, so its
+    output is X and no other n x d matrix is made; each row is the post's own
+    mean, bit-identical for any chunking or thread count.
     """
+    corpus = _as_corpus(clean_posts)
     stats = AssemblyStats()
-    labeled = [tp for tp in clean_posts if tp.user_id in labels]
-    stats.unlabeled = len(clean_posts) - len(labeled)
-    X, n_matched, _ = embeddings.post_vectors_matrix(
-        table, [tp.tokens for tp in labeled], threads=threads
-    )
+    labeled = corpus.labeled(labels)
+    stats.unlabeled = len(corpus) - int(labeled.sum())
+    X, n_matched, _ = embeddings.post_vectors_matrix(table, corpus.select(labeled), threads=threads)
     usable = n_matched > 0
     stats.no_vector = int((~usable).sum())
-    users = [tp.user_id for tp, ok in zip(labeled, usable) if ok]
-    if not users:
+    codes = corpus.codes[labeled][usable]
+    if not codes.size:
         raise ValueError("no usable training posts (all filtered, unlabeled, or out of vocabulary)")
-    y = np.asarray([labels[u] for u in users])
-    ts = TrainingSet(X=X, y=y, groups=np.asarray(users, dtype=object))
+    ts = _training_set(X, corpus, codes, labels)
     stats.n_posts = ts.n_posts
     stats.n_users = len(ts.users)
     return ts, stats
+
+
+def _training_set(X, corpus: Corpus, codes, labels: dict) -> TrainingSet:
+    """X with each row's author, by user code, and that author's label."""
+    users = np.asarray(corpus.users, dtype=object)
+    y = np.asarray([labels.get(u, 0.0) for u in corpus.users])
+    return TrainingSet(X=X, y=y[codes], groups=users[codes])
 
 
 def build_tfidf_training(
@@ -95,16 +246,17 @@ def build_tfidf_training(
     vocab: tfidf.TfidfVocabulary,
     stopwords=frozenset(),
 ) -> tuple[TrainingSet, AssemblyStats]:
-    """tf-idf training set over the same posts; zero vectors are kept (they
-    carry the post's bias signal, unlike an absent embedding)."""
+    """tf-idf training set over the same posts (a Corpus or TokenizedPosts);
+    zero vectors are kept (they carry the post's bias signal, unlike an
+    absent embedding)."""
+    corpus = _as_corpus(clean_posts)
     stats = AssemblyStats()
-    labeled = [tp for tp in clean_posts if tp.user_id in labels]
-    stats.unlabeled = len(clean_posts) - len(labeled)
-    if not labeled:
+    labeled = corpus.labeled(labels)
+    stats.unlabeled = len(corpus) - int(labeled.sum())
+    if not labeled.any():
         raise ValueError("no labeled training posts")
-    X = tfidf.tfidf_matrix(vocab, [tp.tokens for tp in labeled], stopwords)
-    y = np.asarray([labels[tp.user_id] for tp in labeled])
-    ts = TrainingSet(X=X, y=y, groups=np.asarray([tp.user_id for tp in labeled], dtype=object))
+    X = tfidf.tfidf_matrix(vocab, corpus.select(labeled).lists(), stopwords)
+    ts = _training_set(X, corpus, corpus.codes[labeled], labels)
     stats.n_posts = ts.n_posts
     stats.n_users = len(ts.users)
     return ts, stats
@@ -116,14 +268,19 @@ class PredictionResult:
     fallback_users: list  # no scoreable post, sorted
 
 
-def _user_means(model: LinearModel, user_ids, scores, counted) -> PredictionResult:
-    """Per-user mean of the counted posts' scores, users in sorted order.
+def _user_means(model: LinearModel, posts, scores, counted) -> PredictionResult:
+    """Per-user mean of the counted posts' scores, users in sorted order;
+    ``posts`` is a Corpus or each post's user id.
 
     Each user's counted scores are added in post order. A user with no
     counted post falls back to the training target mean with
     n_posts_used == 0 and is listed in fallback_users.
     """
-    users, codes = group_codes(user_ids)
+    if isinstance(posts, Corpus):
+        users, rank = group_codes(posts.users)
+        codes = rank[posts.codes]
+    else:
+        users, codes = group_codes(posts)
     sums = np.bincount(codes[counted], weights=scores[counted], minlength=len(users))
     counts = np.bincount(codes[counted], minlength=len(users))
     fallback = counts == 0
@@ -139,14 +296,16 @@ def predict_users_from_posts(
     table: embeddings.EmbeddingTable,
     clean_posts,
 ) -> PredictionResult:
-    """Per-user mean of post scores over the embedding route.
+    """Per-user mean of post scores over the embedding route, for a Corpus
+    or TokenizedPosts.
 
     Uses the word-score fast path; posts with no in-vocabulary token do not
     count toward the mean, and users with no scoreable post fall back to the
     training target mean with n_posts_used == 0.
     """
-    scores, n_matched = score_tokenized_posts(model, table, [tp.tokens for tp in clean_posts])
-    return _user_means(model, [tp.user_id for tp in clean_posts], scores, n_matched > 0)
+    corpus = _as_corpus(clean_posts)
+    scores, n_matched = score_tokenized_posts(model, table, corpus)
+    return _user_means(model, corpus, scores, n_matched > 0)
 
 
 def predict_users_tfidf(
@@ -155,9 +314,10 @@ def predict_users_tfidf(
     clean_posts,
     stopwords=frozenset(),
 ) -> PredictionResult:
-    """Per-user mean of post scores over the tf-idf route. Every post counts:
-    one with no vocabulary term has a zero vector and scores the bias."""
+    """Per-user mean of post scores over the tf-idf route, for a Corpus or
+    TokenizedPosts. Every post counts: one with no vocabulary term has a zero
+    vector and scores the bias."""
+    corpus = _as_corpus(clean_posts)
     w, b = model.weights, model.bias
-    scores = np.array([tfidf.tfidf_vector(vocab, tp.tokens, stopwords) @ w + b for tp in clean_posts])
-    return _user_means(model, [tp.user_id for tp in clean_posts], scores, np.ones(scores.size, dtype=bool))
-
+    scores = np.array([tfidf.tfidf_vector(vocab, tokens, stopwords) @ w + b for tokens in corpus.lists()])
+    return _user_means(model, corpus, scores, np.ones(scores.size, dtype=bool))

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, TokenIds
 from .model import LinearModel, word_scores_array
 
 __all__ = [
@@ -34,12 +34,14 @@ class WordScore:
     percentile: float
 
 
-def training_token_counts(token_lists) -> Counter:
-    """Occurrence counts over training posts, the default min-count source."""
-    counts: Counter = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
-    return counts
+def training_token_counts(posts) -> Counter:
+    """Occurrence counts over training posts, the default min-count source:
+    one bincount over the token ids of a TokenIds (a ``pipeline.Corpus`` is
+    one), or of token lists, which are interned first."""
+    if not isinstance(posts, TokenIds):
+        posts = TokenIds.from_lists(posts)
+    counts = np.bincount(posts.ids, minlength=len(posts.tokens))
+    return Counter(dict(zip(posts.tokens, counts.tolist())))
 
 
 def _ranked_order(table: EmbeddingTable, scores: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import postscore
-from postscore import dataio, embeddings
+from postscore import dataio, embeddings, pipeline
 from postscore.cli import main
 from postscore.embeddings import EmbeddingTable, load_vec_cached
 
@@ -1195,3 +1195,256 @@ class TestTableCache:
         assert sorted(p.name for p in cold_table_cache.iterdir()) == sorted(
             f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".json", ".npy")
         )
+
+
+def _posts_commands(d, model, tfidf_model):
+    """argv of every command that reads a posts file's corpus, on dataset d."""
+    fit = ["--posts", d / "posts.jsonl", "--labels", d / "labels.csv"]
+    table = ["--embeddings", d / "embeddings.vec"]
+    tfidf = ["--vectorizer", "tfidf", "--top-terms", 80, "--lambda", 0.001]
+    return {
+        "train": ["train", *fit, *table],
+        "evaluate": ["evaluate", *fit, *table],
+        "predict": ["predict", "--posts", d / "posts.jsonl", "--model", model, *table],
+        "train-tfidf": ["train", *fit, *tfidf],
+        "evaluate-tfidf": ["evaluate", *fit, *tfidf],
+        "predict-tfidf": ["predict", "--posts", d / "posts.jsonl", "--model", tfidf_model],
+        "curve": ["curve", *fit, *table, "--n-max", 2, "--bootstrap", 100],
+        "rank-words": ["rank-words", "--model", model, *table, "--posts", d / "posts.jsonl",
+                       "--min-count", 2],
+    }
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """A spy on dataio.iter_posts_jsonl, the posts reader."""
+    spy = mock.MagicMock(wraps=dataio.iter_posts_jsonl)
+    monkeypatch.setattr(dataio, "iter_posts_jsonl", spy)
+    return spy
+
+
+def _corpus_files(root):
+    return sorted(p.name for p in root.iterdir() if ".posts." in p.name) if root.exists() else []
+
+
+def _save_corpus_entry(root, key, codes, offsets, ids, meta):
+    """Write a corpus entry's two files as load_corpus lays them out."""
+    with open(root / f"{key}.posts.arrays", "wb") as f:
+        for a in (codes, offsets, ids):
+            np.save(f, a)
+    (root / f"{key}.posts.meta").write_text(json.dumps(meta), encoding="utf-8")
+
+
+class TestCorpusCache:
+    def test_cold_and_warm_runs_byte_identical(self, dataset, trained, tfidf_trained, tmp_path, capsys,
+                                               cold_table_cache, reads):
+        """Each command reads the posts file on an empty cache and loads its
+        corpus on the next run: exit code, stdout, stderr, outputs and
+        manifest are the same bytes."""
+        digest = dataio.sha256_file(dataset / "posts.jsonl")
+        commands = _posts_commands(dataset, trained / "model.json", tfidf_trained / "model.json")
+        for name, argv in commands.items():
+            shutil.rmtree(cold_table_cache, ignore_errors=True)
+            out = tmp_path / name
+            cold = _run_captured(capsys, argv, out)
+            assert reads.call_count == 1, name
+            assert _corpus_files(cold_table_cache) == [f"{digest}.posts.arrays", f"{digest}.posts.meta"]
+            warm = _run_captured(capsys, argv, out)
+            assert reads.call_count == 1, name
+            assert cold[0] == 0 and warm == cold, name
+            reads.reset_mock()
+
+    def test_hit_equals_read(self, dataset, cold_table_cache, reads):
+        """A hit gives the read's users, codes, tokens, ids, offsets and
+        stats."""
+        path = dataset / "posts.jsonl"
+        digest = dataio.sha256_file(path)
+        cold = pipeline.load_corpus(path, digest)
+        hit = pipeline.load_corpus(path, digest)
+        assert reads.call_count == 1
+        for a, b in ((cold, hit), (hit, cold)):
+            assert a.users == b.users and a.tokens == b.tokens and a.stats == b.stats
+            for name in ("codes", "ids", "offsets"):
+                assert getattr(a, name).dtype == getattr(b, name).dtype
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        clean = pipeline.load_clean_posts(path)
+        assert hit.lists() == [tp.tokens for tp in clean]
+        assert [hit.users[c] for c in hit.codes] == [tp.user_id for tp in clean]
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated-arrays", "id-out-of-range", "code-out-of-range", "offsets-not-monotone",
+                   "other-format", "garbled-meta", "digest-mismatch", "repeated-token"]
+    )
+    def test_damaged_entry_is_read_and_rewritten(self, dataset, tmp_path, capsys, cold_table_cache, reads,
+                                                 damage):
+        """An entry that fails a check is a miss: the posts are read again
+        and the entry written again. Where the stored digest could match the
+        damaged entry, it is made to, so only the check named fails."""
+        argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                "--embeddings", dataset / "embeddings.vec"]
+        cold = _run_captured(capsys, argv, tmp_path / "out")
+        entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
+        key = dataio.sha256_file(dataset / "posts.jsonl")
+        corpus = pipeline.load_corpus(dataset / "posts.jsonl", key)
+        codes, offsets, ids = corpus.codes.copy(), corpus.offsets.copy(), corpus.ids.copy()
+        tokens = list(corpus.tokens)
+        meta = json.loads(entry[f"{key}.posts.meta"])
+        if damage == "truncated-arrays":
+            (cold_table_cache / f"{key}.posts.arrays").write_bytes(entry[f"{key}.posts.arrays"][:-4])
+        elif damage == "garbled-meta":
+            garbled = entry[f"{key}.posts.meta"]
+            (cold_table_cache / f"{key}.posts.meta").write_bytes(garbled[: len(garbled) // 2])
+        else:
+            if damage == "id-out-of-range":
+                ids[5] = len(tokens)
+            elif damage == "code-out-of-range":
+                codes[7] = len(corpus.users)
+            elif damage == "offsets-not-monotone":
+                i = int(np.flatnonzero(offsets[2:] > offsets[1:-1])[0]) + 1
+                offsets[i], offsets[i + 1] = offsets[i + 1], offsets[i]
+            elif damage == "other-format":
+                meta["format"] += 1
+            elif damage == "digest-mismatch":  # two different ids swapped
+                i = int(np.flatnonzero(ids[1:] != ids[:-1])[0])
+                ids[i], ids[i + 1] = ids[i + 1], ids[i]
+            elif damage == "repeated-token":
+                tokens[1] = tokens[0]
+                meta["tokens"] = tokens
+            if damage != "digest-mismatch":
+                damaged = pipeline.Corpus(tokens, ids, offsets, corpus.users, codes, corpus.stats)
+                meta["digest"] = damaged.digest()
+            _save_corpus_entry(cold_table_cache, key, codes, offsets, ids, meta)
+        again = _run_captured(capsys, argv, tmp_path / "out")
+        assert again == cold
+        assert reads.call_count == 2
+        assert {p.name: p.read_bytes() for p in cold_table_cache.iterdir()} == entry
+
+    @pytest.mark.parametrize("emptied", [".npy", ".json", ".posts.arrays", ".posts.meta"])
+    def test_empty_entry_file_is_a_miss(self, dataset, tmp_path, capsys, cold_table_cache, emptied):
+        """An entry file left empty (numpy raises EOFError, not ValueError,
+        on one) is a miss like any other damage: the input is parsed again
+        and the entry written again."""
+        argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                "--embeddings", dataset / "embeddings.vec"]
+        cold = _run_captured(capsys, argv, tmp_path / "out")
+        entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
+        key = dataio.sha256_file(dataset / ("posts.jsonl" if "posts" in emptied else "embeddings.vec"))
+        (cold_table_cache / f"{key}{emptied}").write_bytes(b"")
+        assert _run_captured(capsys, argv, tmp_path / "out") == cold
+        assert {p.name: p.read_bytes() for p in cold_table_cache.iterdir()} == entry
+
+    def test_bad_line_exits_2_and_stores_nothing(self, dataset, tmp_path, capsys, cold_table_cache):
+        """A posts file whose line 3 is not JSON exits 2 naming line 3 on
+        every run, and never gets an entry."""
+        lines = (dataset / "posts.jsonl").read_text(encoding="utf-8").splitlines(True)
+        lines[2] = "{not json\n"
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("".join(lines), encoding="utf-8")
+        for command in ("train", "evaluate", "curve"):
+            for _ in range(2):
+                argv = [command, "--posts", posts, "--labels", dataset / "labels.csv",
+                        "--embeddings", dataset / "embeddings.vec", "--output-dir", tmp_path / "out"]
+                capsys.readouterr()
+                assert run_cli(*argv) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"postscore: data error: {posts}:3: invalid JSON"), err
+                assert _corpus_files(cold_table_cache) == []
+
+    def test_posts_changed_during_the_read_are_not_stored(self, dataset, tmp_path, cold_table_cache,
+                                                          monkeypatch):
+        """A posts file rewritten while it is read may no longer hold the
+        bytes its digest names, so no entry is written under that digest."""
+        path = tmp_path / "posts.jsonl"
+        shutil.copy(dataset / "posts.jsonl", path)
+        digest = dataio.sha256_file(path)
+        iter_posts = dataio.iter_posts_jsonl
+
+        def read_then_rewrite(p):
+            yield from iter_posts(p)
+            path.write_text('{"user_id": "u", "post_id": "p", "text": "other words"}\n', encoding="utf-8")
+            os.utime(path, ns=(0, 0))  # a new time even where the clock is coarse
+
+        monkeypatch.setattr(dataio, "iter_posts_jsonl", read_then_rewrite)
+        corpus = pipeline.load_corpus(path, digest)
+        assert len(corpus) == len(pipeline.load_clean_posts(dataset / "posts.jsonl"))
+        assert not cold_table_cache.exists()
+
+    @pytest.mark.parametrize("rewritten", ["embeddings", "posts"])
+    def test_file_rewritten_after_its_hash_is_not_stored(self, dataset, tmp_path, capsys,
+                                                         cold_table_cache, monkeypatch, rewritten):
+        """A file rewritten just after it was hashed, before the cache looks
+        at it, is loaded from its new bytes and stored under no digest: its
+        stamp is taken before the hash."""
+        inputs = {"embeddings": tmp_path / "table.vec", "posts": tmp_path / "posts.jsonl"}
+        shutil.copy(dataset / "embeddings.vec", inputs["embeddings"])
+        shutil.copy(dataset / "posts.jsonl", inputs["posts"])
+        target = inputs[rewritten]
+        old = dataio.sha256_file(target)
+        lines = target.read_text(encoding="utf-8").splitlines(True)
+        sha256_file = dataio.sha256_file
+
+        if rewritten == "embeddings":  # one row fewer, and the header's count to match
+            count, dim = lines[0].split()
+            lines[0] = f"{int(count) - 1} {dim}\n"
+
+        def hash_then_rewrite(p):
+            digest = sha256_file(p)
+            if Path(p) == target:
+                target.write_text("".join(lines[:-1]), encoding="utf-8")
+                os.utime(target, ns=(0, 0))  # a new time even where the clock is coarse
+            return digest
+
+        monkeypatch.setattr(dataio, "sha256_file", hash_then_rewrite)
+        argv = ["train", "--posts", inputs["posts"], "--labels", dataset / "labels.csv",
+                "--embeddings", inputs["embeddings"], "--output-dir", tmp_path / "out"]
+        assert run_cli(*argv) == 0
+        assert not [p.name for p in cold_table_cache.iterdir() if p.name.startswith(old)]
+
+    def test_each_command_hashes_the_posts_once(self, dataset, trained, tfidf_trained, tmp_path,
+                                                cold_table_cache, monkeypatch):
+        """The digest that keys the corpus is the manifest's: cold or warm,
+        no command reads the posts file twice for hashing."""
+        posts = dataset / "posts.jsonl"
+        hashed = []
+        sha256_file = dataio.sha256_file
+        monkeypatch.setattr(dataio, "sha256_file", lambda p: hashed.append(Path(p)) or sha256_file(p))
+        commands = _posts_commands(dataset, trained / "model.json", tfidf_trained / "model.json")
+        for name, argv in commands.items():
+            shutil.rmtree(cold_table_cache, ignore_errors=True)
+            for run in ("cold", "warm"):
+                hashed.clear()
+                out = tmp_path / name / run
+                assert run_cli(*argv, "--output-dir", out) == 0
+                assert hashed.count(posts) == 1, (name, run)
+                manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+                assert manifest["inputs"]["posts"] == {"path": str(posts), "sha256": sha256_file(posts)}
+
+    def test_corpora_have_their_own_limit(self, tmp_path, cold_table_cache, reads):
+        """Corpora fill their own bound, least recently used out first, and
+        leave tables alone; tables filling theirs leave corpora alone."""
+        assert pipeline.CORPUS_ENTRIES == 4 and embeddings.CACHE_ENTRIES == 4
+        vec = tmp_path / "t.vec"
+        EmbeddingTable(["a", "b"], np.ones((2, 3), dtype=np.float32)).save_vec(vec)
+        table_key = dataio.sha256_file(vec)
+        load_vec_cached(vec, table_key)
+        keys, paths = [], []
+        for i in range(6):
+            paths.append(tmp_path / f"p{i}.jsonl")
+            paths[-1].write_text(json.dumps({"user_id": "u", "post_id": "p", "text": f"w{i}"}) + "\n",
+                                 encoding="utf-8")
+            keys.append(dataio.sha256_file(paths[-1]))
+        for i in [0, 1, 2, 3, 0, 4, 5]:
+            time.sleep(0.02)  # file times tick as coarsely as 10 ms
+            assert pipeline.load_corpus(paths[i], keys[i]).tokens == [f"w{i}"]
+        assert reads.call_count == 6
+        assert _corpus_files(cold_table_cache) == sorted(
+            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".posts.arrays", ".posts.meta")
+        )
+        assert {f"{table_key}.json", f"{table_key}.npy"} <= {p.name for p in cold_table_cache.iterdir()}
+        for i in range(5):
+            time.sleep(0.02)
+            other = tmp_path / f"t{i}.vec"
+            EmbeddingTable(["a", "b"], np.full((2, 3), i + 2, dtype=np.float32)).save_vec(other)
+            load_vec_cached(other, dataio.sha256_file(other))
+        assert len(_corpus_files(cold_table_cache)) == 8
+        assert not (cold_table_cache / f"{table_key}.json").exists()

@@ -1,11 +1,17 @@
+import json
+import shutil
+import tempfile
 import tracemalloc
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postscore import dataio, embeddings, pipeline, wordrank
+from postscore import cache, dataio, embeddings, pipeline, wordrank
 from postscore.embeddings import EmbeddingTable, flat_token_ids
 from postscore.model import LinearModel, TrainingMeta, fit, score_tokenized_posts
 from postscore.pipeline import (
@@ -16,7 +22,7 @@ from postscore.pipeline import (
     predict_users_from_posts,
     predict_users_tfidf,
 )
-from postscore.textproc import RawPost, TokenizedPost, extract_features
+from postscore.textproc import RawPost, TokenizedPost, extract_features, should_filter, tokenize
 from postscore.tfidf import build_vocab, tfidf_vector
 
 from oracles import post_vector, predict_post
@@ -92,6 +98,110 @@ class TestBuildEmbeddingTraining:
         clean = list(iter_clean_posts([RawPost("u", "p", "qqq")]))
         with pytest.raises(ValueError, match="usable"):
             build_embedding_training(clean, {"u": 1.0}, tiny_table)
+
+
+# Pieces of post text that the filter and the tokenizer treat specially:
+# dotted capital I, a final sigma, apostrophes and hyphens inside and around
+# words, URLs, "www." chunks, other scripts, digits and an underscore.
+_FRAGMENTS = st.sampled_from([
+    "\u0130stanbul", "\u0130", "\u039f\u0394\u039f\u03a3", "\u03a3", "don't", "'tis", "o'", "re-read", "-x-",
+    "--", "'", "http://x.ru/a", "HTTPS://T.CO", "www.site.ru", "xwww.y", "WWW.Site", " ", "\n", "",
+    "\u0451\u0436", "\u65e5\u672c", "\u0661\u0662", "_", "Stra\u00dfe", "\u01c5", "!", "\U0001F600",
+])
+_TEXTS = st.lists(st.one_of(st.text(max_size=8), _FRAGMENTS), max_size=8).map("".join)
+_POSTS = st.lists(st.tuples(st.text(max_size=3), _TEXTS, st.booleans()), max_size=25)
+
+
+def _corpus_posts(corpus):
+    """(user id, tokens) of each post of a corpus."""
+    return list(zip([corpus.users[c] for c in corpus.codes.tolist()], corpus.lists()))
+
+
+class TestCorpus:
+    @settings(max_examples=80, deadline=None)
+    @given(posts=_POSTS)
+    def test_equals_iter_clean_posts(self, posts):
+        """Post by post, the corpus of a posts file holds the user ids and
+        tokens that iter_clean_posts and tokenize give, and the same filter
+        counts; the entry written on the first load is read on the second,
+        and gives the same corpus."""
+        raw = [RawPost(u, f"p{i}", text, repost) for i, (u, text, repost) in enumerate(posts)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.jsonl"
+            dataio.write_posts_jsonl(path, raw)
+            stats = FilterStats()
+            clean = list(iter_clean_posts(dataio.iter_posts_jsonl(path), stats))
+            shutil.rmtree(cache.cache_root(), ignore_errors=True)
+            digest = dataio.sha256_file(path)
+            with mock.patch.object(dataio, "iter_posts_jsonl", wraps=dataio.iter_posts_jsonl) as reads:
+                cold = pipeline.load_corpus(path, digest)
+                warm = pipeline.load_corpus(path, digest)
+            assert reads.call_count == 1
+        expected = [(tp.user_id, tp.tokens) for tp in clean]
+        assert expected == [(p.user_id, tokenize(p.text)) for p in raw if not should_filter(p)[0]]
+        for corpus in (cold, warm):
+            assert _corpus_posts(corpus) == expected
+            assert corpus.stats == stats
+            assert len(corpus) == stats.kept
+            assert wordrank.training_token_counts(corpus) == Counter(t for tp in clean for t in tp.tokens)
+        assert (warm.users, warm.tokens) == (cold.users, cold.tokens)
+        for name in ("codes", "ids", "offsets"):
+            a, b = getattr(cold, name), getattr(warm, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_lone_surrogate_user_id_round_trips(self, tmp_path):
+        """A JSON posts file can name a user with a lone surrogate, which
+        UTF-8 cannot hold; the entry stores it and gives it back."""
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps({"user_id": "u\ud800", "post_id": "p", "text": "a b"}) + "\n",
+                        encoding="utf-8")
+        digest = dataio.sha256_file(path)
+        cold = pipeline.load_corpus(path, digest)
+        assert (cache.cache_root() / f"{digest}.posts.meta").exists()
+        warm = pipeline.load_corpus(path, digest)
+        assert _corpus_posts(warm) == _corpus_posts(cold) == [("u\ud800", ["a", "b"])]
+
+    def test_token_lists_are_interned(self):
+        """TokenizedPosts given to the model routes become a corpus on entry:
+        first-appearance ids, one code per post, every post kept."""
+        clean = [TokenizedPost("u2", "p1", ["b", "a", "b"]), TokenizedPost("u1", "p2", []),
+                 TokenizedPost("u2", "p3", ["c", "a"])]
+        corpus = pipeline.Corpus.from_posts(clean)
+        assert corpus.tokens == ["b", "a", "c"] and corpus.users == ["u2", "u1"]
+        assert corpus.ids.tolist() == [0, 1, 0, 2, 1] and corpus.offsets.tolist() == [0, 3, 3, 5]
+        assert corpus.codes.tolist() == [0, 1, 0] and corpus.stats == FilterStats(kept=3)
+        assert corpus.ids.dtype == corpus.codes.dtype == np.int32 and corpus.offsets.dtype == np.int64
+
+
+class TestCorpusMemory:
+    def test_at_most_16_bytes_a_token(self, tmp_path):
+        """The model path's memory contract: reading a posts file into its
+        corpus and storing it, on an empty cache, peaks at most 16 bytes a
+        token above the same read of a tenth of the posts, with the same
+        distinct words. The corpus holds an int32 id a token, an int32 code
+        and an int64 offset a post; a list of TokenizedPosts took about 86
+        bytes a token."""
+        words = [f"w{i}" for i in range(500)]
+
+        def peak(n):
+            rng = np.random.default_rng(n)
+            path = tmp_path / f"posts{n}.jsonl"
+            dataio.write_posts_jsonl(path, (
+                RawPost(f"u{i % 50}", f"p{i}", " ".join(words[j] for j in rng.integers(0, 500, 12)))
+                for i in range(n)
+            ))
+            digest = dataio.sha256_file(path)
+            tracemalloc.start()
+            try:
+                corpus = pipeline.load_corpus(path, digest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (cache.cache_root() / f"{digest}.posts.meta").exists()
+            return peak, corpus.ids.size
+
+        (small, small_tokens), (large, large_tokens) = peak(2_000), peak(20_000)
+        assert large - small <= 16 * (large_tokens - small_tokens)
 
 
 class TestUserMeans:
