@@ -3,65 +3,64 @@
 A `.vec` table (``embeddings.load_vec_cached``) and a posts file
 (``pipeline.load_corpus``) are each parsed once; later commands load what the
 parse gave from ``$XDG_CACHE_HOME/postscore`` (``~/.cache/postscore`` when
-that variable is unset or relative). An entry is a few files whose names
-start with the key: a table's are ``<sha256>.npy`` and ``<sha256>.json``, a
-posts corpus's ``<sha256>.posts.arrays`` and ``<sha256>.posts.meta``. Each
-kind keeps its own number of entries, and its least recently used goes
-first. This module needs only the standard library.
+that variable is unset or relative). ``load`` is the only route to it: no
+other module names, opens, writes, touches or evicts an entry's files. A
+kind of input says only what goes into an entry and what a hit must pass.
+
+The entry of kind ``<kind>`` for a file whose sha256 is ``<key>`` is one
+``<key>.<kind>.<name>.npy`` per array, memory-mapped read-only on a hit, and
+``<key>.<kind>.json``: the format number and the kind's strings, counts and
+digest, as UTF-8 that keeps a lone surrogate (a user id may hold one) with
+``surrogatepass``. The JSON is written last and touched on every hit, so its
+modification time is the entry's last use. Each kind keeps at most
+``ENTRIES`` entries, and its least recently used go first.
 """
 
-from __future__ import annotations
-
+import json
 import os
 import tempfile
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
-# The file of each kind of entry that is written last and touched on every
-# hit, so that its modification time is the entry's last use.
-_LAST_USE = {"table": ".json", "posts": ".posts.meta"}
+import numpy as np
+
+from . import dataio
+
+# Entries each kind keeps. A 2M x 300 table is 2.4 GB as float32, so the
+# bound is also one on disk.
+ENTRIES = 4
+# Written into every entry; an entry of another format is a miss. A change to
+# the layout, or to what a kind's parse accepts or gives, changes this number.
+_FORMAT = 2
 
 
-def load(path, key, before, kind, limit, read, parse, write):
-    """``parse(path)``, or the entry ``read(root, key)`` finds under ``key``.
+def load(path, kind: str, parse, pack, unpack):
+    """``(value, sha256)`` of the file at ``path``: the entry of ``kind``
+    under the file's sha256, or else ``parse(path)``.
 
-    ``key`` is the sha256 of the file's bytes, and ``before`` the file's
-    ``stamp()`` taken before it was hashed (None: taken now). ``read``
-    returns None for anything but a whole entry that passes its checks, and
-    that is a miss: the file is parsed, and ``write(root, key, value)``
-    stores what the parse gave, unless the file changed since ``before``: it
-    may no longer hold the bytes that ``key`` names. Then the least recently
-    used entries of ``kind`` beyond ``limit`` are removed. A cache that
-    cannot be found or written costs a parse and nothing else: no error or
-    message reaches the caller. Errors of the parse propagate, and nothing
-    is stored.
+    The file's stamp is taken, then the file is hashed once. A hit is
+    ``unpack(meta, array)`` of the entry's JSON object, with ``array(name)``
+    mapping one of its arrays; None from it, or any failure to open or
+    decode an entry file, is a miss. A miss parses the file and stores the
+    arrays (a dict by name) and JSON object that ``pack(value)`` gives,
+    unless the stamp moved: the file may no longer hold the bytes its digest
+    names. A cache that cannot be found or written costs a parse and nothing
+    else. Errors of the parse propagate, and nothing is stored.
     """
+    before = _stamp(path)
+    key = dataio.sha256_file(path)
     root = cache_root()
     if root is not None:
-        value = read(root, key)
+        value = _read(root, f"{key}.{kind}", unpack)
         if value is not None:
-            try:
-                os.utime(root / f"{key}{_LAST_USE[kind]}")
-            except OSError:
-                pass
-            return value
-    if before is None:
-        before = stamp(path)
+            return value, key
     value = parse(path)
-    if root is not None and stamp(path) == before:
-        try:
+    if root is not None and _stamp(path) == before:
+        with suppress(OSError):
             root.mkdir(parents=True, exist_ok=True)
-            write(root, key, value)
-            evict(root, kind, limit)
-        except OSError:
-            pass
-    return value
-
-
-def stamp(path):
-    """Inode, size and modification time: they change when a file is
-    rewritten."""
-    st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
+            _write(root, f"{key}.{kind}", *pack(value))
+            _evict(root, kind)
+    return value, key
 
 
 def cache_root():
@@ -75,44 +74,77 @@ def cache_root():
     return Path(base) / "postscore"
 
 
-def _kind(name: str):
-    """The kind of entry a cache file belongs to, or None for a name that no
-    entry's file has. A posts corpus's files, temporary ones too, are named
-    ``<key>.posts.*``; a table's ``<key>.*`` otherwise."""
-    key, _, rest = name.partition(".")
-    if len(key) != 64:  # a sha256 in hex
+def _stamp(path):
+    """Inode, size and modification time: a rewrite changes them."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read(root, entry: str, unpack):
+    """What ``unpack`` makes of the entry named ``entry``, or None."""
+    def array(name):
+        return np.load(root / f"{entry}.{name}.npy", mmap_mode="r", allow_pickle=False)
+
+    try:
+        # bytes: json decodes them with surrogatepass
+        meta = json.loads((root / f"{entry}.json").read_bytes())
+        if not (isinstance(meta, dict) and meta.get("format") == _FORMAT):
+            return None
+        value = unpack(meta, array)
+    # numpy raises EOFError on an empty file, and json RecursionError on
+    # deeply nested brackets.
+    except (OSError, ValueError, EOFError, RecursionError):
         return None
-    return "posts" if rest.startswith("posts.") else "table"
+    if value is not None:
+        with suppress(OSError):
+            os.utime(root / f"{entry}.json")
+    return value
 
 
-def evict(root, kind: str, limit: int) -> None:
-    """Remove the least recently used entries of ``kind`` beyond ``limit``.
-    An entry is every file of that kind whose name starts with its key."""
-    entries = {}
-    for p in root.iterdir():
-        if _kind(p.name) == kind:
-            entries.setdefault(p.name.partition(".")[0], []).append(p)
-    if len(entries) > limit:
-        def last_use(key):
-            try:
-                return os.stat(root / f"{key}{_LAST_USE[kind]}").st_mtime_ns
-            except OSError:
-                return 0
-        for key in sorted(entries, key=last_use)[: len(entries) - limit]:
-            for p in entries[key]:
-                p.unlink(missing_ok=True)
+def _write(root, entry: str, arrays: dict, meta: dict) -> None:
+    for name, a in arrays.items():
+        with _replacing(root / f"{entry}.{name}.npy") as f:
+            np.save(f, a, allow_pickle=False)
+    text = json.dumps({"format": _FORMAT, **meta}, ensure_ascii=False, separators=(",", ":"))
+    with _replacing(root / f"{entry}.json") as f:
+        f.write(text.encode("utf-8", "surrogatepass"))
 
 
-def replace(path, write) -> None:
-    """Write ``path`` through ``write(file)`` on a temporary file beside it,
-    then rename that over ``path``. The temporary file's name starts with
-    ``path``'s up to its last suffix, so it belongs to the same entry."""
-    prefix = path.name.rpartition(".")[0] + "."
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
+@contextmanager
+def _replacing(path):
+    """A file to write ``path`` through: a temporary file beside it, renamed
+    over ``path`` once written. Its name starts with ``path``'s up to the
+    last suffix, so it belongs to the same entry."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name.rpartition(".")[0] + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            write(f)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _evict(root, kind: str) -> None:
+    """Remove the least recently used entries of ``kind`` beyond ``ENTRIES``:
+    each is every file named ``<key>.<kind>.*``. A file named by a key and
+    one suffix is of the layout before format 2, and goes too."""
+    entries = {}
+    for p in root.iterdir():
+        key, _, rest = p.name.partition(".")
+        if len(key) != 64:  # a sha256 in hex
+            continue
+        if rest.startswith(f"{kind}."):
+            entries.setdefault(key, []).append(p)
+        elif "." not in rest:
+            p.unlink(missing_ok=True)
+
+    def last_use(key):
+        try:
+            return os.stat(root / f"{key}.{kind}.json").st_mtime_ns
+        except OSError:
+            return 0
+
+    for key in sorted(entries, key=last_use, reverse=True)[ENTRIES:]:
+        for p in entries[key]:
+            p.unlink(missing_ok=True)

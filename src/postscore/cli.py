@@ -190,16 +190,6 @@ def _print_seed(seed: int) -> None:
     print(f"seed: {seed}")
 
 
-def _hashed(path: Path):
-    """(sha256, stamp) of an input the cache of parsed inputs keys by its
-    digest. The stamp is taken first, so a file rewritten once the stamp is
-    taken is not stored under a digest it may no longer have."""
-    from .cache import stamp
-
-    before = stamp(path)
-    return dataio.sha256_file(path), before
-
-
 def _load_table(args, inputs: dict) -> EmbeddingTable:
     """The --embeddings table, recorded in ``inputs`` with its sha256: the
     file is hashed once, for both the cache's key and the manifest."""
@@ -208,8 +198,7 @@ def _load_table(args, inputs: dict) -> EmbeddingTable:
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
     path = _check_input(args.embeddings)
-    digest, before = _hashed(path)
-    table = load_vec_cached(path, digest, before)
+    table, digest = load_vec_cached(path)
     inputs["embeddings"] = (path, digest)
     # Post tokens are lowercased and matched exactly, so none reaches a cased row.
     unreachable = sum(w != w.lower() for w in table.words)
@@ -223,8 +212,7 @@ def _load_corpus(path: Path, inputs: dict) -> Corpus:
     ``posts`` with its sha256, hashed once as the table is."""
     from .pipeline import load_corpus
 
-    digest, before = _hashed(path)
-    corpus = load_corpus(path, digest, before)
+    corpus, digest = load_corpus(path)
     inputs["posts"] = (path, digest)
     return corpus
 

@@ -45,6 +45,11 @@ EXCLUDED_HEADER = ["institution_id", "n_users"]
 TFIDF_VOCAB_HEADER = ["term", "df", "idf"]
 
 
+# json raises RecursionError, not JSONDecodeError, on brackets nested past
+# the interpreter's recursion limit.
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -62,6 +67,8 @@ def iter_posts_jsonl(path) -> Iterator[RawPost]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+            except RecursionError:
+                raise DataFormatError(_TOO_DEEP, path=path, line=lineno) from None
             if not isinstance(obj, dict):
                 raise DataFormatError("post must be a JSON object", path=path, line=lineno)
             try:
@@ -322,6 +329,8 @@ def load_model_json(path) -> tuple[LinearModel, dict]:
             payload = json.load(f)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+        except RecursionError:
+            raise DataFormatError(_TOO_DEEP, path=path) from None
     try:
         model = LinearModel.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:

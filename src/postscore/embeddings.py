@@ -14,7 +14,8 @@ is a data error. Writing formats values with numpy a chunk at a time
 ``load_vec_cached`` keeps parsed tables in the cache of parsed inputs
 (``cache``), keyed by the file's sha256, so a table used again is
 memory-mapped from a ``.npy`` file instead of parsed: parsing is most of a
-command's time on a large table.
+command's time on a large table. This module says only what an entry holds
+and what a hit must pass.
 
 Posts arrive as token ids (``TokenIds``): each distinct token is looked up
 in the table once, and rows are gathered by id. A post vector is the mean of
@@ -28,7 +29,6 @@ float64 copy or a mask of the whole table.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from array import array
 from dataclasses import dataclass
@@ -47,15 +47,6 @@ __all__ = ["EmbeddingTable", "TokenIds", "load_vec_cached", "post_vectors_matrix
 # small enough to stay in cache: on 3,000 posts at d=200, 1 MB chunks gather
 # in ~20 ms, 39 MB chunks in ~42 ms.
 _CHUNK_BYTES = 1 << 20
-
-# Tables the cache keeps (see load_vec_cached); the least recently used goes
-# first. A 2M x 300 table is 2.4 GB as float32, so the bound is also one on
-# disk.
-CACHE_ENTRIES = 4
-# Written into every entry's words file; an entry of another format is a
-# miss. A change to what load_vec accepts or returns changes this number.
-_CACHE_FORMAT = 1
-
 
 class DuplicateWordError(ValueError):
     """A word stored twice in a table; ``row`` is its second row."""
@@ -244,57 +235,42 @@ def _read_vec(path):
     return words, vectors
 
 
-def load_vec_cached(path, sha256: str, before=None) -> EmbeddingTable:
-    """``EmbeddingTable.load_vec(path)``, through the cache of parsed inputs
-    (``cache.load``).
+def load_vec_cached(path) -> tuple[EmbeddingTable, str]:
+    """``(EmbeddingTable.load_vec(path), sha256 of the file)``, through the
+    cache of parsed inputs (``cache.load``).
 
-    ``sha256`` is the digest of the file's bytes and the entry's key, and
-    ``before`` the file's ``cache.stamp()`` taken before it was hashed. An
-    entry is ``<sha256>.npy``, the float32 vectors in C order, memory-mapped
-    read-only, and ``<sha256>.json``, the words and the table's
-    ``fingerprint()``. An entry is used only when it passes the checks a
-    parse makes and one more: its shape matches its words, every row's
-    float64 sum is finite, no word is repeated, and the fingerprint
-    recomputed from it equals the stored one. Anything else is parsed by
-    ``load_vec``, which raises as it always does, and written again: the
-    vectors first and the words last. At most ``CACHE_ENTRIES`` tables are
-    kept.
+    An entry holds the float32 vectors in C order as the array ``vectors``,
+    and the words and the table's ``fingerprint()``. A hit is used only when
+    it passes the checks a parse makes and these: the vectors are float32
+    in C order, so the memory map is the table's own array and no copy of
+    it is made, their shape matches the words, every row's float64 sum is
+    finite, no word is repeated, and the fingerprint recomputed from the
+    entry equals the stored one. Anything else is parsed by ``load_vec``,
+    which raises as it always does, and stored again.
     """
-    return cache.load(path, sha256, before, "table", CACHE_ENTRIES, _read_entry,
-                      EmbeddingTable.load_vec, _write_entry)
+    return cache.load(path, "table", EmbeddingTable.load_vec, _pack, _unpack)
 
 
-def _read_entry(root, key):
-    """The table stored under ``key``, or None unless the entry is whole."""
-    try:
-        with open(root / f"{key}.json", "rb") as f:
-            entry = json.load(f)
-        vectors = np.load(root / f"{key}.npy", mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError):  # np.load raises EOFError on an empty file
-        return None
-    words = entry.get("words") if isinstance(entry, dict) else None
+def _pack(table):
+    return {"vectors": table.vectors}, {"fingerprint": table.fingerprint(), "words": table.words}
+
+
+def _unpack(meta, array):
+    words, vectors = meta.get("words"), array("vectors")
     if not (
         isinstance(words, list)
         and all(isinstance(w, str) for w in words)
-        and entry.get("format") == _CACHE_FORMAT
+        and vectors.dtype == np.float32
+        and vectors.flags.c_contiguous
     ):
         return None
-    try:
-        table = EmbeddingTable(words, vectors)
-    except ValueError:  # a shape that does not match the words, or a repeated word
-        return None
+    table = EmbeddingTable(words, vectors)  # ValueError, a miss: another shape or a repeated word
     if not (
         np.isfinite(table.vectors.sum(axis=1, dtype=np.float64)).all()
-        and table.fingerprint() == entry.get("fingerprint")
+        and table.fingerprint() == meta.get("fingerprint")
     ):
         return None
     return table
-
-
-def _write_entry(root, key, table) -> None:
-    cache.replace(root / f"{key}.npy", lambda f: np.save(f, table.vectors, allow_pickle=False))
-    entry = {"format": _CACHE_FORMAT, "fingerprint": table.fingerprint(), "words": table.words}
-    cache.replace(root / f"{key}.json", lambda f: f.write(json.dumps(entry, ensure_ascii=False).encode()))
 
 
 def _values_text(path, lines, words, dim):

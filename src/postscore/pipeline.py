@@ -6,7 +6,8 @@ and int32 token ids each, with the distinct user ids and tokens stored once,
 and the ``FilterStats`` of the read. ``iter_clean_posts`` is the one filter
 and tokenize rule; ``load_corpus`` streams it into a corpus, interning as it
 goes, and keeps the corpus in the cache of parsed inputs (``cache``) under
-the file's sha256, so a posts file used again is loaded, not re-read. Every
+the file's sha256, so a posts file used again is loaded, not re-read; this
+module says only what an entry holds and what a hit must pass. Every
 model route reads a corpus: post vectors and scores gather table rows by
 token id (``embeddings.flat_token_ids``), and the tf-idf routes rebuild
 token lists from it. A list of TokenizedPost is interned into a corpus on
@@ -17,7 +18,6 @@ per-user mean (``_user_means``), with no per-user loop, dict or matrix.
 from __future__ import annotations
 
 import hashlib
-import json
 from array import array
 from dataclasses import dataclass
 
@@ -27,14 +27,6 @@ from . import cache, dataio, embeddings, textproc, tfidf
 from .embeddings import TokenIds
 from .model import LinearModel, TrainingSet, UserPrediction, group_codes, score_tokenized_posts
 from .textproc import extract_features  # noqa: F401  (kept for callers of pipeline.extract_features)
-
-# Posts corpora the cache keeps (see load_corpus), apart from its tables; the
-# least recently used goes first.
-CORPUS_ENTRIES = 4
-# Written into every corpus entry; an entry of another format is a miss. A
-# change to what iter_clean_posts keeps or yields changes this number.
-_CORPUS_FORMAT = 1
-
 
 @dataclass
 class FilterStats:
@@ -102,10 +94,19 @@ class Corpus(TokenIds):
         return has[self.codes]
 
     def digest(self) -> str:
-        """sha256 over the stats, the distinct strings and the arrays."""
-        h = hashlib.sha256(b"postscore-corpus-v1")
+        """sha256 over the stats, the distinct strings and the arrays. Each
+        list of strings is hashed as its count, then, 4,096 strings at a
+        time, their lengths and UTF-8 bytes: no two lists hash alike, and no
+        text of a whole list is built."""
+        h = hashlib.sha256(b"postscore-corpus-v2")
         s = self.stats
-        h.update(json.dumps([[s.kept, s.url, s.repost, s.empty], self.users, self.tokens]).encode())
+        h.update(np.array([s.kept, s.url, s.repost, s.empty], dtype=np.int64))
+        for strings in (self.users, self.tokens):
+            h.update(len(strings).to_bytes(8, "little"))
+            for i in range(0, len(strings), 4096):
+                block = strings[i : i + 4096]
+                h.update(np.fromiter(map(len, block), dtype=np.int64, count=len(block)))
+                h.update("".join(block).encode("utf-8", "surrogatepass"))
         for a in (self.codes, self.offsets, self.ids):
             h.update(a)
         return h.hexdigest()
@@ -115,41 +116,33 @@ def _as_corpus(clean_posts) -> Corpus:
     return clean_posts if isinstance(clean_posts, Corpus) else Corpus.from_posts(clean_posts)
 
 
-def load_corpus(path, sha256: str, before=None) -> Corpus:
-    """The corpus of a posts file: ``iter_clean_posts`` over its posts,
-    through the cache of parsed inputs (``cache.load``).
+def load_corpus(path) -> tuple[Corpus, str]:
+    """``(corpus, sha256 of the file)`` of a posts file: ``iter_clean_posts``
+    over its posts, through the cache of parsed inputs (``cache.load``).
 
-    ``sha256`` is the digest of the file's bytes and the entry's key, and
-    ``before`` the file's ``cache.stamp()`` taken before it was hashed. An
-    entry is ``<sha256>.posts.arrays``, the codes, offsets and ids as three
-    ``.npy`` arrays one after another, and ``<sha256>.posts.meta``, a JSON
-    object of the format number, the stats, the users, the tokens and the
-    corpus's ``digest()``. An entry is used only when the format number is
-    this one, each array has its dtype and the shape the stats and offsets
-    give, the codes and ids are in range, the offsets start at 0 and never
-    fall, no user or token is listed twice, and the digest recomputed from
-    it equals the stored one. Anything else is read again from the file,
-    which raises as a read always does. At most ``CORPUS_ENTRIES`` corpora
-    are kept.
+    An entry holds the codes, offsets and ids as arrays, and the stats, the
+    users, the tokens and the corpus's ``digest()``. A hit is used only when
+    each array has its dtype and the shape the stats and offsets give, the
+    codes and ids are in range, the offsets start at 0 and never fall, no
+    user or token is listed twice, and the digest recomputed from the entry
+    equals the stored one. Anything else is read again from the file, which
+    raises as a read always does, and stored again.
     """
     def parse(path):
         stats = FilterStats()
         return Corpus.from_posts(iter_clean_posts(dataio.iter_posts_jsonl(path), stats), stats)
 
-    return cache.load(path, sha256, before, "posts", CORPUS_ENTRIES, _read_corpus, parse, _write_corpus)
+    return cache.load(path, "posts", parse, _pack, _unpack)
 
 
-def _read_corpus(root, key):
-    """The corpus stored under ``key``, or None unless the entry is whole."""
-    try:
-        with open(root / f"{key}.posts.meta", "rb") as f:
-            meta = json.load(f)
-        with open(root / f"{key}.posts.arrays", "rb") as f:
-            codes, offsets, ids = (np.load(f, allow_pickle=False) for _ in range(3))
-    except (OSError, ValueError, EOFError):
-        return None
-    if not (isinstance(meta, dict) and meta.get("format") == _CORPUS_FORMAT):
-        return None
+def _pack(corpus: Corpus):
+    s = corpus.stats
+    return ({"codes": corpus.codes, "offsets": corpus.offsets, "ids": corpus.ids},
+            {"digest": corpus.digest(), "stats": [s.kept, s.url, s.repost, s.empty],
+             "users": corpus.users, "tokens": corpus.tokens})
+
+
+def _unpack(meta, array):
     users, tokens, counts = meta.get("users"), meta.get("tokens"), meta.get("stats")
     if not (
         _distinct_strings(users)
@@ -159,6 +152,7 @@ def _read_corpus(root, key):
         and all(type(c) is int and c >= 0 for c in counts)
     ):
         return None
+    codes, offsets, ids = array("codes"), array("offsets"), array("ids")
     n = counts[0]
     if not (
         codes.dtype == np.int32 and codes.shape == (n,)
@@ -180,19 +174,6 @@ def _distinct_strings(items) -> bool:
 
 def _in_range(a, n: int) -> bool:
     return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < n)
-
-
-def _write_corpus(root, key, corpus: Corpus) -> None:
-    def arrays(f):
-        for a in (corpus.codes, corpus.offsets, corpus.ids):
-            np.save(f, a, allow_pickle=False)
-
-    cache.replace(root / f"{key}.posts.arrays", arrays)
-    s = corpus.stats
-    meta = {"format": _CORPUS_FORMAT, "digest": corpus.digest(),
-            "stats": [s.kept, s.url, s.repost, s.empty], "users": corpus.users, "tokens": corpus.tokens}
-    # ASCII JSON: a user id may hold a lone surrogate, which UTF-8 cannot encode.
-    cache.replace(root / f"{key}.posts.meta", lambda f: f.write(json.dumps(meta).encode()))
 
 
 @dataclass

@@ -12,11 +12,11 @@ from postscore import cli
 # loaded at LOOCV's first solve, would follow whichever test ran main first.
 os.environ.update(cli._ONE_BLAS_THREAD)
 
-# The cache of parsed inputs (postscore.cache), which holds both tables
-# (embeddings.load_vec_cached) and posts corpora (pipeline.load_corpus),
-# lives in a directory of the suite's own for the whole session, set before
-# any command runs in or out of process, so no test reads or writes the
-# user's cache.
+# The cache of parsed inputs (postscore.cache.load), one entry layout for
+# both tables (embeddings.load_vec_cached) and posts corpora
+# (pipeline.load_corpus), lives in a directory of the suite's own for the
+# whole session, set before any command runs in or out of process, so no
+# test reads or writes the user's cache.
 _CACHE_HOME = tempfile.mkdtemp(prefix="postscore-test-cache-")
 atexit.register(shutil.rmtree, _CACHE_HOME, ignore_errors=True)
 os.environ["XDG_CACHE_HOME"] = _CACHE_HOME

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import postscore
-from postscore import dataio, embeddings, pipeline
+from postscore import cache, dataio, pipeline
 from postscore.cli import main
 from postscore.embeddings import EmbeddingTable, load_vec_cached
 
@@ -710,6 +710,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.jsonl:1" in err
 
+    @pytest.mark.parametrize("command", ["train", "featurize"])
+    def test_deeply_nested_post_is_2_with_line(self, dataset, tmp_path, capsys, command):
+        """A line of brackets nested past the recursion limit is a data
+        error naming the file and the line, not a RecursionError."""
+        posts = tmp_path / "posts.jsonl"
+        text = (dataset / "posts.jsonl").read_text(encoding="utf-8")
+        posts.write_text(text + "[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+        inputs = ["--labels", dataset / "labels.csv", "--embeddings", dataset / "embeddings.vec"]
+        code = run_cli(command, "--posts", posts, *(inputs if command == "train" else []),
+                       "--output-dir", tmp_path / "o")
+        assert code == 2
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err == (
+            f"postscore: data error: {posts}:{line}: invalid JSON: nested too deeply\n")
+
+    def test_deeply_nested_model_is_2(self, dataset, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code = run_cli("predict", "--posts", dataset / "posts.jsonl", "--model", model,
+                       "--embeddings", dataset / "embeddings.vec", "--output-dir", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == f"postscore: data error: {model}: invalid JSON: nested too deeply\n"
+
     def test_singular_system_is_3_with_hint(self, dataset, tmp_path, capsys):
         # 12-dim embeddings but only a handful of labeled posts at lambda=0
         labels = dataio.read_labels_csv(dataset / "labels.csv")
@@ -1043,10 +1066,12 @@ class TestTableCache:
         EmbeddingTable(words, vectors).save_vec(path)
         digest = dataio.sha256_file(path)
         parsed = EmbeddingTable.load_vec(path)
-        cold = load_vec_cached(path, digest)
-        hit = load_vec_cached(path, digest)
+        cold, cold_key = load_vec_cached(path)
+        hit, hit_key = load_vec_cached(path)
+        assert cold_key == hit_key == digest
         assert parses.call_count == 2  # the direct parse and the cold load
-        assert sorted(p.name for p in cold_table_cache.iterdir()) == [f"{digest}.json", f"{digest}.npy"]
+        assert sorted(p.name for p in cold_table_cache.iterdir()) == [f"{digest}.table.json",
+                                                                      f"{digest}.table.vectors.npy"]
         for table in (cold, hit):
             assert table.words == parsed.words == words
             assert table.vectors.dtype == np.float32
@@ -1074,19 +1099,22 @@ class TestTableCache:
 
     @pytest.mark.parametrize(
         "damage", ["truncated-vectors", "garbled-words", "wrong-fingerprint", "reordered-words",
-                   "nan-in-vectors", "repeated-word", "missing-row", "other-format"]
+                   "nan-in-vectors", "repeated-word", "missing-row", "other-format", "fortran-float64",
+                   "float64", "fortran-order"]
     )
     def test_damaged_entry_is_parsed_and_rewritten(self, dataset, tmp_path, capsys, cold_table_cache,
                                                    parses, damage):
         """An entry that fails a check is a miss: the table is parsed, and
         the entry written again. Where the stored fingerprint could match
-        the damaged entry, it is made to, so only the check named fails."""
+        the damaged entry, it is made to, so only the check named fails. The
+        same values as float64 or in Fortran order would be read whole and
+        copied, not memory-mapped, so they are a miss too."""
         argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
                 "--embeddings", dataset / "embeddings.vec"]
         cold = _run_captured(capsys, argv, tmp_path / "out")
         entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
-        (vectors_name,) = (n for n in entry if n.endswith(".npy"))
-        (words_name,) = (n for n in entry if n.endswith(".json"))
+        (vectors_name,) = (n for n in entry if n.endswith(".table.vectors.npy"))
+        (words_name,) = (n for n in entry if n.endswith(".table.json"))
         vectors_file, words_file = cold_table_cache / vectors_name, cold_table_cache / words_name
         payload = json.loads(entry[words_name])
         vectors = np.load(vectors_file)
@@ -1114,8 +1142,14 @@ class TestTableCache:
         elif damage == "missing-row":
             np.save(vectors_file, vectors[:-1])
             payload["fingerprint"] = fingerprint(payload["words"], vectors[:-1])
-        else:
+        elif damage == "other-format":
             payload["format"] += 1
+        elif damage == "fortran-float64":
+            np.save(vectors_file, np.asfortranarray(vectors, dtype=np.float64))
+        elif damage == "float64":
+            np.save(vectors_file, vectors.astype(np.float64))
+        else:
+            np.save(vectors_file, np.asfortranarray(vectors))
         if damage not in ("truncated-vectors", "garbled-words"):
             words_file.write_text(json.dumps(payload), encoding="utf-8")
         again = _run_captured(capsys, argv, tmp_path / "out")
@@ -1146,7 +1180,6 @@ class TestTableCache:
         its digest names, so no entry is written under that digest."""
         path = tmp_path / "table.vec"
         EmbeddingTable(["a", "b"], np.ones((2, 3), dtype=np.float32)).save_vec(path)
-        digest = dataio.sha256_file(path)
         load_vec = EmbeddingTable.load_vec
 
         def parse_then_rewrite(p):
@@ -1156,7 +1189,7 @@ class TestTableCache:
             return table
 
         monkeypatch.setattr(EmbeddingTable, "load_vec", parse_then_rewrite)
-        assert load_vec_cached(path, digest).vectors[0, 0] == 1
+        assert load_vec_cached(path)[0].vectors[0, 0] == 1
         assert not cold_table_cache.exists()
 
     def test_each_command_hashes_the_table_once(self, dataset, trained, tmp_path, cold_table_cache,
@@ -1181,7 +1214,7 @@ class TestTableCache:
         """The least recently used entry goes first, and a hit counts as a
         use: after tables 0-3, a hit on 0, then tables 4 and 5, the cache
         holds 0, 3, 4 and 5 and nothing else."""
-        assert embeddings.CACHE_ENTRIES == 4
+        assert cache.ENTRIES == 4
         keys, paths = [], []
         for i in range(6):
             paths.append(tmp_path / f"t{i}.vec")
@@ -1189,11 +1222,11 @@ class TestTableCache:
             keys.append(dataio.sha256_file(paths[-1]))
         for i in [0, 1, 2, 3, 0, 4, 5]:
             time.sleep(0.02)  # file times tick as coarsely as 10 ms
-            assert load_vec_cached(paths[i], keys[i]).vectors[0, 0] == i
+            assert load_vec_cached(paths[i])[0].vectors[0, 0] == i
             assert len({p.name.partition(".")[0] for p in cold_table_cache.iterdir()}) <= 4
         assert parses.call_count == 6
         assert sorted(p.name for p in cold_table_cache.iterdir()) == sorted(
-            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".json", ".npy")
+            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".table.json", ".table.vectors.npy")
         )
 
 
@@ -1227,12 +1260,15 @@ def _corpus_files(root):
     return sorted(p.name for p in root.iterdir() if ".posts." in p.name) if root.exists() else []
 
 
+# The files of a corpus entry, after its key.
+_CORPUS_SUFFIXES = (".posts.codes.npy", ".posts.ids.npy", ".posts.json", ".posts.offsets.npy")
+
+
 def _save_corpus_entry(root, key, codes, offsets, ids, meta):
-    """Write a corpus entry's two files as load_corpus lays them out."""
-    with open(root / f"{key}.posts.arrays", "wb") as f:
-        for a in (codes, offsets, ids):
-            np.save(f, a)
-    (root / f"{key}.posts.meta").write_text(json.dumps(meta), encoding="utf-8")
+    """Write a corpus entry's files as the cache lays them out."""
+    for name, a in (("codes", codes), ("offsets", offsets), ("ids", ids)):
+        np.save(root / f"{key}.posts.{name}.npy", a)
+    (root / f"{key}.posts.json").write_text(json.dumps(meta), encoding="utf-8")
 
 
 class TestCorpusCache:
@@ -1248,7 +1284,7 @@ class TestCorpusCache:
             out = tmp_path / name
             cold = _run_captured(capsys, argv, out)
             assert reads.call_count == 1, name
-            assert _corpus_files(cold_table_cache) == [f"{digest}.posts.arrays", f"{digest}.posts.meta"]
+            assert _corpus_files(cold_table_cache) == [f"{digest}{ext}" for ext in _CORPUS_SUFFIXES]
             warm = _run_captured(capsys, argv, out)
             assert reads.call_count == 1, name
             assert cold[0] == 0 and warm == cold, name
@@ -1259,8 +1295,9 @@ class TestCorpusCache:
         stats."""
         path = dataset / "posts.jsonl"
         digest = dataio.sha256_file(path)
-        cold = pipeline.load_corpus(path, digest)
-        hit = pipeline.load_corpus(path, digest)
+        cold, cold_key = pipeline.load_corpus(path)
+        hit, hit_key = pipeline.load_corpus(path)
+        assert cold_key == hit_key == digest
         assert reads.call_count == 1
         for a, b in ((cold, hit), (hit, cold)):
             assert a.users == b.users and a.tokens == b.tokens and a.stats == b.stats
@@ -1273,27 +1310,30 @@ class TestCorpusCache:
 
     @pytest.mark.parametrize(
         "damage", ["truncated-arrays", "id-out-of-range", "code-out-of-range", "offsets-not-monotone",
-                   "other-format", "garbled-meta", "digest-mismatch", "repeated-token"]
+                   "other-format", "garbled-meta", "digest-mismatch", "repeated-token", "nested-meta"]
     )
     def test_damaged_entry_is_read_and_rewritten(self, dataset, tmp_path, capsys, cold_table_cache, reads,
                                                  damage):
         """An entry that fails a check is a miss: the posts are read again
         and the entry written again. Where the stored digest could match the
-        damaged entry, it is made to, so only the check named fails."""
+        damaged entry, it is made to, so only the check named fails. Brackets
+        nested past the recursion limit in the JSON file are a miss too."""
         argv = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
                 "--embeddings", dataset / "embeddings.vec"]
         cold = _run_captured(capsys, argv, tmp_path / "out")
         entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
         key = dataio.sha256_file(dataset / "posts.jsonl")
-        corpus = pipeline.load_corpus(dataset / "posts.jsonl", key)
+        corpus, _ = pipeline.load_corpus(dataset / "posts.jsonl")
         codes, offsets, ids = corpus.codes.copy(), corpus.offsets.copy(), corpus.ids.copy()
         tokens = list(corpus.tokens)
-        meta = json.loads(entry[f"{key}.posts.meta"])
+        meta = json.loads(entry[f"{key}.posts.json"])
         if damage == "truncated-arrays":
-            (cold_table_cache / f"{key}.posts.arrays").write_bytes(entry[f"{key}.posts.arrays"][:-4])
+            (cold_table_cache / f"{key}.posts.ids.npy").write_bytes(entry[f"{key}.posts.ids.npy"][:-4])
         elif damage == "garbled-meta":
-            garbled = entry[f"{key}.posts.meta"]
-            (cold_table_cache / f"{key}.posts.meta").write_bytes(garbled[: len(garbled) // 2])
+            garbled = entry[f"{key}.posts.json"]
+            (cold_table_cache / f"{key}.posts.json").write_bytes(garbled[: len(garbled) // 2])
+        elif damage == "nested-meta":
+            (cold_table_cache / f"{key}.posts.json").write_text("[" * 200_000 + "]" * 200_000)
         else:
             if damage == "id-out-of-range":
                 ids[5] = len(tokens)
@@ -1319,7 +1359,8 @@ class TestCorpusCache:
         assert reads.call_count == 2
         assert {p.name: p.read_bytes() for p in cold_table_cache.iterdir()} == entry
 
-    @pytest.mark.parametrize("emptied", [".npy", ".json", ".posts.arrays", ".posts.meta"])
+    @pytest.mark.parametrize("emptied", ["table.vectors.npy", "table.json", "posts.codes.npy",
+                                         "posts.offsets.npy", "posts.ids.npy", "posts.json"])
     def test_empty_entry_file_is_a_miss(self, dataset, tmp_path, capsys, cold_table_cache, emptied):
         """An entry file left empty (numpy raises EOFError, not ValueError,
         on one) is a miss like any other damage: the input is parsed again
@@ -1329,7 +1370,7 @@ class TestCorpusCache:
         cold = _run_captured(capsys, argv, tmp_path / "out")
         entry = {p.name: p.read_bytes() for p in cold_table_cache.iterdir()}
         key = dataio.sha256_file(dataset / ("posts.jsonl" if "posts" in emptied else "embeddings.vec"))
-        (cold_table_cache / f"{key}{emptied}").write_bytes(b"")
+        (cold_table_cache / f"{key}.{emptied}").write_bytes(b"")
         assert _run_captured(capsys, argv, tmp_path / "out") == cold
         assert {p.name: p.read_bytes() for p in cold_table_cache.iterdir()} == entry
 
@@ -1356,7 +1397,6 @@ class TestCorpusCache:
         bytes its digest names, so no entry is written under that digest."""
         path = tmp_path / "posts.jsonl"
         shutil.copy(dataset / "posts.jsonl", path)
-        digest = dataio.sha256_file(path)
         iter_posts = dataio.iter_posts_jsonl
 
         def read_then_rewrite(p):
@@ -1365,7 +1405,7 @@ class TestCorpusCache:
             os.utime(path, ns=(0, 0))  # a new time even where the clock is coarse
 
         monkeypatch.setattr(dataio, "iter_posts_jsonl", read_then_rewrite)
-        corpus = pipeline.load_corpus(path, digest)
+        corpus, _ = pipeline.load_corpus(path)
         assert len(corpus) == len(pipeline.load_clean_posts(dataset / "posts.jsonl"))
         assert not cold_table_cache.exists()
 
@@ -1422,11 +1462,11 @@ class TestCorpusCache:
     def test_corpora_have_their_own_limit(self, tmp_path, cold_table_cache, reads):
         """Corpora fill their own bound, least recently used out first, and
         leave tables alone; tables filling theirs leave corpora alone."""
-        assert pipeline.CORPUS_ENTRIES == 4 and embeddings.CACHE_ENTRIES == 4
+        assert cache.ENTRIES == 4
         vec = tmp_path / "t.vec"
         EmbeddingTable(["a", "b"], np.ones((2, 3), dtype=np.float32)).save_vec(vec)
         table_key = dataio.sha256_file(vec)
-        load_vec_cached(vec, table_key)
+        load_vec_cached(vec)
         keys, paths = [], []
         for i in range(6):
             paths.append(tmp_path / f"p{i}.jsonl")
@@ -1435,16 +1475,17 @@ class TestCorpusCache:
             keys.append(dataio.sha256_file(paths[-1]))
         for i in [0, 1, 2, 3, 0, 4, 5]:
             time.sleep(0.02)  # file times tick as coarsely as 10 ms
-            assert pipeline.load_corpus(paths[i], keys[i]).tokens == [f"w{i}"]
+            assert pipeline.load_corpus(paths[i])[0].tokens == [f"w{i}"]
         assert reads.call_count == 6
         assert _corpus_files(cold_table_cache) == sorted(
-            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in (".posts.arrays", ".posts.meta")
+            f"{keys[i]}{ext}" for i in (0, 3, 4, 5) for ext in _CORPUS_SUFFIXES
         )
-        assert {f"{table_key}.json", f"{table_key}.npy"} <= {p.name for p in cold_table_cache.iterdir()}
+        assert {f"{table_key}.table.json", f"{table_key}.table.vectors.npy"} <= {
+            p.name for p in cold_table_cache.iterdir()}
         for i in range(5):
             time.sleep(0.02)
             other = tmp_path / f"t{i}.vec"
             EmbeddingTable(["a", "b"], np.full((2, 3), i + 2, dtype=np.float32)).save_vec(other)
-            load_vec_cached(other, dataio.sha256_file(other))
-        assert len(_corpus_files(cold_table_cache)) == 8
-        assert not (cold_table_cache / f"{table_key}.json").exists()
+            load_vec_cached(other)
+        assert len(_corpus_files(cold_table_cache)) == 16
+        assert not (cold_table_cache / f"{table_key}.table.json").exists()

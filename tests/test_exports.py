@@ -68,3 +68,36 @@ def test_every_bench_reference_resolves():
 
     missing = sorted(".".join(ref) for ref in chains | wrapped if not resolves(*ref))
     assert missing == []
+
+
+def test_only_the_cache_module_touches_the_cache():
+    """The layout of the cache of parsed inputs lives in ``postscore.cache``
+    alone. No other module of the package takes a name but ``load`` from it,
+    names the cache's environment variable, or holds a string that would
+    build an entry file's name (one naming a ``.npy`` file, or a
+    ``.table.`` or ``.posts.`` file). Docstrings are exempt, and so are the
+    tests."""
+    root = Path(__file__).resolve().parents[1] / "src" / "postscore"
+    entry_name = re.compile(r"\.npy\b|\.(table|posts)\.|XDG_CACHE_HOME")
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "cache.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                bad = node.value.id == "cache" and node.attr != "load"
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module in ("cache", "postscore.cache") and any(a.name != "load" for a in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                bad = id(node) not in docstrings and entry_name.search(node.value) is not None
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -132,10 +132,9 @@ class TestCorpus:
             stats = FilterStats()
             clean = list(iter_clean_posts(dataio.iter_posts_jsonl(path), stats))
             shutil.rmtree(cache.cache_root(), ignore_errors=True)
-            digest = dataio.sha256_file(path)
             with mock.patch.object(dataio, "iter_posts_jsonl", wraps=dataio.iter_posts_jsonl) as reads:
-                cold = pipeline.load_corpus(path, digest)
-                warm = pipeline.load_corpus(path, digest)
+                cold, _ = pipeline.load_corpus(path)
+                warm, _ = pipeline.load_corpus(path)
             assert reads.call_count == 1
         expected = [(tp.user_id, tp.tokens) for tp in clean]
         assert expected == [(p.user_id, tokenize(p.text)) for p in raw if not should_filter(p)[0]]
@@ -155,11 +154,20 @@ class TestCorpus:
         path = tmp_path / "posts.jsonl"
         path.write_text(json.dumps({"user_id": "u\ud800", "post_id": "p", "text": "a b"}) + "\n",
                         encoding="utf-8")
-        digest = dataio.sha256_file(path)
-        cold = pipeline.load_corpus(path, digest)
-        assert (cache.cache_root() / f"{digest}.posts.meta").exists()
-        warm = pipeline.load_corpus(path, digest)
+        cold, digest = pipeline.load_corpus(path)
+        assert (cache.cache_root() / f"{digest}.posts.json").exists()
+        warm, _ = pipeline.load_corpus(path)
         assert _corpus_posts(warm) == _corpus_posts(cold) == [("u\ud800", ["a", "b"])]
+
+    def test_digest_tells_string_lists_apart(self):
+        """Corpora whose users and tokens join to the same text, split or
+        divided between the two lists differently, have different digests."""
+        splits = [(["ab"], []), (["a", "b"], []), ([], ["ab"]), (["a"], ["b"]), (["ab", ""], []),
+                  (["", "ab"], []), (["a"], ["b", ""])]
+        empty = np.zeros(0, dtype=np.int32)
+        digests = {pipeline.Corpus(tokens, empty, np.zeros(1, dtype=np.int64), users, empty,
+                                   FilterStats()).digest() for users, tokens in splits}
+        assert len(digests) == len(splits)
 
     def test_token_lists_are_interned(self):
         """TokenizedPosts given to the model routes become a corpus on entry:
@@ -190,14 +198,13 @@ class TestCorpusMemory:
                 RawPost(f"u{i % 50}", f"p{i}", " ".join(words[j] for j in rng.integers(0, 500, 12)))
                 for i in range(n)
             ))
-            digest = dataio.sha256_file(path)
             tracemalloc.start()
             try:
-                corpus = pipeline.load_corpus(path, digest)
+                corpus, digest = pipeline.load_corpus(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert (cache.cache_root() / f"{digest}.posts.meta").exists()
+            assert (cache.cache_root() / f"{digest}.posts.json").exists()
             return peak, corpus.ids.size
 
         (small, small_tokens), (large, large_tokens) = peak(2_000), peak(20_000)
