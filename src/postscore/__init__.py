@@ -36,7 +36,7 @@ _SOURCES = {
         "should_filter",
         "tokenize",
     ),
-    "tfidf": ("TfidfVocabulary", "build_vocab", "tfidf_vector"),
+    "tfidf": ("TfidfVocabulary", "build_vocab"),
     "transfer": ("InstitutionScore", "aggregate", "compare"),
     "wordrank": ("WordScore", "project_2d"),
 }

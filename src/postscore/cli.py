@@ -313,7 +313,7 @@ def _tfidf_training(args, corpus, labels, inputs):
     labeled = corpus.labeled(labels)
     if not labeled.any():
         raise ValueError("no labeled training posts")
-    vocab = tfidf.build_vocab(corpus.select(labeled).lists(), stopwords, k=args.top_terms)
+    vocab = tfidf.build_vocab(corpus.select(labeled), stopwords, k=args.top_terms)
     ts, astats = pipeline.build_tfidf_training(corpus, labels, vocab, stopwords)
     return ts, astats, vocab, stopwords
 

@@ -43,6 +43,7 @@ __all__ = ["EmbeddingTable", "TokenIds", "load_vec_cached", "post_vectors_matrix
 
 # Bytes of matched token rows gathered at once by post_vectors_matrix (as
 # float32 and float64: 12*dim bytes a row); chunks end on post boundaries.
+# tfidf_scores builds its float64 rows in blocks of the same size.
 # Bounded by bytes, not rows, so the transient does not grow with dim, and
 # small enough to stay in cache: on 3,000 posts at d=200, 1 MB chunks gather
 # in ~20 ms, 39 MB chunks in ~42 ms.
@@ -89,16 +90,18 @@ class EmbeddingTable:
     def fingerprint(self) -> str:
         """sha256 over shape, vocabulary and raw float32 bytes; cached.
 
-        The vectors are hashed from the C-contiguous array's own buffer, with
-        no copy of it: the digest is the one over ``vectors.tobytes()``, so
-        models trained against a table still match it.
+        Each word is hashed as its UTF-8 bytes and a NUL, 4,096 words to an
+        update. The vectors are hashed from the C-contiguous array's own
+        buffer, with no copy of it: the digest is the one over
+        ``vectors.tobytes()``, so models trained against a table still match
+        it.
         """
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(b"embedding-table-v1")
             h.update(f"{len(self.words)} {self.dim}".encode())
-            for w in self.words:
-                h.update(w.encode("utf-8"))
+            for i in range(0, len(self.words), 4096):
+                h.update("\x00".join(self.words[i : i + 4096]).encode("utf-8"))
                 h.update(b"\x00")
             h.update(self.vectors)
             self._fingerprint = h.hexdigest()
@@ -338,12 +341,6 @@ class TokenIds:
         offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
         np.cumsum(lengths[keep], out=offsets[1:])
         return TokenIds(self.tokens, self.ids[np.repeat(keep, lengths)], offsets)
-
-    def lists(self) -> list:
-        """Each post's tokens as a list of the distinct strings."""
-        flat = np.asarray(self.tokens, dtype=object)[self.ids].tolist()
-        bounds = self.offsets.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def flat_token_ids(table: EmbeddingTable, posts):

@@ -9,10 +9,11 @@ goes, and keeps the corpus in the cache of parsed inputs (``cache``) under
 the file's sha256, so a posts file used again is loaded, not re-read; this
 module says only what an entry holds and what a hit must pass. Every
 model route reads a corpus: post vectors and scores gather table rows by
-token id (``embeddings.flat_token_ids``), and the tf-idf routes rebuild
-token lists from it. A list of TokenizedPost is interned into a corpus on
-entry. Both predict routes score every post first and then take one
-per-user mean (``_user_means``), with no per-user loop, dict or matrix.
+token id (``embeddings.flat_token_ids``), and the tf-idf routes count terms
+as codes made from the token ids (``tfidf``). A list of TokenizedPost is
+interned into a corpus on entry. Both predict routes score every post
+first and then take one per-user mean (``_user_means``), with no per-user
+loop, dict or matrix.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def build_tfidf_training(
     stats.unlabeled = len(corpus) - int(labeled.sum())
     if not labeled.any():
         raise ValueError("no labeled training posts")
-    X = tfidf.tfidf_matrix(vocab, corpus.select(labeled).lists(), stopwords)
+    X = tfidf.tfidf_matrix(vocab, corpus.select(labeled), stopwords)
     ts = _training_set(X, corpus, corpus.codes[labeled], labels)
     stats.n_posts = ts.n_posts
     stats.n_users = len(ts.users)
@@ -299,6 +300,5 @@ def predict_users_tfidf(
     TokenizedPosts. Every post counts: one with no vocabulary term has a zero
     vector and scores the bias."""
     corpus = _as_corpus(clean_posts)
-    w, b = model.weights, model.bias
-    scores = np.array([tfidf.tfidf_vector(vocab, tokens, stopwords) @ w + b for tokens in corpus.lists()])
+    scores = tfidf.tfidf_scores(vocab, corpus, model.weights, model.bias, stopwords)
     return _user_means(model, corpus, scores, np.ones(scores.size, dtype=bool))

@@ -10,15 +10,20 @@ every moment matrix held whole, solved through scipy.linalg's Cholesky and
 triangular routines. (The naive leave-one-user-out checks retrain from
 scratch per user in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
 correlation ceiling, so a test can ask for a dataset with a given one.
+``tfidf_vocab`` and ``tfidf_vector`` are the tf-idf route on token lists:
+a ``Counter`` of term strings per post, one dense vector per post.
+``token_lists`` spells a TokenIds out as one list of strings per post.
 """
 
 import math
+from collections import Counter
 
 
 import mpmath as mp
 import numpy as np
 
 from postscore.synth import SCORE_SD
+from postscore.tfidf import TfidfVocabulary
 
 
 def noise_for_ceiling(r_star: float) -> float:
@@ -86,6 +91,49 @@ def read_vec(path):
     assert len(rows) == count and all(len(r) == dim + 1 for r in rows)
     vectors = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
     return [r[0] for r in rows], vectors.astype(np.float32).reshape(count, dim)
+
+
+def token_lists(posts):
+    """Each post's tokens, as a list of strings, of a TokenIds."""
+    bounds = posts.offsets.tolist()
+    return [[posts.tokens[i] for i in posts.ids[a:b].tolist()] for a, b in zip(bounds, bounds[1:])]
+
+
+def _post_terms(tokens, stopwords):
+    """Unigrams and adjacent bigrams of the stopword-filtered sequence."""
+    kept = [t for t in tokens if t not in stopwords]
+    return kept + [f"{a} {b}" for a, b in zip(kept, kept[1:])]
+
+
+def tfidf_vocab(corpus, stopwords=frozenset(), k=1000):
+    """The top-k terms of token lists by total count, ranked by
+    (-count, term), with df and the smoothed idf."""
+    totals, df = Counter(), Counter()
+    n_docs = 0
+    for tokens in corpus:
+        n_docs += 1
+        terms = _post_terms(tokens, stopwords)
+        totals.update(terms)
+        df.update(set(terms))
+    if n_docs == 0:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    terms = [t for t, _ in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
+    idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms}
+    return TfidfVocabulary(terms=terms, df={t: df[t] for t in terms}, idf=idf, n_docs=n_docs)
+
+
+def tfidf_vector(vocab, tokens, stopwords=frozenset()):
+    """L2-normalized tf-idf vector of one post over the vocabulary."""
+    vec = np.zeros(len(vocab.terms), dtype=np.float64)
+    index = {t: i for i, t in enumerate(vocab.terms)}
+    for term, count in Counter(_post_terms(tokens, stopwords)).items():
+        i = index.get(term)
+        if i is not None:
+            vec[i] = count * vocab.idf[term]
+    norm = math.sqrt(float(vec @ vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 def predict_post(model, vector):

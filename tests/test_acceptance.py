@@ -34,7 +34,7 @@ from postscore.synth import SynthConfig, generate
 from postscore.tfidf import build_vocab, tfidf_matrix
 from postscore.transfer import aggregate, compare
 
-from oracles import gd_fit, noise_for_ceiling, post_vector, predict_post, score_word
+from oracles import gd_fit, noise_for_ceiling, post_vector, predict_post, score_word, tfidf_vector
 
 R_STAR = 0.7
 NOISE_FOR_R_STAR = noise_for_ceiling(R_STAR)
@@ -284,7 +284,6 @@ def test_criterion_09_statistics_identities():
     large-sample significance level."""
     from postscore.stats import spearman
     from postscore.textproc import shannon_entropy
-    from postscore.tfidf import tfidf_vector
 
     checks = []
     # entropy: uniform == log2 k within 1e-12; single token == 0

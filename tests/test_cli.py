@@ -17,6 +17,8 @@ from postscore import cache, dataio, pipeline
 from postscore.cli import main
 from postscore.embeddings import EmbeddingTable, load_vec_cached
 
+from oracles import token_lists
+
 
 def run_cli(*argv):
     """In-process invocation; returns (exit_code)."""
@@ -209,6 +211,24 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert "bad_model.json: `tfidf` has no entry 'idf'" in err
         assert "bad_posts.jsonl" not in err
+
+    def test_repeated_term_is_data_error(self, dataset, tfidf_trained, tmp_path, capsys):
+        """A term listed twice would leave one of its weights unused; predict
+        refuses the model and writes nothing."""
+        payload = json.loads((tfidf_trained / "model.json").read_text(encoding="utf-8"))
+        terms = payload["tfidf"]["terms"]
+        terms[1] = terms[0]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--posts", dataset / "posts.jsonl", "--model", bad, "--output-dir", tmp_path / "pred",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad_model.json: bad `tfidf` object: `terms` lists {terms[0]!r} twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_tfidf_without_labeled_posts_is_data_error(self, dataset, tmp_path, command, capsys):
@@ -1305,7 +1325,7 @@ class TestCorpusCache:
                 assert getattr(a, name).dtype == getattr(b, name).dtype
                 assert np.array_equal(getattr(a, name), getattr(b, name))
         clean = pipeline.load_clean_posts(path)
-        assert hit.lists() == [tp.tokens for tp in clean]
+        assert token_lists(hit) == [tp.tokens for tp in clean]
         assert [hit.users[c] for c in hit.codes] == [tp.user_id for tp in clean]
 
     @pytest.mark.parametrize(

@@ -602,6 +602,21 @@ class TestFingerprint:
             "45ae0a126e41d6be1f235b354328fe614ff2777479944119a22cb28a900f394f"
         )
 
+    def test_blocks_of_words_hash_as_word_by_word(self):
+        """Past 4,096 words, and with a non-ASCII word in the second block,
+        the digest is the one that hashes each word and its NUL on its own."""
+        words = [f"w{i}" for i in range(4100)]
+        words[4097] = "ёж日本"
+        vectors = np.arange(4100 * 2, dtype=np.float32).reshape(4100, 2)
+        h = hashlib.sha256()
+        h.update(b"embedding-table-v1")
+        h.update(b"4100 2")
+        for w in words:
+            h.update(w.encode("utf-8"))
+            h.update(b"\x00")
+        h.update(vectors.tobytes())
+        assert EmbeddingTable(words, vectors).fingerprint() == h.hexdigest()
+
 
 class TestFreqSidecar:
     def test_load(self, tmp_path):

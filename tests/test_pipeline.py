@@ -23,9 +23,9 @@ from postscore.pipeline import (
     predict_users_tfidf,
 )
 from postscore.textproc import RawPost, TokenizedPost, extract_features, should_filter, tokenize
-from postscore.tfidf import build_vocab, tfidf_vector
+from postscore.tfidf import build_vocab
 
-from oracles import post_vector, predict_post
+from oracles import post_vector, predict_post, tfidf_vector, token_lists
 
 
 def _posts():
@@ -114,7 +114,7 @@ _POSTS = st.lists(st.tuples(st.text(max_size=3), _TEXTS, st.booleans()), max_siz
 
 def _corpus_posts(corpus):
     """(user id, tokens) of each post of a corpus."""
-    return list(zip([corpus.users[c] for c in corpus.codes.tolist()], corpus.lists()))
+    return list(zip([corpus.users[c] for c in corpus.codes.tolist()], token_lists(corpus)))
 
 
 class TestCorpus:

@@ -1,11 +1,23 @@
 import csv
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from postscore import dataio
-from postscore.tfidf import TfidfVocabulary, build_vocab, load_stopwords, tfidf_matrix, tfidf_vector
+from postscore import dataio, tfidf
+from postscore.embeddings import TokenIds
+from postscore.errors import DataFormatError
+from postscore.tfidf import TfidfVocabulary, build_vocab, load_stopwords, tfidf_matrix, tfidf_scores
+
+from oracles import tfidf_vector, tfidf_vocab
+
+# Few distinct tokens, so that counts tie, tokens repeat within a post and
+# stopwords bridge bigrams; "zz" and "ё" sort after the rest.
+_TOKENS = st.sampled_from(["a", "b", "c", "ab", "the", "zz", "ё", "b-c"])
 
 
 class TestBuildVocab:
@@ -89,9 +101,9 @@ class TestTfidfVector:
 
     def test_bigram_counted_in_transform(self):
         vocab = build_vocab([["x", "y"], ["x", "y"]], k=3)
-        assert "x y" in vocab.index
+        assert "x y" in vocab.terms
         vec = tfidf_vector(vocab, ["x", "y"])
-        assert vec[vocab.index["x y"]] > 0
+        assert vec[vocab.terms.index("x y")] > 0
 
     def test_stopwords_consistent_between_build_and_transform(self):
         stop = frozenset({"the"})
@@ -122,3 +134,104 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("и\nв\n\nне\n", encoding="utf-8")
         assert load_stopwords(path) == {"и", "в", "не"}
+
+
+class TestRepeatedTerm:
+    def test_constructor_rejects_a_repeated_term(self):
+        with pytest.raises(ValueError, match="`terms` lists 'a' twice"):
+            TfidfVocabulary(terms=["a", "b", "a"], df={"a": 1, "b": 1}, idf={"a": 1.0, "b": 1.0}, n_docs=1)
+
+    def test_model_block_with_a_repeated_term_is_data_error(self, tmp_path):
+        """Each term owns one column: a block that lists a term twice would
+        leave one of its weights unused, so it is refused, naming the file
+        and the term."""
+        block = build_vocab([["a", "b"], ["b", "c"], ["a"]], k=3).to_dict()
+        block["terms"][1] = block["terms"][0]
+        with pytest.raises(DataFormatError) as err:
+            TfidfVocabulary.from_dict(block, path=tmp_path / "model.json")
+        assert str(err.value) == f"{tmp_path / 'model.json'}: bad `tfidf` object: `terms` lists 'a' twice"
+
+
+class TestIdRoute:
+    """The route on token ids against the list-based oracles, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        posts=st.lists(st.lists(_TOKENS, max_size=7), min_size=1, max_size=12),
+        scored=st.lists(st.lists(_TOKENS, max_size=7), max_size=8),
+        stopwords=st.frozensets(_TOKENS, max_size=3),
+        k=st.integers(1, 40),
+        form=st.sampled_from(["ids", "lists", "generator"]),
+        chunk_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(posts=[["x", "the", "y"], ["the", "the"], [], ["x", "x", "y"]], scored=[["y", "x"], ["zz"]],
+             stopwords=frozenset({"the"}), k=2, form="generator", chunk_rows=1, seed=0)
+    def test_matches_the_oracles(self, posts, scored, stopwords, k, form, chunk_rows, seed):
+        """Bridged bigrams, empty and all-stopword posts, repeated tokens,
+        ties at the k-th place, k beyond the candidates, a generator for
+        input, and scored posts that miss vocabulary terms or hold tokens
+        the training posts lack; scores in blocks of 1-4 rows."""
+        source = {"ids": lambda: TokenIds.from_lists(posts), "lists": lambda: posts,
+                  "generator": lambda: (list(p) for p in posts)}[form]
+        vocab = build_vocab(source(), stopwords, k=k)
+        expected = tfidf_vocab(posts, stopwords, k=k)
+        assert vocab.terms == expected.terms and vocab.n_docs == expected.n_docs
+        assert list(vocab.df.items()) == list(expected.df.items())
+        assert list(vocab.idf.items()) == list(expected.idf.items())
+
+        for corpus in (posts, scored):
+            X = tfidf_matrix(vocab, TokenIds.from_lists(corpus) if form == "ids" else corpus, stopwords)
+            rows = [tfidf_vector(vocab, p, stopwords) for p in corpus]
+            expected_X = np.array(rows, dtype=np.float64).reshape(len(corpus), len(vocab))
+            assert np.array_equal(X.view(np.int64), expected_X.view(np.int64))
+
+        rng = np.random.default_rng(seed)
+        w, b = rng.standard_normal(len(vocab)) * 50, float(rng.normal(500.0, 10.0))
+        with mock.patch.object(tfidf, "_CHUNK_BYTES", 8 * len(vocab) * chunk_rows):
+            scores = tfidf_scores(vocab, scored, w, b, stopwords)
+        expected_scores = [tfidf_vector(vocab, p, stopwords) @ w + b for p in scored]
+        assert np.array_equal(scores.view(np.int64), np.array(expected_scores, dtype=np.float64).view(np.int64))
+
+    def test_token_with_a_space_is_rejected(self):
+        """"a b" as one token would spell the bigram of "a" and "b"."""
+        with pytest.raises(ValueError, match="holds a space"):
+            build_vocab([["a b"], ["a", "b"]], k=5)
+
+
+class TestMemory:
+    @staticmethod
+    def _corpus(n, seed=3):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(3000)]
+        return TokenIds.from_lists([words[j] for j in rng.integers(0, 3000, 8)] for _ in range(n))
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_matrix_holds_no_second_n_by_k_array(self):
+        """4,000 posts at k=1000: beyond its 32 MB output, tfidf_matrix
+        holds arrays the size of the tokens (a few MB), not a count or
+        weight array of n x k."""
+        corpus = self._corpus(4000)
+        vocab = build_vocab(corpus, k=1000)
+        assert len(vocab) == 1000
+        peak, X = self._peak(lambda: tfidf_matrix(vocab, corpus))
+        assert peak - X.nbytes <= 128 * corpus.ids.size + (1 << 20)
+
+    def test_scores_peak_does_not_grow_with_the_posts(self):
+        """Doubling the posts at k=1000 would add 16 MB to a dense X, and
+        about 1 MB to arrays over all the posts' tokens; the scores' peak
+        grows by their own 8 bytes a post and little more."""
+        vocab = build_vocab(self._corpus(2000), k=1000)
+        w = np.ones(len(vocab))
+        small, large = self._corpus(2000, seed=4), self._corpus(4000, seed=5)
+        grows = self._peak(lambda: tfidf_scores(vocab, large, w, 0.0))[0] - self._peak(
+            lambda: tfidf_scores(vocab, small, w, 0.0))[0]
+        assert grows <= 16 * (len(large) - len(small))
