@@ -19,6 +19,8 @@ modification time is the entry's last use. Each kind keeps at most
 import json
 import os
 import tempfile
+import tokenize
+import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -83,7 +85,15 @@ def _stamp(path):
 def _read(root, entry: str, unpack):
     """What ``unpack`` makes of the entry named ``entry``, or None."""
     def array(name):
-        return np.load(root / f"{entry}.{name}.npy", mmap_mode="r", allow_pickle=False)
+        # numpy parses a header with Python's tokenizer and literal_eval: a
+        # damaged one can fail as they do, or warn that it needed the parse
+        # of a header written by Python 2, which np.save never writes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            try:
+                return np.load(root / f"{entry}.{name}.npy", mmap_mode="r", allow_pickle=False)
+            except (tokenize.TokenError, SyntaxError, TypeError, UserWarning) as exc:
+                raise ValueError(f"damaged header in {name}.npy") from exc
 
     try:
         # bytes: json decodes them with surrogatepass

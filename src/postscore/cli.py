@@ -1,6 +1,15 @@
 """Command-line pipeline: synth -> featurize/train/evaluate/predict ->
 aggregate/rank-words/curve. Each command writes its outputs and returns its
 params, inputs and outputs; main writes them to the run's provenance manifest.
+
+A model command is one input step, its computation and its outputs. train,
+evaluate and curve get their training set from ``_training``, which checks
+and loads their inputs and frees the table and the posts before the fit,
+LOOCV or curve runs; predict and rank-words get the model from
+``_read_model``, which checks it against its table or vocabulary before any
+post is read. The input step is where a memory preflight or a per-stage
+report would go.
+
 Each command imports the modules it runs, when it runs, because start-up is
 most of a small command's cost: featurize loads no numpy, and no command
 imports scipy (LOOCV in evaluate and curve calls scipy's compiled LAPACK
@@ -11,7 +20,8 @@ command's output bytes depend on its inputs and flags, not on the host's core
 count or on OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
-and line when known), 3 numerical failure with a remediation hint.
+and line when known), 3 numerical failure with a remediation hint. A warning
+is one ``warning: ...`` line on stderr, a Python warning too.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -84,6 +95,23 @@ def _add_common(p, threads=False, seed=None):
         )
 
 
+def _add_training(p, vectorizer: bool) -> None:
+    """The flags of a command that builds a training set: train and evaluate
+    choose a ``vectorizer``, curve always reads the table."""
+    p.add_argument("--posts", required=True)
+    p.add_argument("--labels", required=True)
+    if vectorizer:
+        p.add_argument("--embeddings", help="text .vec table (embedding vectorizer)")
+        p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
+        p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
+    else:
+        p.add_argument("--embeddings", required=True)
+        p.set_defaults(vectorizer="embedding")
+    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0, help="ridge coefficient")
+    if vectorizer:
+        p.add_argument("--top-terms", type=_positive_int, help="tfidf vocabulary size (default 1000)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="postscore", description=__doc__)
     parser.add_argument("--version", action="version", version=f"postscore {__version__}")
@@ -115,24 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("train", help="fit the post-level linear model")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--embeddings", help="text .vec table (embedding vectorizer)")
-    p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
-    p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
-    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0, help="ridge coefficient")
-    p.add_argument("--top-terms", type=_positive_int, help="tfidf vocabulary size (default 1000)")
+    _add_training(p, vectorizer=True)
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="grouped leave-one-user-out evaluation")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--stopwords")
-    p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
-    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0)
-    p.add_argument("--top-terms", type=_positive_int)
+    _add_training(p, vectorizer=True)
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -166,13 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank_words)
 
     p = sub.add_parser("curve", help="predictive power vs posts per user")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--embeddings", required=True)
+    _add_training(p, vectorizer=False)
     p.add_argument("--n-max", type=_positive_int, default=20)
     p.add_argument("--bootstrap", type=_bootstrap_count, default=1000, help="bootstrap replicates")
     p.add_argument("--level", type=_level, default=0.90, help="confidence level")
-    p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0)
     _add_common(p, threads=True, seed=0)
     p.set_defaults(func=cmd_curve)
 
@@ -285,37 +298,39 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
     return {}, {"features": features_path, "labels": labels_path}, {"report": report_path}
 
 
-def _load_training(args, embedding: bool):
-    """The posts corpus, labels, the table (None unless ``embedding``) and
-    the manifest inputs so far. The table is loaded and checked before the
-    posts are read."""
+def _training(args):
+    """Check and load the inputs of train, evaluate or curve, the table
+    before the posts, and build the training set of ``args.vectorizer``.
+    Returns it with the manifest inputs, fit's embedding fingerprint ("" for
+    tf-idf), the tf-idf vocabulary and stopwords (None for embeddings) and
+    the posts filtered, with no vector and unlabeled. The table and the
+    corpus are freed on return: the fit, LOOCV or curve holds neither."""
+    from . import pipeline, tfidf
+
     posts_path = _check_input(args.posts)
     labels_path = _check_input(args.labels)
     inputs = {"posts": posts_path, "labels": labels_path}
-    table = None
-    if embedding:
-        table = _load_table(args, inputs)
+    embedding = args.vectorizer == "embedding"
+    table = _load_table(args, inputs) if embedding else None
     corpus = _load_corpus(posts_path, inputs)
     labels = dataio.read_labels_csv(labels_path)
-    return corpus, labels, table, inputs
-
-
-def _tfidf_training(args, corpus, labels, inputs):
-    """tf-idf training set, its vocabulary and stopwords; records the
-    stopword file in inputs."""
-    from . import pipeline, tfidf
-
-    stopwords = frozenset()
-    if args.stopwords:
-        stopwords_path = _check_input(args.stopwords)
-        stopwords = tfidf.load_stopwords(stopwords_path)
-        inputs["stopwords"] = stopwords_path
-    labeled = corpus.labeled(labels)
-    if not labeled.any():
-        raise ValueError("no labeled training posts")
-    vocab = tfidf.build_vocab(corpus.select(labeled), stopwords, k=args.top_terms)
-    ts, astats = pipeline.build_tfidf_training(corpus, labels, vocab, stopwords)
-    return ts, astats, vocab, stopwords
+    fingerprint, terms = "", None
+    if embedding:
+        ts, stats = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)
+        fingerprint = table.fingerprint()
+    else:
+        stopwords = frozenset()
+        if args.stopwords:
+            stopwords_path = _check_input(args.stopwords)
+            stopwords = tfidf.load_stopwords(stopwords_path)
+            inputs["stopwords"] = stopwords_path
+        labeled = corpus.labeled(labels)
+        if not labeled.any():
+            raise ValueError("no labeled training posts")
+        vocab = tfidf.build_vocab(corpus.select(labeled), stopwords, k=args.top_terms)
+        ts, stats = pipeline.build_tfidf_training(corpus, labels, vocab, stopwords)
+        terms = vocab, stopwords
+    return ts, inputs, fingerprint, terms, (corpus.stats.removed, stats.no_vector, stats.unlabeled)
 
 
 def _fit_params(args) -> dict:
@@ -328,48 +343,31 @@ def _fit_params(args) -> dict:
 
 
 def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
-    from . import pipeline
     from .model import fit
 
-    embedding = args.vectorizer == "embedding"
-    corpus, labels, table, inputs = _load_training(args, embedding)
-    fstats = corpus.stats
-    outputs = {}
-    if embedding:
-        ts, astats = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)
-        fingerprint = table.fingerprint()
-        del table, corpus  # the fit needs only ts: its peak need not hold the table or posts
-        model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
-        extra = None
-    else:
-        ts, astats, vocab, stopwords = _tfidf_training(args, corpus, labels, inputs)
-        model = fit(ts, lam=args.lam)
+    ts, inputs, fingerprint, terms, dropped = _training(args)
+    model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
+    outputs, extra = {}, None
+    if terms is not None:
+        vocab, stopwords = terms
         outputs["tfidf_vocab"] = out / "tfidf_vocab.csv"
         dataio.write_tfidf_vocab_csv(outputs["tfidf_vocab"], vocab)
         extra = {"vectorizer": "tfidf", "tfidf": vocab.to_dict(stopwords)}
     outputs["model"] = out / "model.json"
     dataio.save_model_json(outputs["model"], model, extra=extra)
-    print(
-        f"trained on {astats.n_posts} posts from {astats.n_users} users "
-        f"(filtered {fstats.removed}, no-vector {astats.no_vector}, unlabeled {astats.unlabeled})"
-    )
+    print(f"trained on {ts.n_posts} posts from {len(ts.users)} users "
+          "(filtered {}, no-vector {}, unlabeled {})".format(*dropped))
     return _fit_params(args), inputs, outputs
 
 
 def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
-    from . import pipeline
     from .model import loo_user_cv
     from .stats import pearson
 
-    embedding = args.vectorizer == "embedding"
-    corpus, labels, table, inputs = _load_training(args, embedding)
-    if embedding:
-        ts = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)[0]
-    else:
-        ts = _tfidf_training(args, corpus, labels, inputs)[0]
-    del corpus, table  # LOOCV needs only ts: its peak need not hold the posts or table
+    ts, inputs = _training(args)[:2]
     predictions = loo_user_cv(ts, lam=args.lam)
-    rep = pearson([p.predicted for p in predictions], [labels[p.user_id] for p in predictions])
+    truth = ts.y[ts.index[ts.offsets[:-1]]].tolist()  # each user's target, in ts.users order
+    rep = pearson([p.predicted for p in predictions], truth)
     outputs = {"loocv_predictions": out / "loocv_predictions.csv", "report": out / "report.csv"}
     dataio.write_predictions_csv(outputs["loocv_predictions"], predictions)
     dataio.write_report_csv(outputs["report"], [("loocv_user_pearson_r", rep)])
@@ -377,26 +375,49 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
     return _fit_params(args), inputs, outputs
 
 
-def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
-    """Checks the model and its table before the posts are read."""
-    from . import pipeline, tfidf
-
-    posts_path = _check_input(args.posts)
+def _read_model(args, inputs: dict, tfidf_ok: bool):
+    """``(model, table, (vocab, stopwords))`` of the --model file, None for
+    what the model does not use: an embedding model's --embeddings table,
+    or a tf-idf model's vocabulary (which ``tfidf_ok`` allows). Both are
+    checked against the model before any post is read. The one reader of
+    the model file's ``vectorizer`` and ``tfidf`` keys."""
     model_path = _check_input(args.model)
     model, payload = dataio.load_model_json(model_path)
-    inputs = {"posts": posts_path, "model": model_path}
+    inputs["model"] = model_path
     if payload.get("vectorizer") == "tfidf":
-        vocab, stopwords = tfidf.TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
+        if not tfidf_ok:
+            raise DataFormatError(f"{args.command} needs an embedding model, not a tf-idf one", path=model_path)
+        from .tfidf import TfidfVocabulary
+
+        vocab, stopwords = TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
         if len(vocab) != model.d:
             raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=model_path)
-        corpus = _load_corpus(posts_path, inputs)
-        result = pipeline.predict_users_tfidf(model, vocab, corpus, stopwords)
-    else:
-        table = _load_table(args, inputs)
+        if args.embeddings:
+            raise DataFormatError("a tf-idf model reads no --embeddings", path=model_path)
+        return model, None, (vocab, stopwords)
+    table = _load_table(args, inputs)
+    if table.dim != model.d:
+        raise DataFormatError(f"model d={model.d} does not match the dim {table.dim} of {args.embeddings}",
+                              path=model_path)
+    return model, table, None
+
+
+def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
+    """Checks the model and its table before the posts are read."""
+    from . import pipeline
+
+    posts_path = _check_input(args.posts)
+    inputs = {"posts": posts_path}
+    model, table, terms = _read_model(args, inputs, tfidf_ok=True)
+    if table is not None:
         expected = model.training_meta.embedding_fingerprint
         if expected and expected != table.fingerprint():
             print("warning: embedding table differs from the one used in training", file=sys.stderr)
-        corpus = _load_corpus(posts_path, inputs)
+    corpus = _load_corpus(posts_path, inputs)
+    if table is None:
+        vocab, stopwords = terms
+        result = pipeline.predict_users_tfidf(model, vocab, corpus, stopwords)
+    else:
         result = pipeline.predict_users_from_posts(model, table, corpus)
     predictions_path = out / "predictions.csv"
     dataio.write_predictions_csv(predictions_path, result.predictions)
@@ -455,12 +476,8 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
 def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     from . import wordrank
 
-    model_path = _check_input(args.model)
-    model, payload = dataio.load_model_json(model_path)
-    if payload.get("vectorizer") == "tfidf":
-        raise DataFormatError("rank-words needs an embedding model, not a tf-idf one", path=model_path)
-    inputs = {"model": model_path}
-    table = _load_table(args, inputs)
+    inputs = {}
+    model, table, _ = _read_model(args, inputs, tfidf_ok=False)
     counts = None
     if args.posts:
         counts = wordrank.training_token_counts(_load_corpus(_check_input(args.posts), inputs))
@@ -488,13 +505,10 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
 
 
 def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
-    from . import pipeline
     from .model import posts_curve
 
     _print_seed(args.seed)
-    corpus, labels, table, inputs = _load_training(args, embedding=True)
-    ts = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)[0]
-    del corpus, table  # the curve needs only ts: its peak need not hold the posts or table
+    ts, inputs = _training(args)[:2]
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )
@@ -518,8 +532,14 @@ _UNREAD_FLAGS = {"embedding": ("stopwords", "top_terms"), "tfidf": ("embeddings"
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a Python warning as the CLI's own: one line, no source path."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     os.environ.update(_ONE_BLAS_THREAD)
+    warnings.showwarning = _print_warning
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_synth:

@@ -327,6 +327,8 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
     n, d = ts.X.shape
     if n == 0:
         raise ValueError("cannot fit on an empty training set")
+    if d == 0:
+        raise ValueError("cannot fit on a training set with no columns")
     if lam == 0.0 and n < d + 1:
         raise SingularSystemError(f"underdetermined system ({n} posts, {d} dims)")
     x_mean = ts.X.mean(axis=0)
@@ -351,10 +353,7 @@ def fit(ts: TrainingSet, lam: float = 0.0, embedding_fingerprint: str = "") -> L
             stacklevel=2,
         )
     if s_min <= d * np.finfo(np.float64).eps * s_max:
-        raise SingularSystemError(
-            f"Gram matrix is numerically singular (eigenvalues {s_min:.3g} to {s_max:.3g}); "
-            "consider a ridge coefficient lambda > 0"
-        )
+        raise SingularSystemError(f"Gram matrix is numerically singular (eigenvalues {s_min:.3g} to {s_max:.3g})")
     w = V @ ((V.T @ r) / s)
     bias = y_mean - float(x_mean @ w)
     meta = TrainingMeta(

@@ -179,8 +179,6 @@ def _in_range(a, n: int) -> bool:
 
 @dataclass
 class AssemblyStats:
-    n_posts: int = 0
-    n_users: int = 0
     no_vector: int = 0  # posts dropped: no in-vocabulary token
     unlabeled: int = 0  # posts dropped: author has no target
 
@@ -209,10 +207,7 @@ def build_embedding_training(
     codes = corpus.codes[labeled][usable]
     if not codes.size:
         raise ValueError("no usable training posts (all filtered, unlabeled, or out of vocabulary)")
-    ts = _training_set(X, corpus, codes, labels)
-    stats.n_posts = ts.n_posts
-    stats.n_users = len(ts.users)
-    return ts, stats
+    return _training_set(X, corpus, codes, labels), stats
 
 
 def _training_set(X, corpus: Corpus, codes, labels: dict) -> TrainingSet:
@@ -237,11 +232,10 @@ def build_tfidf_training(
     stats.unlabeled = len(corpus) - int(labeled.sum())
     if not labeled.any():
         raise ValueError("no labeled training posts")
+    if not len(vocab):
+        raise ValueError("the tf-idf vocabulary is empty: every token of the labeled posts is a stopword")
     X = tfidf.tfidf_matrix(vocab, corpus.select(labeled), stopwords)
-    ts = _training_set(X, corpus, corpus.codes[labeled], labels)
-    stats.n_posts = ts.n_posts
-    stats.n_users = len(ts.users)
-    return ts, stats
+    return _training_set(X, corpus, corpus.codes[labeled], labels), stats
 
 
 @dataclass
@@ -250,19 +244,15 @@ class PredictionResult:
     fallback_users: list  # no scoreable post, sorted
 
 
-def _user_means(model: LinearModel, posts, scores, counted) -> PredictionResult:
-    """Per-user mean of the counted posts' scores, users in sorted order;
-    ``posts`` is a Corpus or each post's user id.
+def _user_means(model: LinearModel, corpus: Corpus, scores, counted) -> PredictionResult:
+    """Per-user mean of the counted posts' scores, users in sorted order.
 
     Each user's counted scores are added in post order. A user with no
     counted post falls back to the training target mean with
     n_posts_used == 0 and is listed in fallback_users.
     """
-    if isinstance(posts, Corpus):
-        users, rank = group_codes(posts.users)
-        codes = rank[posts.codes]
-    else:
-        users, codes = group_codes(posts)
+    users, rank = group_codes(corpus.users)
+    codes = rank[corpus.codes]
     sums = np.bincount(codes[counted], weights=scores[counted], minlength=len(users))
     counts = np.bincount(codes[counted], minlength=len(users))
     fallback = counts == 0

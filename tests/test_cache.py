@@ -3,9 +3,12 @@ files, and its clean-up of the layout before format 2."""
 
 import shutil
 import tempfile
+import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +104,34 @@ def test_files_of_the_earlier_layout_are_removed(tmp_path, cold_table_cache):
     _, key = load_vec_cached(vec)
     assert sorted(p.name for p in cold_table_cache.iterdir()) == sorted(
         [*old[2:], "notes.txt", f"{key}.table.json", f"{key}.table.vectors.npy"])
+
+
+@pytest.mark.parametrize(
+    "old, new, raised",
+    [
+        (b"v\x00{", b"6\x00{", tokenize.TokenError),  # header length cut to mid-dict
+        (b"'<i4'", b"',i4'", SyntaxError),
+        (b"', 'fortran", b"',b'fortran", TypeError),
+        (b"(0,)", b"(0L)", UserWarning),  # parsed as a Python 2 header, then refused
+    ],
+    ids=["TokenError", "SyntaxError", "TypeError", "UserWarning"],
+)
+def test_damaged_array_header_gives_back_the_parse(tmp_path, cold_table_cache, old, new, raised):
+    """One byte of the header of the codes array of an empty posts file's
+    entry, changed so that numpy's header parser fails with ``raised``:
+    the next load is a miss that gives the parse, and no warning escapes."""
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"")
+    _, key = pipeline.load_corpus(path)
+    codes = cold_table_cache / f"{key}.posts.codes.npy"
+    content = codes.read_bytes()
+    assert len(old) == len(new) and content.count(old) == 1
+    codes.write_bytes(content.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(raised):
+            np.load(codes, mmap_mode="r", allow_pickle=False)
+        corpus, digest = pipeline.load_corpus(path)
+    assert (len(corpus), corpus.users, corpus.stats) == (0, [], pipeline.FilterStats())
+    assert digest == key
+    assert codes.read_bytes() == content  # stored again by the miss

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -198,19 +199,40 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"bad_model.json: {message}" in err
 
-    def test_model_checked_before_posts(self, dataset, tfidf_trained, tmp_path, capsys):
-        payload = json.loads((tfidf_trained / "model.json").read_text(encoding="utf-8"))
-        payload["tfidf"].pop("idf")
+    @pytest.mark.parametrize(
+        "command, source, table, message",
+        [
+            ("predict", "tfidf_trained", None, "`tfidf` has no entry 'idf'"),
+            ("predict", "tfidf_trained", "embeddings.vec", "a tf-idf model reads no --embeddings"),
+            ("predict", "trained", "dim3.vec", "model d=12 does not match the dim 3 of {table}"),
+            ("rank-words", "trained", "dim3.vec", "model d=12 does not match the dim 3 of {table}"),
+        ],
+        ids=["tfidf-block", "tfidf-embeddings", "predict-dim", "rank-words-dim"],
+    )
+    def test_model_checked_before_posts(self, request, dataset, tmp_path, capsys, command, source, table,
+                                        message):
+        """The model, and the table it is scored with, are refused before
+        the posts are read: the posts file is broken, and the error names
+        the model (and the table) but not the posts."""
+        payload = json.loads((request.getfixturevalue(source) / "model.json").read_text(encoding="utf-8"))
+        if table is None:  # the case of a damaged `tfidf` block
+            payload["tfidf"].pop("idf")
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(payload), encoding="utf-8")
+        table_path = dataset / "embeddings.vec"
+        if table == "dim3.vec":
+            table_path = tmp_path / table
+            table_path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         posts = tmp_path / "bad_posts.jsonl"
         posts.write_text("{oops\n", encoding="utf-8")
         capsys.readouterr()
-        code = run_cli("predict", "--posts", posts, "--model", bad, "--output-dir", tmp_path / "pred")
+        code = run_cli(command, "--posts", posts, "--model", bad, *(["--embeddings", table_path] if table else []),
+                       "--output-dir", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        assert "bad_model.json: `tfidf` has no entry 'idf'" in err
+        assert f"{bad}: {message.format(table=table_path)}" in err
         assert "bad_posts.jsonl" not in err
+        assert not any((tmp_path / "out").glob("*.csv"))
 
     def test_repeated_term_is_data_error(self, dataset, tfidf_trained, tmp_path, capsys):
         """A term listed twice would leave one of its weights unused; predict
@@ -243,6 +265,71 @@ class TestTrainPredictEvaluate:
         assert "no labeled training posts" in capsys.readouterr().err
         assert not (out / "model.json").exists()
         assert not (out / dataio.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_tfidf_with_every_token_a_stopword_is_data_error(self, dataset, tmp_path, command, capsys):
+        """No term is left to fit on: exit 2 naming the stopwords as the
+        cause, not a ZeroDivisionError in fit or an intercept-only LOOCV."""
+        stopwords = tmp_path / "stopwords.txt"
+        corpus, _ = pipeline.load_corpus(dataset / "posts.jsonl")
+        stopwords.write_text("\n".join(corpus.tokens) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+            "--vectorizer", "tfidf", "--stopwords", stopwords, "--output-dir", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "postscore: data error: the tf-idf vocabulary is empty: "
+            "every token of the labeled posts is a stopword\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, vectorizer, computes",
+        [
+            ("train", "embedding", "fit"),
+            ("train", "tfidf", "fit"),
+            ("evaluate", "embedding", "loo_user_cv"),
+            ("evaluate", "tfidf", "loo_user_cv"),
+            ("curve", "embedding", "posts_curve"),
+        ],
+    )
+    def test_inputs_freed_before_the_computation(self, dataset, tmp_path, monkeypatch, command, vectorizer,
+                                                 computes):
+        """No fitting command holds its table or its corpus while it fits,
+        cross-validates or draws the curve: neither is alive, with no
+        garbage collection, when that step is entered."""
+        from postscore import embeddings, model
+
+        loaded, alive = [], []
+
+        def recording(load):
+            def recorded(path):
+                value, digest = load(path)
+                loaded.append(weakref.ref(value))
+                return value, digest
+            return recorded
+
+        def checking(compute):
+            def checked(*args, **kwargs):
+                alive.append([ref() is not None for ref in loaded])
+                return compute(*args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(embeddings, "load_vec_cached", recording(embeddings.load_vec_cached))
+        monkeypatch.setattr(pipeline, "load_corpus", recording(pipeline.load_corpus))
+        monkeypatch.setattr(model, computes, checking(getattr(model, computes)))
+        if command == "curve":
+            flags = ["--embeddings", dataset / "embeddings.vec", "--n-max", 3, "--bootstrap", 100]
+        elif vectorizer == "tfidf":
+            flags = ["--vectorizer", "tfidf", "--top-terms", 80, "--lambda", 0.001]
+        else:
+            flags = ["--embeddings", dataset / "embeddings.vec"]
+        code = run_cli(command, "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+                       *flags, "--output-dir", tmp_path / "out")
+        assert code == 0
+        assert len(loaded) == (1 if vectorizer == "tfidf" else 2)
+        assert alive == [[False] * len(loaded)]
 
     def test_top_terms_recorded_for_tfidf_only(self, dataset, trained, tfidf_trained, tmp_path):
         """--top-terms defaults to 1000 for tf-idf."""
@@ -752,6 +839,35 @@ class TestExitCodes:
                        "--embeddings", dataset / "embeddings.vec", "--output-dir", tmp_path / "o")
         assert code == 2
         assert capsys.readouterr().err == f"postscore: data error: {model}: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("copied", [True, False], ids=["singular", "ill-conditioned"])
+    def test_condition_warning_is_one_line(self, dataset, tmp_path, copied):
+        """A 3-d table whose third column copies the first (singular: exit
+        3) or is the first scaled by 1e-7 (solvable: exit 0). The condition
+        warning is one line with no source path or source line, and a
+        failure gives its ridge hint once."""
+        words = sorted(set(pipeline.load_corpus(dataset / "posts.jsonl")[0].tokens))
+        rng = np.random.default_rng(3)
+        first, second = rng.standard_normal((2, len(words)))
+        third = first if copied else 1e-7 * rng.standard_normal(len(words))
+        table = tmp_path / "table.vec"
+        EmbeddingTable(words, np.column_stack([first, second, third]).astype(np.float32)).save_vec(table)
+        proc = run_cli_subprocess(
+            "train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv",
+            "--embeddings", table, "--output-dir", tmp_path / "o",
+        )
+        assert proc.returncode == (3 if copied else 0)
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("warning: Gram matrix condition estimate ")
+        assert lines[0].endswith(" exceeds 1e+12; consider a ridge coefficient lambda > 0")
+        assert "cli.py" not in proc.stderr and "Traceback" not in proc.stderr
+        if copied:
+            assert len(lines) == 2
+            assert lines[1].startswith("postscore: numerical failure: Gram matrix is numerically singular ")
+            assert lines[1].count("lambda > 0") == 1
+            assert lines[1].endswith("; retry with a ridge coefficient lambda > 0")
+        else:
+            assert len(lines) == 1
 
     def test_singular_system_is_3_with_hint(self, dataset, tmp_path, capsys):
         # 12-dim embeddings but only a handful of labeled posts at lambda=0

@@ -189,6 +189,11 @@ class TestFit:
             fit(ts, lam=0.0)
         fit(ts, lam=0.1)  # regularized solve goes through
 
+    def test_no_columns_is_refused(self):
+        ts = _ts(np.empty((3, 0)), [1.0, 2.0, 3.0], ["a", "b", "c"])
+        with pytest.raises(ValueError, match="no columns"):
+            fit(ts, lam=0.1)
+
     def test_duplicate_column_singular(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((30, 1))

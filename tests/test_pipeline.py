@@ -57,7 +57,7 @@ class TestBuildEmbeddingTraining:
         assert ts.n_posts == 3  # p1, p3, p4
         assert stats.unlabeled == 1
         assert stats.no_vector == 0
-        assert stats.n_users == 2
+        assert len(ts.users) == 2
         # y copies the author's score onto each row
         assert ts.y.tolist() == [510.0, 510.0, 490.0]
 
@@ -226,7 +226,8 @@ class TestUserMeans:
         counted = rng.random(len(ids)) < 0.6
         meta = TrainingMeta(n_posts=1, n_users=1, target_mean=503.25, target_sd=1.0)
         model = LinearModel(np.zeros(1), 0.0, 0.0, 1, meta)
-        result = pipeline._user_means(model, ids, scores, counted)
+        corpus = pipeline.Corpus.from_posts(TokenizedPost(u, str(i), ["t"]) for i, u in enumerate(ids))
+        result = pipeline._user_means(model, corpus, scores, counted)
         users, index = np.unique(np.asarray(ids, dtype=object), return_inverse=True)
         sums = np.bincount(index[counted], weights=scores[counted], minlength=users.size)
         counts = np.bincount(index[counted], minlength=users.size)
@@ -343,7 +344,7 @@ class TestTfidfRoute:
         vocab = build_vocab((tp.tokens for tp in clean), k=6)
         ts, stats = build_tfidf_training(clean, labels, vocab)
         assert ts.n_posts == 5
-        assert stats.n_users == 3
+        assert len(ts.users) == 3
         model = fit(ts, lam=0.5)
         result = predict_users_tfidf(model, vocab, clean)
         assert {p.user_id for p in result.predictions} == {"u1", "u2", "u3"}
