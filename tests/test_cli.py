@@ -199,26 +199,36 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"bad_model.json: {message}" in err
 
+    def test_model_checked_before_posts(self, dataset, tfidf_trained, tmp_path, capsys):
+        payload = json.loads((tfidf_trained / "model.json").read_text(encoding="utf-8"))
+        payload["tfidf"].pop("idf")
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        posts = tmp_path / "bad_posts.jsonl"
+        posts.write_text("{oops\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("predict", "--posts", posts, "--model", bad, "--output-dir", tmp_path / "pred")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad_model.json: `tfidf` has no entry 'idf'" in err
+        assert "bad_posts.jsonl" not in err
+        assert not any((tmp_path / "pred").glob("*.csv"))
+
     @pytest.mark.parametrize(
         "command, source, table, message",
         [
-            ("predict", "tfidf_trained", None, "`tfidf` has no entry 'idf'"),
             ("predict", "tfidf_trained", "embeddings.vec", "a tf-idf model reads no --embeddings"),
             ("predict", "trained", "dim3.vec", "model d=12 does not match the dim 3 of {table}"),
             ("rank-words", "trained", "dim3.vec", "model d=12 does not match the dim 3 of {table}"),
         ],
-        ids=["tfidf-block", "tfidf-embeddings", "predict-dim", "rank-words-dim"],
+        ids=["tfidf-embeddings", "predict-dim", "rank-words-dim"],
     )
-    def test_model_checked_before_posts(self, request, dataset, tmp_path, capsys, command, source, table,
-                                        message):
-        """The model, and the table it is scored with, are refused before
-        the posts are read: the posts file is broken, and the error names
-        the model (and the table) but not the posts."""
-        payload = json.loads((request.getfixturevalue(source) / "model.json").read_text(encoding="utf-8"))
-        if table is None:  # the case of a damaged `tfidf` block
-            payload["tfidf"].pop("idf")
-        bad = tmp_path / "bad_model.json"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
+    def test_table_checked_against_model_before_posts(self, request, dataset, tmp_path, capsys, command, source,
+                                                      table, message):
+        """The table a model is scored with is refused before the posts are
+        read: the posts file is broken, and the error names the model and
+        the table but not the posts."""
+        bad = request.getfixturevalue(source) / "model.json"
         table_path = dataset / "embeddings.vec"
         if table == "dim3.vec":
             table_path = tmp_path / table
@@ -226,7 +236,7 @@ class TestTrainPredictEvaluate:
         posts = tmp_path / "bad_posts.jsonl"
         posts.write_text("{oops\n", encoding="utf-8")
         capsys.readouterr()
-        code = run_cli(command, "--posts", posts, "--model", bad, *(["--embeddings", table_path] if table else []),
+        code = run_cli(command, "--posts", posts, "--model", bad, "--embeddings", table_path,
                        "--output-dir", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
