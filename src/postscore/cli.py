@@ -1,14 +1,16 @@
 """Command-line pipeline: synth -> featurize/train/evaluate/predict ->
 aggregate/rank-words/curve. Each command writes its outputs and returns its
-params, inputs and outputs; main writes them to the run's provenance manifest.
+params and outputs. Every flag that names an input file is a Path, and main
+owns them: it checks that each is a file before the command runs and before
+the output directory is made, and records each in the run's provenance
+manifest with the params and outputs.
 
 A model command is one input step, its computation and its outputs. train,
-evaluate and curve get their training set from ``_training``, which checks
-and loads their inputs and frees the table and the posts before the fit,
-LOOCV or curve runs; predict and rank-words get the model from
-``_read_model``, which checks it against its table or vocabulary before any
-post is read. The input step is where a memory preflight or a per-stage
-report would go.
+evaluate and curve get their training set from ``_training``, which loads
+their inputs and frees the table and the posts before the fit, LOOCV or
+curve runs; predict and rank-words get the model from ``_read_model``, which
+checks it against its table or vocabulary before any post is read. The
+input step is where a memory preflight or a per-stage report would go.
 
 Each command imports the modules it runs, when it runs, because start-up is
 most of a small command's cost: featurize loads no numpy, and no command
@@ -98,14 +100,14 @@ def _add_common(p, threads=False, seed=None):
 def _add_training(p, vectorizer: bool) -> None:
     """The flags of a command that builds a training set: train and evaluate
     choose a ``vectorizer``, curve always reads the table."""
-    p.add_argument("--posts", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--posts", type=Path, required=True)
+    p.add_argument("--labels", type=Path, required=True)
     if vectorizer:
-        p.add_argument("--embeddings", help="text .vec table (embedding vectorizer)")
-        p.add_argument("--stopwords", help="stopword file (tfidf vectorizer)")
+        p.add_argument("--embeddings", type=Path, help="text .vec table (embedding vectorizer)")
+        p.add_argument("--stopwords", type=Path, help="stopword file (tfidf vectorizer)")
         p.add_argument("--vectorizer", choices=["embedding", "tfidf"], default="embedding")
     else:
-        p.add_argument("--embeddings", required=True)
+        p.add_argument("--embeddings", type=Path, required=True)
         p.set_defaults(vectorizer="embedding")
     p.add_argument("--lambda", dest="lam", type=_ridge, default=0.0, help="ridge coefficient")
     if vectorizer:
@@ -132,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("featurize", help="per-user surface features CSV")
-    p.add_argument("--posts", required=True)
+    p.add_argument("--posts", type=Path, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("correlate", help="correlate surface features with targets")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--labels", type=Path, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_correlate)
 
@@ -153,27 +155,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="per-user predictions from a trained model")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings")
+    p.add_argument("--posts", type=Path, required=True)
+    p.add_argument("--model", type=Path, required=True)
+    p.add_argument("--embeddings", type=Path)
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("aggregate", help="institution means and reference comparison")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--mapping", required=True)
-    p.add_argument("--reference")
+    p.add_argument("--predictions", type=Path, required=True)
+    p.add_argument("--mapping", type=Path, required=True)
+    p.add_argument("--reference", type=Path)
     p.add_argument("--min-users", type=_positive_int, default=5)
-    p.add_argument("--exclude-users", help="labels CSV naming users to exclude (leakage control)")
+    p.add_argument("--exclude-users", type=Path, help="labels CSV naming users to exclude (leakage control)")
     _add_common(p)
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("rank-words", help="score and rank the whole vocabulary")
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--model", type=Path, required=True)
+    p.add_argument("--embeddings", type=Path, required=True)
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--posts", help="posts whose tokens give the word counts")
-    source.add_argument("--freq", help="word,count CSV that gives the word counts")
+    source.add_argument("--posts", type=Path, help="posts whose tokens give the word counts")
+    source.add_argument("--freq", type=Path, help="word,count CSV that gives the word counts")
     p.add_argument("--min-count", type=_nonnegative_int, default=0)
     p.add_argument("--top", type=_positive_int, help="export only the N best-scoring words")
     p.add_argument("--bottom", type=_positive_int, help="export only the N worst-scoring words")
@@ -192,27 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_input(path_str: str) -> Path:
-    path = Path(path_str)
-    if not path.is_file():
-        raise DataFormatError("input file not found", path=path)
-    return path
-
-
 def _print_seed(seed: int) -> None:
     print(f"seed: {seed}")
 
 
-def _load_table(args, inputs: dict) -> EmbeddingTable:
-    """The --embeddings table, recorded in ``inputs`` with its sha256: the
-    file is hashed once, for both the cache's key and the manifest."""
+# The sha256 of each input file a command loaded through the cache of parsed
+# inputs, by path: main records it in the manifest, so the file is hashed once
+# for both the cache's key and the manifest. main empties it before each run.
+_DIGESTS: dict[Path, str] = {}
+
+
+def _load_table(args) -> EmbeddingTable:
+    """The --embeddings table, with its sha256 kept in ``_DIGESTS``."""
     from .embeddings import load_vec_cached
 
     if not args.embeddings:
         raise DataFormatError("--embeddings is required for the embedding vectorizer")
-    path = _check_input(args.embeddings)
-    table, digest = load_vec_cached(path)
-    inputs["embeddings"] = (path, digest)
+    table, _DIGESTS[args.embeddings] = load_vec_cached(args.embeddings)
     # Post tokens are lowercased and matched exactly, so none reaches a cased row.
     unreachable = sum(w != w.lower() for w in table.words)
     if unreachable:
@@ -220,13 +218,12 @@ def _load_table(args, inputs: dict) -> EmbeddingTable:
     return table
 
 
-def _load_corpus(path: Path, inputs: dict) -> Corpus:
-    """The corpus of the posts file at ``path``, recorded in ``inputs`` as
-    ``posts`` with its sha256, hashed once as the table is."""
+def _load_corpus(path: Path) -> Corpus:
+    """The corpus of the posts file at ``path``, with its sha256 kept in
+    ``_DIGESTS`` as the table's is."""
     from .pipeline import load_corpus
 
-    corpus, digest = load_corpus(path)
-    inputs["posts"] = (path, digest)
+    corpus, _DIGESTS[path] = load_corpus(path)
     return corpus
 
 
@@ -251,7 +248,7 @@ def _synth_config(args) -> SynthConfig:
     return cfg
 
 
-def cmd_synth(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_synth(args, out: Path) -> tuple[dict, dict]:
     from .synth import generate
 
     cfg = _synth_config(args)
@@ -259,27 +256,24 @@ def cmd_synth(args, out: Path) -> tuple[dict, dict, dict]:
     data = generate(cfg, out_dir=out)
     print(f"wrote {len(data.posts)} posts for {cfg.n_users} users to {out}")
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    return params, {}, data.paths
+    return params, data.paths
 
 
-def cmd_featurize(args, out: Path) -> tuple[dict, dict, dict]:
-    posts_path = _check_input(args.posts)
-    features = extract_features(dataio.iter_posts_jsonl(posts_path))
+def cmd_featurize(args, out: Path) -> tuple[dict, dict]:
+    features = extract_features(dataio.iter_posts_jsonl(args.posts))
     if not features:
-        raise DataFormatError("no unfiltered posts in input", path=posts_path)
+        raise DataFormatError("no unfiltered posts in input", path=args.posts)
     features_path = out / "features.csv"
     dataio.write_features_csv(features_path, features)
     print(f"featurized {len(features)} users")
-    return {}, {"posts": posts_path}, {"features": features_path}
+    return {}, {"features": features_path}
 
 
-def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_correlate(args, out: Path) -> tuple[dict, dict]:
     from .stats import pearson
 
-    features_path = _check_input(args.features)
-    labels_path = _check_input(args.labels)
-    rows = dataio.read_features_csv(features_path)
-    labels = dataio.read_labels_csv(labels_path)
+    rows = dataio.read_features_csv(args.features)
+    labels = dataio.read_labels_csv(args.labels)
     matched = [row for row in rows if row["user_id"] in labels]
     if len(matched) < 3:
         raise DataFormatError("need at least 3 users present in both features and labels")
@@ -295,42 +289,35 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict, dict]:
     dataio.write_report_csv(report_path, report)
     for name, rep in report:
         print(f"{name}: r={rep.r:+.4f} p={rep.p_two_sided:.3g} n={rep.n}")
-    return {}, {"features": features_path, "labels": labels_path}, {"report": report_path}
+    return {}, {"report": report_path}
 
 
 def _training(args):
-    """Check and load the inputs of train, evaluate or curve, the table
-    before the posts, and build the training set of ``args.vectorizer``.
-    Returns it with the manifest inputs, fit's embedding fingerprint ("" for
-    tf-idf), the tf-idf vocabulary and stopwords (None for embeddings) and
-    the posts filtered, with no vector and unlabeled. The table and the
-    corpus are freed on return: the fit, LOOCV or curve holds neither."""
+    """Load the inputs of train, evaluate or curve, the table before the
+    posts, and build the training set of ``args.vectorizer``. Returns it
+    with fit's embedding fingerprint ("" for tf-idf), the tf-idf vocabulary
+    and stopwords (None for embeddings) and the posts filtered, with no
+    vector and unlabeled. The table and the corpus are freed on return: the
+    fit, LOOCV or curve holds neither."""
     from . import pipeline, tfidf
 
-    posts_path = _check_input(args.posts)
-    labels_path = _check_input(args.labels)
-    inputs = {"posts": posts_path, "labels": labels_path}
     embedding = args.vectorizer == "embedding"
-    table = _load_table(args, inputs) if embedding else None
-    corpus = _load_corpus(posts_path, inputs)
-    labels = dataio.read_labels_csv(labels_path)
+    table = _load_table(args) if embedding else None
+    corpus = _load_corpus(args.posts)
+    labels = dataio.read_labels_csv(args.labels)
     fingerprint, terms = "", None
     if embedding:
         ts, stats = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)
         fingerprint = table.fingerprint()
     else:
-        stopwords = frozenset()
-        if args.stopwords:
-            stopwords_path = _check_input(args.stopwords)
-            stopwords = tfidf.load_stopwords(stopwords_path)
-            inputs["stopwords"] = stopwords_path
+        stopwords = tfidf.load_stopwords(args.stopwords) if args.stopwords else frozenset()
         labeled = corpus.labeled(labels)
         if not labeled.any():
             raise ValueError("no labeled training posts")
         vocab = tfidf.build_vocab(corpus.select(labeled), stopwords, k=args.top_terms)
         ts, stats = pipeline.build_tfidf_training(corpus, labels, vocab, stopwords)
         terms = vocab, stopwords
-    return ts, inputs, fingerprint, terms, (corpus.stats.removed, stats.no_vector, stats.unlabeled)
+    return ts, fingerprint, terms, (corpus.stats.removed, stats.no_vector, stats.unlabeled)
 
 
 def _fit_params(args) -> dict:
@@ -342,10 +329,10 @@ def _fit_params(args) -> dict:
     return params
 
 
-def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_train(args, out: Path) -> tuple[dict, dict]:
     from .model import fit
 
-    ts, inputs, fingerprint, terms, dropped = _training(args)
+    ts, fingerprint, terms, dropped = _training(args)
     model = fit(ts, lam=args.lam, embedding_fingerprint=fingerprint)
     outputs, extra = {}, None
     if terms is not None:
@@ -357,14 +344,14 @@ def cmd_train(args, out: Path) -> tuple[dict, dict, dict]:
     dataio.save_model_json(outputs["model"], model, extra=extra)
     print(f"trained on {ts.n_posts} posts from {len(ts.users)} users "
           "(filtered {}, no-vector {}, unlabeled {})".format(*dropped))
-    return _fit_params(args), inputs, outputs
+    return _fit_params(args), outputs
 
 
-def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_evaluate(args, out: Path) -> tuple[dict, dict]:
     from .model import loo_user_cv
     from .stats import pearson
 
-    ts, inputs = _training(args)[:2]
+    ts = _training(args)[0]
     predictions = loo_user_cv(ts, lam=args.lam)
     truth = ts.y[ts.index[ts.offsets[:-1]]].tolist()  # each user's target, in ts.users order
     rep = pearson([p.predicted for p in predictions], truth)
@@ -372,48 +359,44 @@ def cmd_evaluate(args, out: Path) -> tuple[dict, dict, dict]:
     dataio.write_predictions_csv(outputs["loocv_predictions"], predictions)
     dataio.write_report_csv(outputs["report"], [("loocv_user_pearson_r", rep)])
     print(f"grouped LOOCV over {rep.n} users: r={rep.r:.4f} (p={rep.p_two_sided:.3g})")
-    return _fit_params(args), inputs, outputs
+    return _fit_params(args), outputs
 
 
-def _read_model(args, inputs: dict, tfidf_ok: bool):
+def _read_model(args, tfidf_ok: bool):
     """``(model, table, (vocab, stopwords))`` of the --model file, None for
     what the model does not use: an embedding model's --embeddings table,
     or a tf-idf model's vocabulary (which ``tfidf_ok`` allows). Both are
-    checked against the model before any post is read. The one reader of
+    checked against the model before any post is read, and a table other
+    than the one the model was trained on is warned of. The one reader of
     the model file's ``vectorizer`` and ``tfidf`` keys."""
-    model_path = _check_input(args.model)
-    model, payload = dataio.load_model_json(model_path)
-    inputs["model"] = model_path
+    model, payload = dataio.load_model_json(args.model)
     if payload.get("vectorizer") == "tfidf":
         if not tfidf_ok:
-            raise DataFormatError(f"{args.command} needs an embedding model, not a tf-idf one", path=model_path)
+            raise DataFormatError(f"{args.command} needs an embedding model, not a tf-idf one", path=args.model)
         from .tfidf import TfidfVocabulary
 
-        vocab, stopwords = TfidfVocabulary.from_dict(payload.get("tfidf"), path=model_path)
+        vocab, stopwords = TfidfVocabulary.from_dict(payload.get("tfidf"), path=args.model)
         if len(vocab) != model.d:
-            raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=model_path)
+            raise DataFormatError(f"`tfidf` has {len(vocab)} terms, the model d={model.d}", path=args.model)
         if args.embeddings:
-            raise DataFormatError("a tf-idf model reads no --embeddings", path=model_path)
+            raise DataFormatError("a tf-idf model reads no --embeddings", path=args.model)
         return model, None, (vocab, stopwords)
-    table = _load_table(args, inputs)
+    table = _load_table(args)
     if table.dim != model.d:
         raise DataFormatError(f"model d={model.d} does not match the dim {table.dim} of {args.embeddings}",
-                              path=model_path)
+                              path=args.model)
+    expected = model.training_meta.embedding_fingerprint
+    if expected and expected != table.fingerprint():
+        print("warning: embedding table differs from the one used in training", file=sys.stderr)
     return model, table, None
 
 
-def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_predict(args, out: Path) -> tuple[dict, dict]:
     """Checks the model and its table before the posts are read."""
     from . import pipeline
 
-    posts_path = _check_input(args.posts)
-    inputs = {"posts": posts_path}
-    model, table, terms = _read_model(args, inputs, tfidf_ok=True)
-    if table is not None:
-        expected = model.training_meta.embedding_fingerprint
-        if expected and expected != table.fingerprint():
-            print("warning: embedding table differs from the one used in training", file=sys.stderr)
-    corpus = _load_corpus(posts_path, inputs)
+    model, table, terms = _read_model(args, tfidf_ok=True)
+    corpus = _load_corpus(args.posts)
     if table is None:
         vocab, stopwords = terms
         result = pipeline.predict_users_tfidf(model, vocab, corpus, stopwords)
@@ -423,22 +406,15 @@ def cmd_predict(args, out: Path) -> tuple[dict, dict, dict]:
     dataio.write_predictions_csv(predictions_path, result.predictions)
     note = f", {len(result.fallback_users)} fell back to the training mean" if result.fallback_users else ""
     print(f"predicted {len(result.predictions)} users{note}")
-    return {}, inputs, {"predictions": predictions_path}
+    return {}, {"predictions": predictions_path}
 
 
-def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_aggregate(args, out: Path) -> tuple[dict, dict]:
     from .transfer import aggregate, build_mapping, compare
 
-    predictions_path = _check_input(args.predictions)
-    mapping_path = _check_input(args.mapping)
-    predictions = dataio.read_predictions_csv(predictions_path)
-    mapping = build_mapping(dataio.read_mapping_pairs(mapping_path))
-    exclude = frozenset()
-    inputs = {"predictions": predictions_path, "mapping": mapping_path}
-    if args.exclude_users:
-        exclude_path = _check_input(args.exclude_users)
-        exclude = frozenset(dataio.read_labels_csv(exclude_path))
-        inputs["exclude_users"] = exclude_path
+    predictions = dataio.read_predictions_csv(args.predictions)
+    mapping = build_mapping(dataio.read_mapping_pairs(args.mapping))
+    exclude = frozenset(dataio.read_labels_csv(args.exclude_users)) if args.exclude_users else frozenset()
     try:
         result = aggregate(predictions, mapping, min_users=args.min_users, exclude_users=exclude)
     except ValueError as exc:
@@ -446,9 +422,7 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
     outputs = {}
     scores = result.scores
     if args.reference:
-        reference_path = _check_input(args.reference)
-        reference = dataio.read_reference_csv(reference_path)
-        inputs["reference"] = reference_path
+        reference = dataio.read_reference_csv(args.reference)
         comparison = compare(result.scores, reference)
         scores = sorted(
             comparison.matched + [s for s in result.scores if s.institution_id not in reference],
@@ -470,23 +444,18 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict, dict]:
         outputs["excluded"] = out / "excluded.csv"
         dataio.write_excluded_csv(outputs["excluded"], result.excluded)
         print(f"dropped {len(result.excluded)} institutions under min-users={args.min_users}")
-    return {"min_users": args.min_users}, inputs, outputs
+    return {"min_users": args.min_users}, outputs
 
 
-def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_rank_words(args, out: Path) -> tuple[dict, dict]:
     from . import wordrank
 
-    inputs = {}
-    model, table, _ = _read_model(args, inputs, tfidf_ok=False)
+    model, table, _ = _read_model(args, tfidf_ok=False)
     counts = None
     if args.posts:
-        counts = wordrank.training_token_counts(_load_corpus(_check_input(args.posts), inputs))
+        counts = wordrank.training_token_counts(_load_corpus(args.posts))
     elif args.freq:
-        freq_path = _check_input(args.freq)
-        counts = dataio.read_freq_csv(freq_path)
-        inputs["freq"] = freq_path
-    elif args.min_count > 0:
-        raise DataFormatError("--min-count needs word counts from --posts or --freq")
+        counts = dataio.read_freq_csv(args.freq)
     rows = wordrank.iter_ranked(
         model, table, min_count=args.min_count, counts=counts, head=args.top, tail=args.bottom
     )
@@ -501,14 +470,14 @@ def cmd_rank_words(args, out: Path) -> tuple[dict, dict, dict]:
     else:
         n = dataio.write_ranking_csv(outputs["ranking"], rows)
     print(f"ranked {n} words")
-    return {"min_count": args.min_count, "top": args.top, "bottom": args.bottom}, inputs, outputs
+    return {"min_count": args.min_count, "top": args.top, "bottom": args.bottom}, outputs
 
 
-def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
+def cmd_curve(args, out: Path) -> tuple[dict, dict]:
     from .model import posts_curve
 
     _print_seed(args.seed)
-    ts, inputs = _training(args)[:2]
+    ts = _training(args)[0]
     points = posts_curve(
         ts, n_max=args.n_max, B=args.bootstrap, level=args.level, seed=args.seed, lam=args.lam
     )
@@ -517,11 +486,25 @@ def cmd_curve(args, out: Path) -> tuple[dict, dict, dict]:
     for p in points:
         print(f"N={p.n_posts:>2} r={p.r:.4f} [{p.ci_low:.4f}, {p.ci_high:.4f}]")
     params = {"n_max": args.n_max, "bootstrap": args.bootstrap, "level": args.level, "lambda": args.lam}
-    return params, inputs, {"curve": curve_path}
+    return params, {"curve": curve_path}
 
 
 # The flags of train and evaluate that each vectorizer never reads.
 _UNREAD_FLAGS = {"embedding": ("stopwords", "top_terms"), "tfidf": ("embeddings",)}
+
+
+def _checked_inputs(args) -> dict[str, Path]:
+    """The run's input files by flag dest, in the order the command defines
+    its flags (every flag that names an input file, and no other, has type
+    Path), each checked to be a file. main calls it before the output
+    directory is made, so a run refused here reads and writes nothing."""
+    inputs = {dest: value for dest, value in vars(args).items() if isinstance(value, Path)}
+    for path in inputs.values():
+        if not path.is_file():
+            raise DataFormatError("input file not found", path=path)
+    if args.func is cmd_rank_words and args.min_count > 0 and not (args.posts or args.freq):
+        raise DataFormatError("--min-count needs word counts from --posts or --freq")
+    return inputs
 
 
 # OpenBLAS splits some GEMMs and factorizations differently at 2 threads than
@@ -557,9 +540,12 @@ def main(argv=None) -> int:
         if args.vectorizer == "tfidf" and args.top_terms is None:
             args.top_terms = 1000
     try:
+        inputs = _checked_inputs(args)
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        params, inputs, outputs = args.func(args, out)
+        _DIGESTS.clear()
+        params, outputs = args.func(args, out)
+        inputs = {dest: (path, _DIGESTS.get(path)) for dest, path in inputs.items()}
         dataio.write_manifest(out, args.command, params, inputs, outputs, seed=getattr(args, "seed", None))
     except DataFormatError as exc:
         print(f"postscore: data error: {exc}", file=sys.stderr)

@@ -681,13 +681,34 @@ class TestRankWordsCommand:
         assert f"{model_out / 'model.json'}: rank-words needs an embedding model" in capsys.readouterr().err
         assert not (out / "ranking.csv").exists()
 
-    def test_min_count_without_source_is_data_error(self, dataset, trained, tmp_path):
+    def test_min_count_without_source_is_data_error(self, dataset, trained, tmp_path, cold_table_cache):
+        """Refused before the model or the table is read: no cache entry and
+        no output directory are left."""
         code = run_cli(
             "rank-words", "--model", trained / "model.json",
             "--embeddings", dataset / "embeddings.vec",
             "--min-count", 5, "--output-dir", tmp_path / "x",
         )
         assert code == 2
+        assert not cold_table_cache.exists()
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "rank-words"])
+    def test_table_other_than_the_models_warns(self, dataset, trained, tmp_path, capsys, command):
+        """One value of the training table changed: the model still fits its
+        dim, and both commands that read a model warn once."""
+        lines = (dataset / "embeddings.vec").read_text(encoding="utf-8").splitlines(True)
+        word, first, rest = lines[1].split(" ", 2)
+        lines[1] = f"{word} {float(first) + 1.0} {rest}"
+        table = tmp_path / "changed.vec"
+        table.write_text("".join(lines), encoding="utf-8")
+        code = run_cli(
+            command, "--posts", dataset / "posts.jsonl", "--model", trained / "model.json",
+            "--embeddings", table, "--output-dir", tmp_path / "out",
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: embedding table differs from the one used in training") == 1
 
 
 class TestCurveCommand:
@@ -989,6 +1010,86 @@ class TestExitCodes:
         assert f"{model}: " in err and field in err
         assert "posts.jsonl" not in err
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def read_inputs(dataset, trained, tmp_path_factory):
+    """The input files the dataset lacks, by flag: features, predictions, a
+    stopword list and a list of two users to exclude."""
+    d = tmp_path_factory.mktemp("read_inputs")
+    assert run_cli("featurize", "--posts", dataset / "posts.jsonl", "--output-dir", d / "feat") == 0
+    assert run_cli("predict", "--posts", dataset / "posts.jsonl", "--model", trained / "model.json",
+                   "--embeddings", dataset / "embeddings.vec", "--output-dir", d / "pred") == 0
+    lines = (dataset / "embeddings.vec").read_text(encoding="utf-8").splitlines(True)
+    words = [line.split(" ")[0] for line in lines[1:6]]
+    (d / "stopwords.txt").write_text("".join(w + "\n" for w in words), encoding="utf-8")
+    labels = (dataset / "labels.csv").read_text(encoding="utf-8").splitlines(True)
+    (d / "exclude.csv").write_text("".join(labels[:3]), encoding="utf-8")
+    return {"--features": d / "feat" / "features.csv", "--predictions": d / "pred" / "predictions.csv",
+            "--stopwords": d / "stopwords.txt", "--exclude-users": d / "exclude.csv"}
+
+
+def _reading_commands(d, model, tfidf_model, made):
+    """(command, {input flag: file}, other flags) of every command that reads
+    files, on dataset d, each with every input flag it reads."""
+    posts, labels, vec = d / "posts.jsonl", d / "labels.csv", d / "embeddings.vec"
+    tfidf = ["--vectorizer", "tfidf", "--top-terms", 40, "--lambda", 0.001]
+    cases = {
+        "featurize": ("featurize", {"--posts": posts}, []),
+        "correlate": ("correlate", {"--features": made["--features"], "--labels": labels}, []),
+        "predict-embedding": ("predict", {"--posts": posts, "--model": model, "--embeddings": vec}, []),
+        "predict-tfidf": ("predict", {"--posts": posts, "--model": tfidf_model}, []),
+        "aggregate": ("aggregate", {"--predictions": made["--predictions"], "--mapping": d / "mapping.csv",
+                                    "--reference": d / "reference.csv",
+                                    "--exclude-users": made["--exclude-users"]}, ["--min-users", 1]),
+        "rank-words-posts": ("rank-words", {"--model": model, "--embeddings": vec, "--posts": posts}, []),
+        "rank-words-freq": ("rank-words", {"--model": model, "--embeddings": vec, "--freq": d / "freq.csv"},
+                            ["--min-count", 2]),
+        "curve": ("curve", {"--posts": posts, "--labels": labels, "--embeddings": vec},
+                  ["--n-max", 2, "--bootstrap", 100]),
+    }
+    for command in ("train", "evaluate"):
+        training = {"--posts": posts, "--labels": labels}
+        cases[f"{command}-embedding"] = (command, {**training, "--embeddings": vec}, [])
+        cases[f"{command}-tfidf"] = (command, {**training, "--stopwords": made["--stopwords"]}, tfidf)
+    return cases
+
+
+_READING_COMMANDS = ["featurize", "correlate", "train-embedding", "train-tfidf", "evaluate-embedding",
+                     "evaluate-tfidf", "predict-embedding", "predict-tfidf", "aggregate", "rank-words-posts",
+                     "rank-words-freq", "curve"]
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("case", _READING_COMMANDS)
+    def test_inputs_checked_before_the_run_and_recorded(self, dataset, trained, tfidf_trained, read_inputs,
+                                                        tmp_path, capsys, cold_table_cache, case):
+        """Each input removed in turn: exit 2 naming it, before any output
+        directory or cache entry is made. All present: the manifest records
+        exactly the input flags given, each with its file's sha256."""
+        cases = _reading_commands(dataset, trained / "model.json", tfidf_trained / "model.json", read_inputs)
+        command, files, flags = cases[case]
+        copies = {}
+        for flag, source in files.items():
+            copies[flag] = tmp_path / "in" / flag.lstrip("-") / source.name
+            copies[flag].parent.mkdir(parents=True)
+            shutil.copyfile(source, copies[flag])
+        argv = [command, *flags, *(a for pair in copies.items() for a in pair)]
+        out = tmp_path / "out"
+        for path in copies.values():
+            path.rename(path.with_suffix(".gone"))
+            code = run_cli(*argv, "--output-dir", out)
+            path.with_suffix(".gone").rename(path)
+            assert code == 2
+            assert f"postscore: data error: {path}: input file not found" in capsys.readouterr().err
+            assert not out.exists()
+            assert not cold_table_cache.exists()
+        assert run_cli(*argv, "--output-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {
+            flag[2:].replace("-", "_"): {"path": str(path), "sha256": dataio.sha256_file(path)}
+            for flag, path in copies.items()
+        }
 
 
 class TestDeterminism:
