@@ -415,10 +415,7 @@ def cmd_aggregate(args, out: Path) -> tuple[dict, dict]:
     predictions = dataio.read_predictions_csv(args.predictions)
     mapping = build_mapping(dataio.read_mapping_pairs(args.mapping))
     exclude = frozenset(dataio.read_labels_csv(args.exclude_users)) if args.exclude_users else frozenset()
-    try:
-        result = aggregate(predictions, mapping, min_users=args.min_users, exclude_users=exclude)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    result = aggregate(predictions, mapping, min_users=args.min_users, exclude_users=exclude)
     outputs = {}
     scores = result.scores
     if args.reference:
@@ -547,14 +544,11 @@ def main(argv=None) -> int:
         params, outputs = args.func(args, out)
         inputs = {dest: (path, _DIGESTS.get(path)) for dest, path in inputs.items()}
         dataio.write_manifest(out, args.command, params, inputs, outputs, seed=getattr(args, "seed", None))
-    except DataFormatError as exc:
+    except (DataFormatError, ValueError) as exc:
         print(f"postscore: data error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"postscore: data error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"postscore: data error: {exc}", file=sys.stderr)
         return 2
     except SingularSystemError as exc:
         print(f"postscore: numerical failure: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 This module reads and writes every CSV and JSON file the package uses; only
 the `.vec` table and the stopword list stay with their parsers. Every CSV is
 UTF-8 with a header row and LF line ends, and every JSON file is written by
-``write_json``.
+``write_json``. A CSV keyed by its first field (labels, reference,
+predictions, features and freq) lists each key once; the mapping file may
+list a user under several institutions, so it is read as pairs.
 
 All writers are deterministic: floats are serialized with repr (shortest
 round-trip), rows follow a defined order, and nothing embeds timestamps, so
@@ -114,40 +116,63 @@ def _write_csv(path, header: list[str], rows: Iterable) -> int:
     return n
 
 
-def _read_csv_rows(path, header: list[str]):
+def _read_csv_rows(path, header: list[str], header_optional: bool = False):
+    """(line number, fields) of each non-blank row after the header, which
+    must be line 1 unless ``header_optional``; a row of another field count
+    is a data error."""
     with open(path, "r", encoding="utf-8", newline="") as f, utf8_errors(path):
-        reader = csv.reader(f)
-        first = next(reader, None)
-        if first != header:
+        rows = enumerate(csv.reader(f), start=1)
+        if not header_optional and next(rows, (1, None))[1] != header:
             raise DataFormatError(f"expected header `{','.join(header)}`", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        for lineno, row in rows:
+            if not row or (lineno == 1 and row == header):
                 continue
             if len(row) != len(header):
-                raise DataFormatError(f"expected {len(header)} fields", path=path, line=lineno)
+                raise DataFormatError(f"expected `{','.join(header)}`", path=path, line=lineno)
             yield lineno, row
 
 
-def _read_scores_csv(path, header: list[str], kind: str) -> dict[str, float]:
-    """id -> score from a two-column CSV; an id listed twice (named by its
-    ``kind``) or a score that is not a finite number is a data error."""
-    scores: dict[str, float] = {}
-    for lineno, row in _read_csv_rows(path, header):
-        if row[0] in scores:
+def _read_keyed(path, header: list[str], kind: str, parse, header_optional: bool = False) -> dict:
+    """key -> ``parse(fields after the key)`` for each row of a CSV keyed by
+    its first field, in file order. A key listed twice (named by its
+    ``kind``) or a ValueError from ``parse`` is a data error naming the
+    file and line."""
+    values = {}
+    for lineno, row in _read_csv_rows(path, header, header_optional):
+        if row[0] in values:
             raise DataFormatError(f"duplicate {kind} {row[0]!r}", path=path, line=lineno)
         try:
-            score = float(row[1])
-        except ValueError:
-            raise DataFormatError("score must be a number", path=path, line=lineno) from None
-        if not math.isfinite(score):
-            raise DataFormatError(f"score must be finite, got {row[1]!r}", path=path, line=lineno)
-        scores[row[0]] = score
-    return scores
+            values[row[0]] = parse(row[1:])
+        except ValueError as exc:
+            raise DataFormatError(str(exc), path=path, line=lineno) from None
+    return values
+
+
+def _number(name: str, text: str) -> float:
+    """The field ``name`` as a finite float; ValueError otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _count(name: str, text: str) -> int:
+    """The field ``name`` as an int >= 0; ValueError otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < 0:
+        raise ValueError(f"negative {name} {value}")
+    return value
 
 
 def read_labels_csv(path) -> dict[str, float]:
     """user_id -> target score."""
-    labels = _read_scores_csv(path, LABELS_HEADER, "user")
+    labels = _read_keyed(path, LABELS_HEADER, "user", lambda f: _number("score", f[0]))
     if not labels:
         raise DataFormatError("labels file has no rows", path=path, line=1)
     return labels
@@ -167,7 +192,7 @@ def write_mapping_csv(path, mapping: dict) -> None:
 
 def read_reference_csv(path) -> dict[str, float]:
     """institution_id -> reference score."""
-    return _read_scores_csv(path, REFERENCE_HEADER, "institution")
+    return _read_keyed(path, REFERENCE_HEADER, "institution", lambda f: _number("score", f[0]))
 
 
 def write_reference_csv(path, reference: dict) -> None:
@@ -176,25 +201,7 @@ def write_reference_csv(path, reference: dict) -> None:
 
 def read_freq_csv(path) -> dict:
     """Sidecar corpus frequencies: CSV rows `word,count` (header optional)."""
-    freq = {}
-    with open(path, "r", encoding="utf-8", newline="") as f, utf8_errors(path):
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row == FREQ_HEADER:
-                continue
-            if len(row) != 2:
-                raise DataFormatError("expected `word,count`", path=path, line=lineno)
-            try:
-                count = int(row[1])
-            except ValueError:
-                raise DataFormatError("count must be an integer", path=path, line=lineno) from None
-            if count < 0:
-                raise DataFormatError(f"negative count {count}", path=path, line=lineno)
-            if row[0] in freq:
-                raise DataFormatError(f"duplicate word {row[0]!r}", path=path, line=lineno)
-            freq[row[0]] = count
-    return freq
+    return _read_keyed(path, FREQ_HEADER, "word", lambda f: _count("count", f[0]), header_optional=True)
 
 
 def write_freq_csv(path, freq: dict) -> None:
@@ -227,18 +234,10 @@ def write_features_csv(path, features: Iterable[UserSurfaceFeatures]) -> None:
 
 def read_features_csv(path) -> list[dict]:
     """Rows as dicts with finite float feature values (vocab_size included)."""
-    rows = []
-    for lineno, row in _read_csv_rows(path, FEATURES_HEADER):
-        try:
-            values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, row[1:])}
-        except ValueError:
-            raise DataFormatError("bad feature value", path=path, line=lineno) from None
-        for name, text in zip(FEATURE_COLUMNS, row[1:]):
-            if not math.isfinite(values[name]):
-                raise DataFormatError(f"{name} must be finite, got {text!r}", path=path, line=lineno)
-        values["user_id"] = row[0]
-        rows.append(values)
-    return rows
+    rows = _read_keyed(
+        path, FEATURES_HEADER, "user", lambda f: {name: _number(name, v) for name, v in zip(FEATURE_COLUMNS, f)}
+    )
+    return [{**values, "user_id": user} for user, values in rows.items()]
 
 
 def write_predictions_csv(path, predictions: Iterable[UserPrediction]) -> None:
@@ -250,16 +249,10 @@ def read_predictions_csv(path) -> list[UserPrediction]:
     """Rows as UserPredictions; a predicted score must be a finite number."""
     from .model import UserPrediction
 
-    out = []
-    for lineno, row in _read_csv_rows(path, PREDICTIONS_HEADER):
-        try:
-            predicted, n_posts_used = float(row[1]), int(row[2])
-        except ValueError:
-            raise DataFormatError("bad prediction row", path=path, line=lineno) from None
-        if not math.isfinite(predicted):
-            raise DataFormatError(f"predicted must be finite, got {row[1]!r}", path=path, line=lineno)
-        out.append(UserPrediction(row[0], predicted, n_posts_used))
-    return out
+    rows = _read_keyed(
+        path, PREDICTIONS_HEADER, "user", lambda f: (_number("predicted", f[0]), _count("n_posts_used", f[1]))
+    )
+    return [UserPrediction(user, *values) for user, values in rows.items()]
 
 
 def write_report_csv(path, rows: Iterable[tuple[str, CorrelationReport]]) -> None:

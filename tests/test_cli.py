@@ -458,7 +458,7 @@ class TestAggregateCommand:
             report = {row["metric"]: row for row in csv.DictReader(f)}
         assert set(report) == {"institution_pearson", "institution_spearman"}
 
-    def test_exclude_users_shrinks_membership(self, dataset, trained, tmp_path):
+    def test_exclude_users_shrinks_membership(self, dataset, trained, tmp_path, capsys):
         pred_out = tmp_path / "pred"
         run_cli(
             "predict", "--posts", dataset / "posts.jsonl", "--model", trained / "model.json",
@@ -477,6 +477,7 @@ class TestAggregateCommand:
             "--exclude-users", dataset / "labels.csv", "--output-dir", excl_out,
         )
         assert code == 2  # every mapped user is in the training labels
+        assert capsys.readouterr().err == "postscore: data error: no predicted user maps to any institution\n"
 
 
 class TestCrossSource:
@@ -1090,6 +1091,38 @@ class TestInputRule:
             flag[2:].replace("-", "_"): {"path": str(path), "sha256": dataio.sha256_file(path)}
             for flag, path in copies.items()
         }
+
+
+    @pytest.mark.parametrize("case, flag, damage, message", [
+        ("train-embedding", "--labels", "repeat", "duplicate user"),
+        ("aggregate", "--reference", "repeat", "duplicate institution"),
+        ("aggregate", "--exclude-users", "repeat", "duplicate user"),
+        ("aggregate", "--predictions", "repeat", "duplicate user"),
+        ("correlate", "--features", "repeat", "duplicate user"),
+        ("rank-words-freq", "--freq", "repeat", "duplicate word"),
+        ("aggregate", "--predictions", "negative", "negative n_posts_used -1"),
+    ], ids=["labels", "reference", "exclude-users", "predictions", "features", "freq", "negative-posts-used"])
+    def test_bad_keyed_input_is_data_error(self, dataset, trained, tfidf_trained, read_inputs, tmp_path, capsys,
+                                           case, flag, damage, message):
+        """A file keyed by user, institution or word whose first row is
+        listed again at its end, or whose last n_posts_used is negative:
+        exit 2 naming the file, its last line and the repeated key, and no
+        output written."""
+        cases = _reading_commands(dataset, trained / "model.json", tfidf_trained / "model.json", read_inputs)
+        command, files, flags = cases[case]
+        lines = files[flag].read_text(encoding="utf-8").splitlines(True)
+        if damage == "repeat":
+            lines.append(lines[1])
+            message += f" {lines[1].split(',')[0]!r}"
+        else:
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-1\n"
+        files[flag] = tmp_path / files[flag].name
+        files[flag].write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(command, *flags, *(a for pair in files.items() for a in pair), "--output-dir", out)
+        assert code == 2
+        assert f"postscore: data error: {files[flag]}:{len(lines)}: {message}\n" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestDeterminism:

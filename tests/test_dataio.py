@@ -7,7 +7,7 @@ from postscore import dataio
 from postscore.errors import DataFormatError
 from postscore.model import CurvePoint, LinearModel, TrainingMeta, UserPrediction
 from postscore.stats import CorrelationReport
-from postscore.textproc import RawPost, UserSurfaceFeatures
+from postscore.textproc import FEATURE_COLUMNS, RawPost, UserSurfaceFeatures
 from postscore.tfidf import build_vocab
 from postscore.transfer import InstitutionScore
 from postscore.wordrank import WordScore
@@ -106,6 +106,40 @@ class TestPredictionsCsv:
         path = tmp_path / "pred.csv"
         dataio.write_predictions_csv(path, preds)
         assert dataio.read_predictions_csv(path) == preds
+
+
+class TestFreqCsv:
+    @pytest.mark.parametrize("text, counts", [
+        ("", {}),
+        ("word,count\n", {}),
+        ("b,3\na,0\n", {"b": 3, "a": 0}),
+        ("word,count\nb,3\n\na,0\n", {"b": 3, "a": 0}),
+    ])
+    def test_header_optional_and_empty_file_has_no_counts(self, tmp_path, text, counts):
+        path = tmp_path / "freq.csv"
+        path.write_text(text, encoding="utf-8")
+        freq = dataio.read_freq_csv(path)
+        assert freq == counts and list(freq) == list(counts)
+
+
+def _features(user, *values):
+    return {**dict(zip(FEATURE_COLUMNS, values)), "user_id": user}
+
+
+@pytest.mark.parametrize("reader, header, rows, expected", [
+    (dataio.read_labels_csv, dataio.LABELS_HEADER, ["u2,1.5", "u1,2"], {"u2": 1.5, "u1": 2.0}),
+    (dataio.read_reference_csv, dataio.REFERENCE_HEADER, ["i2,480", "i1,1e2"], {"i2": 480.0, "i1": 100.0}),
+    (dataio.read_freq_csv, dataio.FREQ_HEADER, ["b,3", "a,0"], {"b": 3, "a": 0}),
+    (dataio.read_predictions_csv, dataio.PREDICTIONS_HEADER, ["u2,501.5,3", "u1,-2,0"],
+     [UserPrediction("u2", 501.5, 3), UserPrediction("u1", -2.0, 0)]),
+    (dataio.read_features_csv, dataio.FEATURES_HEADER, ["u2,0.1,0,0,1,2,3,4,1.5", "u1,0,0,0,0,1,1,1,0"],
+     [_features("u2", 0.1, 0, 0, 1, 2, 3, 4, 1.5), _features("u1", 0, 0, 0, 0, 1, 1, 1, 0)]),
+])
+def test_keyed_readers_keep_file_order(tmp_path, reader, header, rows, expected):
+    path = tmp_path / "keyed.csv"
+    path.write_text("".join(line + "\n" for line in [",".join(header), *rows]), encoding="utf-8")
+    values = reader(path)
+    assert values == expected and list(values) == list(expected)
 
 
 class TestOtherWriters:

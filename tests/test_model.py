@@ -706,6 +706,69 @@ class TestLooUserCVFullStorageReference:
         assert _prediction_bytes(packed) == _prediction_bytes(loo_user_cv_full(ts, lam=lam, sample=sample))
 
 
+@st.composite
+def _loocv_shapes(draw):
+    """(training set, lambda, one of its users) of a skewed LOOCV shape.
+    lambda is one of 0, 1e-9, 1e-3 and 1; d is 1-24, where users are solved
+    one at a time, or 76-110, where they go in groups; 2-60 users hold 1-9
+    rows each, sometimes with one user of 100-400 rows, and at lambda=0
+    sometimes every user holds one row. Below lambda=1e-3, one-row users
+    are added until each held-out system has at least its d + 1 unknowns
+    in rows. The users' rows are interleaved."""
+    lam = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    d = draw(st.one_of(st.integers(1, 24), st.integers(76, 110)))
+    if lam == 0.0 and draw(st.booleans()):
+        sizes = [1] * draw(st.integers(2, 40))
+    else:
+        sizes = draw(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 5, 9]), min_size=2, max_size=60))
+        if draw(st.booleans()):
+            sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(100, 400))
+    if lam < 1e-3:
+        sizes += [1] * max(0, d + 1 - (sum(sizes) - max(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = rng.permutation(np.repeat([f"u{i:03d}" for i in range(len(sizes))], sizes)).astype(object)
+    X = rng.standard_normal((groups.size, d))
+    y = 500.0 + 30.0 * (X @ rng.standard_normal(d)) + 20.0 * rng.standard_normal(groups.size)
+    return _ts(X, y, groups), lam, f"u{draw(st.integers(0, len(sizes) - 1)):03d}"
+
+
+class TestLooUserCVRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_loocv_shapes())
+    def test_every_route_against_the_oracles(self, case):
+        """The drawn shapes reach every route: users solved one at a time,
+        groups through the r x r step, groups declined by their row count,
+        by their flops (the user of hundreds of rows) or numerically, and
+        several blocks. The predictions are bit-identical to the
+        full-storage reference; one user's own targets, zeroed, leave its
+        prediction bit-identical; and each prediction is within 1e-8 of
+        naive retraining wherever fit neither warns nor raises on the
+        held-out system and that system has at least d + 9 rows. With fewer
+        rows the two solvers part while fit gives no warning: by up to 84
+        (on values near 500) on exactly d + 1 rows at lambda=0, 1.5e-8 on
+        at most d + 4 rows at lambda=1e-9 and 1e-7 on fewer than d rows at
+        lambda=1e-3, in sweeps of these shapes."""
+        ts, lam, user = case
+        fast = loo_user_cv(ts, lam=lam)
+        assert _prediction_bytes(fast) == _prediction_bytes(loo_user_cv_full(ts, lam=lam))
+        y2 = ts.y.copy()
+        y2[ts.groups == user] = 0.0
+        moved = {p.user_id: p.predicted for p in loo_user_cv(_ts(ts.X, y2, ts.groups), lam=lam)}
+        assert moved[user] == {p.user_id: p.predicted for p in fast}[user]
+        for p in fast:
+            keep = ts.groups != p.user_id
+            if keep.sum() < ts.d + 9:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    model = fit(_ts(ts.X[keep], ts.y[keep], ts.groups[keep]), lam=lam)
+                except (RuntimeWarning, SingularSystemError):
+                    continue
+            naive = float((ts.X[~keep] @ model.weights + model.bias).mean())
+            assert abs(naive - p.predicted) < 1e-8
+
+
 class TestScoreTokenizedPosts:
     def test_matches_vector_route(self, tiny_table):
         rng = np.random.default_rng(12)

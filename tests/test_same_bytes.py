@@ -21,8 +21,9 @@ def _copy_of_src(dest: Path) -> Path:
 
 
 def test_copies_are_identical_and_a_changed_constant_is_named(tmp_path, capsys):
-    """Two copies of this tree give exit 0. A copy whose synthetic scores sit
-    one higher gives exit 1, names labels.csv and gives its largest delta."""
+    """Two copies of this tree give exit 0, and so does every command they
+    run. A copy whose synthetic scores sit one higher gives exit 1, names
+    labels.csv and gives its largest delta."""
     same_bytes = _tool()
     a, b, changed = (_copy_of_src(tmp_path / name) for name in ("a", "b", "changed"))
     synth = changed / "src" / "postscore" / "synth.py"
@@ -32,8 +33,8 @@ def test_copies_are_identical_and_a_changed_constant_is_named(tmp_path, capsys):
 
     assert same_bytes.main([str(a), str(b), "smoke"], states=("cold",)) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 11 and out[-1] == "identical", out
-    assert all(line.endswith(": identical") for line in out[:-1]), out
+    assert len(out) == 17 and out[-1] == "identical", out
+    assert all(re.fullmatch(r"smoke cold \w+: identical", line) for line in out[:-1]), out  # each exit 0
 
     assert same_bytes.main([str(a), str(changed), "smoke"], states=("cold",)) == 1
     out = capsys.readouterr().out

@@ -9,10 +9,16 @@ BENCHMARK.json lists.
 
 For each workload it runs ``synth --seed 1`` at the workload's shape, then
 the benchmark's commands as ``bench/harness.py`` builds them, plus ``curve
---lambda 0``, in three cache states: cold (an empty cache of parsed inputs),
-warm (the cache the cold pass left), and emptied before every command. Each
-tree runs with its own PYTHONPATH and its own empty XDG_CACHE_HOME, on one
-BLAS thread, into the same paths, so manifests compare byte for byte.
+--lambda 0`` and the input flags the benchmark never passes: tf-idf
+``train``, ``evaluate`` and ``predict`` with ``--stopwords``, ``correlate``
+on featurize's output, ``rank-words --freq --min-count 2 --top 5`` and
+``aggregate --exclude-users --min-users 1``. The stopword list (the posts'
+15 most frequent tokens) and the users to exclude (the first three of the
+labels) are written from synth's outputs. Every command runs in three cache
+states: cold (an empty cache of parsed inputs), warm (the cache the cold
+pass left), and emptied before every command. Each tree runs with its own
+PYTHONPATH and its own empty XDG_CACHE_HOME, on one BLAS thread, into the
+same paths, so manifests compare byte for byte.
 
 It prints one line per command and cache state, identical or the names of
 what differs, and for a CSV that differs the largest |delta| of each numeric
@@ -23,10 +29,12 @@ manifest is identical, 1 when one differs, and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,18 +47,55 @@ sys.path.insert(0, str(ROOT / "bench"))
 import harness  # noqa: E402
 
 SEED = 1
+TOKEN = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")  # textproc's token pattern; tokens are lowercased
 STATES = ("cold", "warm", "emptied")
 TIMEOUT_S = 600
 
 
-def commands(workload: str, inp: Path, out: Path) -> dict:
-    """postscore argument lists by name, in run order: the benchmark's
-    commands and ``curve_lambda0``; outputs go to out/<name>."""
-    argv = harness.command_args(harness.WORKLOADS[workload], inp, out)
-    curve = argv["curve"]
-    curve = curve[: curve.index("--output-dir")] + ["--output-dir", str(out / "curve_lambda0")]
+def commands(workload: str, run: Path) -> dict:
+    """postscore argument lists by name, in run order, on synth's outputs in
+    run/in and the files of ``derived_inputs`` in run/derived: the
+    benchmark's commands, then ``curve_lambda0`` and the commands of the
+    flags the benchmark never passes; outputs go to run/out/<name>."""
+    wl = harness.WORKLOADS[workload]
+    inp, out, derived = run / "in", run / "out", run / "derived"
+    argv = harness.command_args(wl, inp, out)
+    posts, labels = str(inp / "posts.jsonl"), str(inp / "labels.csv")
+    curve = argv["curve"][: argv["curve"].index("--output-dir")]
     curve[curve.index("--lambda") + 1] = "0"
-    return {**argv, "curve_lambda0": curve}
+    tfidf = ["--posts", posts, "--labels", labels, "--vectorizer", "tfidf", "--top-terms", str(wl.top_terms),
+             "--lambda", harness.TFIDF_LAMBDA, "--stopwords", str(derived / "stopwords.txt")]
+    more = {
+        "curve_lambda0": curve,
+        "train_tfidf_stopwords": ["train", *tfidf],
+        "evaluate_tfidf_stopwords": ["evaluate", *tfidf],
+        "predict_tfidf_stopwords": ["predict", "--posts", posts,
+                                    "--model", str(out / "train_tfidf_stopwords" / "model.json")],
+        "correlate": ["correlate", "--features", str(out / "featurize" / "features.csv"), "--labels", labels],
+        "rank_words_freq": ["rank-words", "--model", str(out / "train" / "model.json"),
+                            "--embeddings", str(inp / "embeddings.vec"), "--freq", str(inp / "freq.csv"),
+                            "--min-count", "2", "--top", "5"],
+        "aggregate_exclude": ["aggregate", "--predictions", str(out / "predict" / "predictions.csv"),
+                              "--mapping", str(inp / "mapping.csv"),
+                              "--exclude-users", str(derived / "exclude.csv"), "--min-users", "1"],
+    }
+    return {**argv, **{name: a + ["--output-dir", str(out / name)] for name, a in more.items()}}
+
+
+def derived_inputs(run: Path) -> None:
+    """Write into run/derived the inputs synth does not make, from its
+    outputs in run/in: the posts' 15 most frequent tokens as a stopword
+    list, and a labels file of the first three users to exclude."""
+    inp, derived = run / "in", run / "derived"
+    derived.mkdir()
+    counts = collections.Counter()
+    with open(inp / "posts.jsonl", encoding="utf-8") as f:
+        for line in f:
+            counts.update(t.lower() for t in TOKEN.findall(json.loads(line)["text"]))
+    words = [w for w, _ in counts.most_common(15)]
+    (derived / "stopwords.txt").write_text("".join(w + "\n" for w in words), encoding="utf-8")
+    labels = (inp / "labels.csv").read_text(encoding="utf-8").splitlines(True)
+    (derived / "exclude.csv").write_text("".join(labels[:4]), encoding="utf-8")
 
 
 def run_tree(src: Path, workloads: list, work: Path, into: Path, states=STATES) -> list:
@@ -69,7 +114,7 @@ def run_tree(src: Path, workloads: list, work: Path, into: Path, states=STATES) 
         synth = harness.synth_args(harness.WORKLOADS[workload], SEED, inp)
         for i, state in enumerate(states):
             runs = {"synth": (synth, inp)} if i == 0 else {}
-            runs.update((name, (argv, out / name)) for name, argv in commands(workload, inp, out).items())
+            runs.update((name, (argv, out / name)) for name, argv in commands(workload, run).items())
             for name, (argv, dest) in runs.items():
                 if state == "emptied":
                     shutil.rmtree(cache, ignore_errors=True)
@@ -84,6 +129,8 @@ def run_tree(src: Path, workloads: list, work: Path, into: Path, states=STATES) 
                 (kept / "stderr").write_bytes(proc.stderr)
                 if dest.is_dir():
                     shutil.copytree(dest, kept / "out")
+                if name == "synth" and proc.returncode == 0:
+                    derived_inputs(run)
     return kept_runs
 
 
