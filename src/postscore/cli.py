@@ -13,22 +13,24 @@ checks it against its table or vocabulary before any post is read. The
 input step is where a memory preflight or a per-stage report would go.
 
 Each command imports the modules it runs, when it runs, because start-up is
-most of a small command's cost: featurize loads no numpy, and no command
-imports scipy (LOOCV in evaluate and curve calls scipy's compiled LAPACK
-routines directly, see model._lapack).
+most of a small command's cost: featurize loads no numpy, a warm model
+command no textproc, and no command imports scipy (LOOCV in evaluate and
+curve calls scipy's compiled LAPACK routines directly, see model._lapack).
 
 BLAS runs on one thread whatever the environment says (see main), so a
 command's output bytes depend on its inputs and flags, not on the host's core
 count or on OPENBLAS_NUM_THREADS.
 
 Exit codes: 0 success, 1 usage, 2 data/parse error (message names the file
-and line when known), 3 numerical failure with a remediation hint. A warning
-is one ``warning: ...`` line on stderr, a Python warning too.
+and line when known), 3 numerical failure with a remediation hint. A run that
+fails removes the output directory, and the parents it made, while they are
+empty. A warning is one ``warning: ...`` line on stderr, a Python warning too.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -36,11 +38,10 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# None of these loads numpy. Numeric modules are imported inside the functions
-# that call them, so a command pays only for the imports it uses.
+# None of these loads numpy. Numeric modules and textproc are imported inside
+# the functions that call them, so a command pays only for the imports it uses.
 from . import __version__, dataio
 from .errors import DataFormatError, SingularSystemError
-from .textproc import FEATURE_COLUMNS, extract_features
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingTable
@@ -260,6 +261,8 @@ def cmd_synth(args, out: Path) -> tuple[dict, dict]:
 
 
 def cmd_featurize(args, out: Path) -> tuple[dict, dict]:
+    from .textproc import extract_features
+
     features = extract_features(dataio.iter_posts_jsonl(args.posts))
     if not features:
         raise DataFormatError("no unfiltered posts in input", path=args.posts)
@@ -279,7 +282,7 @@ def cmd_correlate(args, out: Path) -> tuple[dict, dict]:
         raise DataFormatError("need at least 3 users present in both features and labels")
     y = [labels[row["user_id"]] for row in matched]
     report = []
-    for name in FEATURE_COLUMNS:
+    for name in dataio.FEATURE_COLUMNS:
         x = [row[name] for row in matched]
         try:
             report.append((name, pearson(x, y)))
@@ -299,7 +302,7 @@ def _training(args):
     and stopwords (None for embeddings) and the posts filtered, with no
     vector and unlabeled. The table and the corpus are freed on return: the
     fit, LOOCV or curve holds neither."""
-    from . import pipeline, tfidf
+    from . import pipeline
 
     embedding = args.vectorizer == "embedding"
     table = _load_table(args) if embedding else None
@@ -310,6 +313,8 @@ def _training(args):
         ts, stats = pipeline.build_embedding_training(corpus, labels, table, threads=args.threads)
         fingerprint = table.fingerprint()
     else:
+        from . import tfidf
+
         stopwords = tfidf.load_stopwords(args.stopwords) if args.stopwords else frozenset()
         labeled = corpus.labeled(labels)
         if not labeled.any():
@@ -536,30 +541,35 @@ def main(argv=None) -> int:
             parser.error(f"{' and '.join(unread)} not read by --vectorizer {args.vectorizer}")
         if args.vectorizer == "tfidf" and args.top_terms is None:
             args.top_terms = 1000
+    made = []  # the directories this run makes, the output directory first
     try:
         inputs = _checked_inputs(args)
         out = Path(args.output_dir)
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
         _DIGESTS.clear()
         params, outputs = args.func(args, out)
         inputs = {dest: (path, _DIGESTS.get(path)) for dest, path in inputs.items()}
         dataio.write_manifest(out, args.command, params, inputs, outputs, seed=getattr(args, "seed", None))
+        return 0
     except (DataFormatError, ValueError) as exc:
         print(f"postscore: data error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except FileNotFoundError as exc:
         print(f"postscore: data error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
+        code = 2
     except SingularSystemError as exc:
         print(f"postscore: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except MemoryError as exc:
         # numpy's message names the array it could not allocate; a bare
         # MemoryError has none.
         print(f"postscore: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
-        return 3
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        code = 3
+    # A failed run takes back the directories it made while they are empty.
+    for directory in made:
+        try:
+            directory.rmdir()
+        except OSError:
+            break
+    return code

@@ -5,7 +5,11 @@ the `.vec` table and the stopword list stay with their parsers. Every CSV is
 UTF-8 with a header row and LF line ends, and every JSON file is written by
 ``write_json``. A CSV keyed by its first field (labels, reference,
 predictions, features and freq) lists each key once; the mapping file may
-list a user under several institutions, so it is read as pairs.
+list a user under several institutions, so it is read as pairs. The records
+that cross a file boundary live here too: ``RawPost`` (a line of the posts
+file), ``UserPrediction`` (a row of a predictions file) and the features
+file's ``FEATURE_COLUMNS``, so reading a file loads no module that computes
+on it.
 
 All writers are deterministic: floats are serialized with repr (shortest
 round-trip), rows follow a defined order, and nothing embeds timestamps, so
@@ -18,19 +22,33 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DataFormatError, utf8_errors
-from .textproc import FEATURE_COLUMNS, RawPost, UserSurfaceFeatures
 
 if TYPE_CHECKING:
-    from .model import CurvePoint, LinearModel, UserPrediction
+    from .model import CurvePoint, LinearModel
     from .stats import CorrelationReport
+    from .textproc import UserSurfaceFeatures
     from .tfidf import TfidfVocabulary
     from .transfer import InstitutionScore
 
 MANIFEST_NAME = "manifest.json"
+
+# The per-user surface features, in the features CSV's column order
+# (``textproc.UserSurfaceFeatures`` computes them).
+FEATURE_COLUMNS = [
+    "caps_rate",
+    "emoji_rate",
+    "exclaim_rate",
+    "latin_rate",
+    "avg_post_len",
+    "avg_word_len",
+    "vocab_size",
+    "entropy_bits",
+]
 
 PREDICTIONS_HEADER = ["user_id", "predicted", "n_posts_used"]
 FEATURES_HEADER = ["user_id"] + FEATURE_COLUMNS
@@ -57,6 +75,16 @@ def _fmt(value: float) -> str:
 
 
 # ---------------------------------------------------------------- posts JSONL
+
+
+@dataclass(frozen=True)
+class RawPost:
+    """One short text with author attribution, as read from the posts file."""
+
+    user_id: str
+    post_id: str
+    text: str
+    is_repost: bool = False
 
 
 def iter_posts_jsonl(path) -> Iterator[RawPost]:
@@ -240,6 +268,16 @@ def read_features_csv(path) -> list[dict]:
     return [{**values, "user_id": user} for user, values in rows.items()]
 
 
+@dataclass(frozen=True)
+class UserPrediction:
+    """One row of a predictions file: a user's mean post score and the
+    number of posts it averages."""
+
+    user_id: str
+    predicted: float
+    n_posts_used: int
+
+
 def write_predictions_csv(path, predictions: Iterable[UserPrediction]) -> None:
     rows = ([p.user_id, _fmt(p.predicted), p.n_posts_used] for p in predictions)
     _write_csv(path, PREDICTIONS_HEADER, rows)
@@ -247,8 +285,6 @@ def write_predictions_csv(path, predictions: Iterable[UserPrediction]) -> None:
 
 def read_predictions_csv(path) -> list[UserPrediction]:
     """Rows as UserPredictions; a predicted score must be a finite number."""
-    from .model import UserPrediction
-
     rows = _read_keyed(
         path, PREDICTIONS_HEADER, "user", lambda f: (_number("predicted", f[0]), _count("n_posts_used", f[1]))
     )

@@ -56,9 +56,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embeddings
+from .dataio import UserPrediction
 from .embeddings import flat_token_ids, segment_mean
 from .errors import SingularSystemError
-from .stats import bootstrap_ci, pearson_r
 
 __all__ = [
     "TrainingMeta",
@@ -216,13 +216,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class UserPrediction:
-    user_id: str
-    predicted: float
-    n_posts_used: int
 
 
 @dataclass(frozen=True)
@@ -604,6 +597,19 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     return predictions
 
 
+def __getattr__(name: str):
+    """``bootstrap_ci``, imported from ``stats`` on first access, so that only
+    ``posts_curve`` loads ``stats``. The name is then bound in this module,
+    where ``posts_curve`` looks it up, so a caller can replace it (as
+    bench/layers.py does to time the bootstrap)."""
+    if name != "bootstrap_ci":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .stats import bootstrap_ci
+
+    globals()[name] = bootstrap_ci
+    return bootstrap_ci
+
+
 def posts_curve(
     ts: TrainingSet,
     n_max: int = 20,
@@ -623,9 +629,12 @@ def posts_curve(
     Each sample is a row selection that LOOCV reads from ts itself; no
     sampled copy of X is made.
     """
+    from .stats import pearson_r
+
     eligible = np.flatnonzero(np.diff(ts.offsets) >= n_max)
     if not eligible.size:
         raise ValueError(f"no user has at least {n_max} posts")
+    bootstrap = globals().get("bootstrap_ci") or __getattr__("bootstrap_ci")
     users = [ts.users[i] for i in eligible]
     user_rows = [ts.index[ts.offsets[i] : ts.offsets[i + 1]] for i in eligible]
     truth = ts.y[ts.index[ts.offsets[eligible]]].tolist()
@@ -639,7 +648,7 @@ def posts_curve(
         preds = loo_user_cv(ts, lam=lam, sample=(users, kept, offsets))
         pairs = [(p.predicted, t) for p, t in zip(preds, truth)]
         r = pearson_r([a for a, _ in pairs], [b for _, b in pairs])
-        ci_low, ci_high = bootstrap_ci(
+        ci_low, ci_high = bootstrap(
             pairs,
             lambda sample: pearson_r([a for a, _ in sample], [b for _, b in sample]),
             B=B,

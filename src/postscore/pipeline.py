@@ -14,6 +14,10 @@ as codes made from the token ids (``tfidf``). A list of TokenizedPost is
 interned into a corpus on entry. Both predict routes score every post
 first and then take one per-user mean (``_user_means``), with no per-user
 loop, dict or matrix.
+
+``textproc`` is imported only where posts are parsed (a cache miss), and
+``tfidf`` only on the tf-idf routes, so a warm embedding command loads
+neither.
 """
 
 from __future__ import annotations
@@ -21,13 +25,28 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cache, dataio, embeddings, textproc, tfidf
+from . import cache, dataio, embeddings
+from .dataio import UserPrediction
 from .embeddings import TokenIds
-from .model import LinearModel, TrainingSet, UserPrediction, group_codes, score_tokenized_posts
-from .textproc import extract_features  # noqa: F401  (kept for callers of pipeline.extract_features)
+from .model import LinearModel, TrainingSet, group_codes, score_tokenized_posts
+
+if TYPE_CHECKING:
+    from .tfidf import TfidfVocabulary
+
+
+def __getattr__(name: str):
+    """``extract_features``: textproc's, kept here for its callers and
+    imported on first access, so that only a parse loads textproc."""
+    if name != "extract_features":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .textproc import extract_features
+
+    return extract_features
+
 
 @dataclass
 class FilterStats:
@@ -49,12 +68,14 @@ class FilterStats:
 
 def iter_clean_posts(posts, stats: FilterStats | None = None):
     """Filter and tokenize a RawPost stream."""
+    from .textproc import should_filter, tokenize_post
+
     for post in posts:
-        filtered, reason = textproc.should_filter(post)
+        filtered, reason = should_filter(post)
         if stats is not None:
             stats.record(reason)
         if not filtered:
-            yield textproc.tokenize_post(post)
+            yield tokenize_post(post)
 
 
 def load_clean_posts(path, stats: FilterStats | None = None) -> list:
@@ -220,12 +241,14 @@ def _training_set(X, corpus: Corpus, codes, labels: dict) -> TrainingSet:
 def build_tfidf_training(
     clean_posts,
     labels: dict,
-    vocab: tfidf.TfidfVocabulary,
+    vocab: TfidfVocabulary,
     stopwords=frozenset(),
 ) -> tuple[TrainingSet, AssemblyStats]:
     """tf-idf training set over the same posts (a Corpus or TokenizedPosts);
     zero vectors are kept (they carry the post's bias signal, unlike an
     absent embedding)."""
+    from . import tfidf
+
     corpus = _as_corpus(clean_posts)
     stats = AssemblyStats()
     labeled = corpus.labeled(labels)
@@ -282,13 +305,15 @@ def predict_users_from_posts(
 
 def predict_users_tfidf(
     model: LinearModel,
-    vocab: tfidf.TfidfVocabulary,
+    vocab: TfidfVocabulary,
     clean_posts,
     stopwords=frozenset(),
 ) -> PredictionResult:
     """Per-user mean of post scores over the tf-idf route, for a Corpus or
     TokenizedPosts. Every post counts: one with no vocabulary term has a zero
     vector and scores the bias."""
+    from . import tfidf
+
     corpus = _as_corpus(clean_posts)
     scores = tfidf.tfidf_scores(vocab, corpus, model.weights, model.bias, stopwords)
     return _user_means(model, corpus, scores, np.ones(scores.size, dtype=bool))

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textproc import RawPost
+from .dataio import RawPost
 
 __all__ = ["SynthConfig", "SynthTruth", "SynthData", "generate"]
 

@@ -5,7 +5,9 @@ and hyphens preserved ("don't", "re-read"), lowercased. Only ``featurize``
 reads capitalization, emoji, '!' and script counts: ``extract_features``
 filters a post stream and feeds each kept post's raw text to its user's
 FeatureAccumulator, so the model path only tokenizes. The module needs only
-the standard library, so ``featurize`` never loads numpy.
+the standard library, so ``featurize`` never loads numpy. ``RawPost`` and
+``FEATURE_COLUMNS`` belong to the file formats (``dataio``) and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+
+from .dataio import FEATURE_COLUMNS, RawPost
 
 __all__ = [
     "RawPost",
@@ -45,16 +49,6 @@ _LATIN_RE = re.compile("[A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F\u1E00-\u1
 
 
 @dataclass(frozen=True)
-class RawPost:
-    """One short text with author attribution, as read from the posts file."""
-
-    user_id: str
-    post_id: str
-    text: str
-    is_repost: bool = False
-
-
-@dataclass(frozen=True)
 class TokenizedPost:
     user_id: str
     post_id: str
@@ -76,18 +70,6 @@ class UserSurfaceFeatures:
     vocab_size: int
     entropy_bits: float
     n_posts: int = 0  # exposed so callers can control for posting volume
-
-
-FEATURE_COLUMNS = [
-    "caps_rate",
-    "emoji_rate",
-    "exclaim_rate",
-    "latin_rate",
-    "avg_post_len",
-    "avg_word_len",
-    "vocab_size",
-    "entropy_bits",
-]
 
 
 def tokenize(text: str) -> list[str]:

@@ -9,9 +9,12 @@ both Pearson and Spearman reports plus the matched table for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import UserPrediction
 from .stats import CorrelationReport, pearson, spearman
+
+if TYPE_CHECKING:
+    from .dataio import UserPrediction
 
 __all__ = [
     "InstitutionScore",

@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+# Ranked rows are converted to Python values this many at a time, one
+# ``.tolist()`` a column, rather than one numpy scalar a row; rows are still
+# yielded one by one, so the export stays streamed.
+_CHUNK_ROWS = 1 << 16
+
+
 @dataclass(frozen=True)
 class WordScore:
     word: str
@@ -83,19 +89,19 @@ def iter_ranked(
         keep = np.ones(len(table.words), dtype=bool)
     order = _ranked_order(table, scores, keep)
     n = order.size
-    denom = float(n - 1) if n > 1 else 1.0
     if head is None and tail is None:
-        positions = range(n)
+        positions = np.arange(n)
     else:
-        chosen = set(range(min(head or 0, n)))
-        chosen.update(range(max(n - (tail or 0), 0), n))
-        positions = sorted(chosen)
-    for pos in positions:
+        positions = np.union1d(np.arange(min(head or 0, n)), np.arange(max(n - (tail or 0), 0), n))
+    for start in range(0, positions.size, _CHUNK_ROWS):
+        pos = positions[start : start + _CHUNK_ROWS]
         idx = order[pos]
-        word = table.words[idx]
-        freq = counts.get(word) if counts is not None else None
-        percentile = 100.0 * (n - 1 - pos) / denom if n > 1 else 100.0
-        yield WordScore(word=word, score=float(scores[idx]), freq=freq, percentile=percentile)
+        # float64 throughout, so each equals the Python float 100.0 * (n - 1 - pos) / (n - 1).
+        percentiles = (100.0 * (n - 1 - pos) / float(n - 1)).tolist() if n > 1 else [100.0] * pos.size
+        for i, score, percentile in zip(idx.tolist(), scores[idx].tolist(), percentiles):
+            word = table.words[i]
+            freq = counts.get(word) if counts is not None else None
+            yield WordScore(word=word, score=score, freq=freq, percentile=percentile)
 
 
 def project_2d(selected: list[WordScore], table: EmbeddingTable):

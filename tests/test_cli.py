@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import gc
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import postscore
-from postscore import cache, dataio, pipeline
+from postscore import cache, dataio, pipeline, wordrank
 from postscore.cli import main
 from postscore.embeddings import EmbeddingTable, load_vec_cached
 
@@ -292,7 +293,7 @@ class TestTrainPredictEvaluate:
         assert capsys.readouterr().err == (
             "postscore: data error: the tf-idf vocabulary is empty: "
             "every token of the labeled posts is a stopword\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, vectorizer, computes",
@@ -711,6 +712,29 @@ class TestRankWordsCommand:
         err = capsys.readouterr().err
         assert err.count("warning: embedding table differs from the one used in training") == 1
 
+    @pytest.mark.parametrize("source", ["all", "posts-min-count", "head-tail-2d", "freq-overlap"])
+    def test_ranking_bytes_do_not_depend_on_chunk_rows(self, dataset, trained, tmp_path, monkeypatch, source):
+        """ranking.csv (and plot.csv) are the same bytes whether the ranked
+        rows are converted 1, 3, 7 or the default number at a time."""
+        flags = {
+            "all": [],
+            "posts-min-count": ["--posts", dataset / "posts.jsonl", "--min-count", 2],
+            "head-tail-2d": ["--posts", dataset / "posts.jsonl", "--min-count", 2,
+                             "--top", 20, "--bottom", 20, "--project-2d"],
+            "freq-overlap": ["--freq", dataset / "freq.csv", "--top", 500, "--bottom", 450],
+        }[source]
+        outputs = {}
+        for rows in (None, 1, 3, 7):
+            if rows is not None:
+                monkeypatch.setattr(wordrank, "_CHUNK_ROWS", rows)
+            out = tmp_path / f"rank{rows}"
+            code = run_cli("rank-words", "--model", trained / "model.json",
+                           "--embeddings", dataset / "embeddings.vec", *flags, "--output-dir", out)
+            assert code == 0
+            outputs[rows] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+        assert sorted(outputs[None]) == (["plot.csv", "ranking.csv"] if "--project-2d" in flags else ["ranking.csv"])
+        assert outputs[1] == outputs[3] == outputs[7] == outputs[None]
+
 
 class TestCurveCommand:
     def test_curve_csv(self, dataset, tmp_path):
@@ -1122,7 +1146,7 @@ class TestInputRule:
         code = run_cli(command, *flags, *(a for pair in files.items() for a in pair), "--output-dir", out)
         assert code == 2
         assert f"postscore: data error: {files[flag]}:{len(lines)}: {message}\n" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -1286,6 +1310,122 @@ class TestImportFootprint:
         assert loaded["featurize"][2] is False
         # train loads numpy, so the probe sees numpy when it is loaded
         assert loaded["train"][2] is True
+
+
+# Runs ``python -m postscore`` with the arguments given, through the real
+# process entry, and prints at exit the postscore modules loaded and how many
+# objects gc.freeze() moved to the permanent generation.
+_AT_EXIT = """
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps([sorted(m for m in sys.modules if m.startswith("postscore")),
+                                          gc.get_freeze_count()])))
+sys.argv[0] = "postscore"
+runpy.run_module("postscore", run_name="__main__", alter_sys=True)
+"""
+
+_ENTRY = {"postscore", "postscore.cli", "postscore.dataio", "postscore.errors"}
+_MODEL_ROUTE = _ENTRY | {"postscore.cache", "postscore.embeddings", "postscore.model", "postscore.pipeline"}
+_LOOCV = {"postscore._flapack", "postscore.stats"}
+
+
+def _subprocess_env():
+    src = str(Path(postscore.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestProcessEntry:
+    def test_warm_bench_commands_load_only_their_modules(self, dataset, tmp_path, monkeypatch):
+        """Each command of the benchmark, run warm through ``python -m
+        postscore``, exits 0 having loaded exactly the package modules its
+        route runs: no textproc on a warm model command, no tfidf off the
+        tf-idf route, no stats outside LOOCV and aggregate. Each froze the
+        collector before exit."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import harness
+
+        argv = harness.command_args(harness.WORKLOADS["smoke"], dataset, tmp_path / "cold")
+        assert list(argv) == list(harness.COMMANDS)
+        for args in argv.values():  # in process: fills the cache, and writes the model and predictions
+            assert run_cli(*args) == 0
+        expected = {
+            "train": _MODEL_ROUTE,
+            "evaluate": _MODEL_ROUTE | _LOOCV,
+            "evaluate_tfidf": _MODEL_ROUTE | _LOOCV | {"postscore.tfidf"},
+            "predict": _MODEL_ROUTE,
+            "rank_words": _MODEL_ROUTE | {"postscore.wordrank"},
+            "featurize": _ENTRY | {"postscore.textproc"},
+            "aggregate": _ENTRY | {"postscore.stats", "postscore.transfer"},
+            "curve": _MODEL_ROUTE | _LOOCV,
+        }
+        loaded = {}
+        for stem, args in argv.items():
+            args = [str(a) for a in args[: args.index("--output-dir")]] + ["--output-dir", str(tmp_path / stem)]
+            proc = subprocess.run([sys.executable, "-c", _AT_EXIT, *args],
+                                  capture_output=True, text=True, env=_subprocess_env())
+            assert proc.returncode == 0, proc.stderr
+            modules, frozen = json.loads(proc.stdout.splitlines()[-1])
+            assert frozen > 0, stem
+            loaded[stem] = set(modules)
+        assert loaded == expected
+
+    def test_main_in_process_leaves_gc_unfrozen(self, dataset, trained, tmp_path):
+        """Only the process entry freezes the collector before exit:
+        ``cli.main`` leaves it on and unfrozen, after a run that succeeds
+        and after one that fails."""
+        assert gc.get_freeze_count() == 0
+        predict = ["predict", "--posts", dataset / "posts.jsonl", "--model", trained / "model.json",
+                   "--embeddings", dataset / "embeddings.vec"]
+        assert run_cli(*predict, "--output-dir", tmp_path / "ok") == 0
+        assert run_cli(*predict[:-1], tmp_path / "missing.vec", "--output-dir", tmp_path / "bad") == 2
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_python_m_postscore_prints_and_exits_as_main_returns(self, dataset, cased_table, tmp_path):
+        """``python -m postscore`` prints a command's summary and its
+        ``warning:`` lines and exits 0, 2 or 3 as ``cli.main`` returns."""
+        table, cased = cased_table
+        fit = ["train", "--posts", dataset / "posts.jsonl", "--labels", dataset / "labels.csv"]
+        proc = run_cli_subprocess(*fit, "--embeddings", table, "--output-dir", tmp_path / "ok")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("trained on ") and proc.stdout.count("\n") == 1
+        assert proc.stderr == f"warning: {len(cased)} table words are not lowercase; no post token matches them\n"
+
+        labels = (dataset / "labels.csv").read_text(encoding="utf-8").splitlines(True)
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(labels + labels[1:2]), encoding="utf-8")
+        proc = run_cli_subprocess("train", "--posts", dataset / "posts.jsonl", "--labels", repeated,
+                                  "--embeddings", dataset / "embeddings.vec", "--output-dir", tmp_path / "a" / "b")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        user = labels[1].split(",")[0]
+        assert proc.stderr == f"postscore: data error: {repeated}:{len(labels) + 1}: duplicate user {user!r}\n"
+        assert not (tmp_path / "a").exists()
+
+        few = tmp_path / "few.csv"
+        few.write_text("".join(labels[:2]), encoding="utf-8")
+        proc = run_cli_subprocess("train", "--posts", dataset / "posts.jsonl", "--labels", few,
+                                  "--embeddings", dataset / "embeddings.vec", "--output-dir", tmp_path / "singular")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("postscore: numerical failure: ")
+        assert not (tmp_path / "singular").exists()
+
+    def test_failed_run_removes_only_the_empty_directories_it_made(self, dataset, tmp_path):
+        """A run that fails on a file's contents removes the output directory
+        and the parents it made, and leaves a directory that was there."""
+        labels = (dataset / "labels.csv").read_text(encoding="utf-8").splitlines(True)
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(labels + labels[1:2]), encoding="utf-8")
+        train = ["train", "--posts", dataset / "posts.jsonl", "--labels", repeated,
+                 "--embeddings", dataset / "embeddings.vec"]
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run_cli(*train, "--output-dir", kept / "a" / "b") == 2
+        assert kept.is_dir() and not any(kept.iterdir())
+        (kept / "earlier.txt").write_text("x")
+        assert run_cli(*train, "--output-dir", kept) == 2
+        assert [p.name for p in kept.iterdir()] == ["earlier.txt"]
 
 
 def _table_commands(d, model):

@@ -9,7 +9,7 @@ import pytest
 
 import postscore
 
-# __main__ runs the CLI on import, and it exports nothing.
+# __main__ is the process entry, and it exports nothing.
 MODULES = sorted(
     f"postscore.{m.name}" for m in pkgutil.iter_modules(postscore.__path__) if m.name != "__main__"
 )

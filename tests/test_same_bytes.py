@@ -33,7 +33,7 @@ def test_copies_are_identical_and_a_changed_constant_is_named(tmp_path, capsys):
 
     assert same_bytes.main([str(a), str(b), "smoke"], states=("cold",)) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 17 and out[-1] == "identical", out
+    assert len(out) == 18 and out[-1] == "identical", out
     assert all(re.fullmatch(r"smoke cold \w+: identical", line) for line in out[:-1]), out  # each exit 0
 
     assert same_bytes.main([str(a), str(changed), "smoke"], states=("cold",)) == 1

@@ -12,7 +12,9 @@ the benchmark's commands as ``bench/harness.py`` builds them, plus ``curve
 --lambda 0`` and the input flags the benchmark never passes: tf-idf
 ``train``, ``evaluate`` and ``predict`` with ``--stopwords``, ``correlate``
 on featurize's output, ``rank-words --freq --min-count 2 --top 5`` and
-``aggregate --exclude-users --min-users 1``. The stopword list (the posts'
+``aggregate --exclude-users --min-users 1``, and ``rank-words --posts
+--min-count 2 --top 20 --bottom 20 --project-2d`` for the ranking's head and
+tail. The stopword list (the posts'
 15 most frequent tokens) and the users to exclude (the first three of the
 labels) are written from synth's outputs. Every command runs in three cache
 states: cold (an empty cache of parsed inputs), warm (the cache the cold
@@ -55,8 +57,9 @@ TIMEOUT_S = 600
 def commands(workload: str, run: Path) -> dict:
     """postscore argument lists by name, in run order, on synth's outputs in
     run/in and the files of ``derived_inputs`` in run/derived: the
-    benchmark's commands, then ``curve_lambda0`` and the commands of the
-    flags the benchmark never passes; outputs go to run/out/<name>."""
+    benchmark's commands, then ``curve_lambda0``, the commands of the
+    flags the benchmark never passes and a ranking's head and tail; outputs
+    go to run/out/<name>."""
     wl = harness.WORKLOADS[workload]
     inp, out, derived = run / "in", run / "out", run / "derived"
     argv = harness.command_args(wl, inp, out)
@@ -78,6 +81,9 @@ def commands(workload: str, run: Path) -> dict:
         "aggregate_exclude": ["aggregate", "--predictions", str(out / "predict" / "predictions.csv"),
                               "--mapping", str(inp / "mapping.csv"),
                               "--exclude-users", str(derived / "exclude.csv"), "--min-users", "1"],
+        "rank_words_head_tail": ["rank-words", "--model", str(out / "train" / "model.json"),
+                                 "--embeddings", str(inp / "embeddings.vec"), "--posts", posts,
+                                 "--min-count", "2", "--top", "20", "--bottom", "20", "--project-2d"],
     }
     return {**argv, **{name: a + ["--output-dir", str(out / name)] for name, a in more.items()}}
 
