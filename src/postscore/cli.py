@@ -13,9 +13,9 @@ checks it against its table or vocabulary before any post is read. The
 input step is where a memory preflight or a per-stage report would go.
 
 Each command imports the modules it runs, when it runs, because start-up is
-most of a small command's cost: featurize loads no numpy, a warm model
-command no textproc, and no command imports scipy (LOOCV in evaluate and
-curve calls scipy's compiled LAPACK routines directly, see model._lapack).
+most of a small command's cost: featurize loads no numpy, and a warm model
+command no textproc. LOOCV in evaluate and curve calls LAPACK from numpy's
+own OpenBLAS (see model._Lapack), the one BLAS library a command loads.
 
 BLAS runs on one thread whatever the environment says (see main), so a
 command's output bytes depend on its inputs and flags, not on the host's core
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 # None of these loads numpy. Numeric modules and textproc are imported inside
 # the functions that call them, so a command pays only for the imports it uses.
 from . import __version__, dataio
-from .errors import DataFormatError, SingularSystemError
+from .errors import DataFormatError, SingularSystemError, UnsupportedBuildError
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingTable
@@ -511,9 +511,9 @@ def _checked_inputs(args) -> dict[str, Path]:
 
 # OpenBLAS splits some GEMMs and factorizations differently at 2 threads than
 # at 1 (measured from d≈200 on), which moves the last bits of LOOCV's
-# predictions and curve.csv. numpy's and scipy's OpenBLAS each read these variables once, when
-# they load: numpy at a command's first numeric import, scipy at LOOCV's first
-# solve. No command loads either before main runs.
+# predictions and curve.csv. numpy's OpenBLAS, the only one a command loads,
+# reads these variables once, at a command's first numeric import, and no
+# command loads numpy before main runs.
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -560,6 +560,9 @@ def main(argv=None) -> int:
         code = 2
     except SingularSystemError as exc:
         print(f"postscore: numerical failure: {exc}", file=sys.stderr)
+        code = 3
+    except UnsupportedBuildError as exc:
+        print(f"postscore: unsupported numpy build: {exc}", file=sys.stderr)
         code = 3
     except MemoryError as exc:
         # numpy's message names the array it could not allocate; a bare

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DataFormatError -> 2 (data/parse),
-SingularSystemError and MemoryError -> 3 (numerical or resource failure).
+SingularSystemError, UnsupportedBuildError and MemoryError -> 3 (numerical
+or resource failure).
 Plain ValueError is used for programming-contract violations (wrong
 dimensions, empty input where the caller must guarantee non-empty).
 """
@@ -39,6 +40,10 @@ class SingularSystemError(PostscoreError):
 
     def __init__(self, message="normal equations are singular"):
         super().__init__(message + "; retry with a ridge coefficient lambda > 0")
+
+
+class UnsupportedBuildError(PostscoreError):
+    """numpy's LAPACK build does not provide the routines LOOCV calls."""
 
 
 @contextlib.contextmanager

@@ -6,9 +6,9 @@ eigendecomposition (numpy): its eigenvalue ratio is the condition number the
 fit reports, its smallest eigenvalue decides numerical singularity, and its
 vectors give the solution. Grouped LOOCV factors one base system per group
 of users with a Cholesky (SPD) factorization: LAPACK's dpotrf, dpotrs and
-dtrtrs (and dtrttp and dtpttr, which pack and unpack triangles) from scipy's
-compiled LAPACK module, bound at LOOCV's first call without importing scipy
-itself, so no command loads scipy's Python package.
+dtrtrs (and dtrttp and dtpttr, which pack and unpack triangles), bound by
+ctypes at LOOCV's first call from the OpenBLAS numpy itself loaded
+(``_Lapack``), so fit and LOOCV run on one library.
 
 Leave-one-user-out CV solves, for each user, the normal equations of every
 other user's rows. Users go in outer blocks of B = ceil(sqrt(U)), each cut
@@ -45,11 +45,9 @@ r < d).
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,7 +56,7 @@ import numpy as np
 from . import embeddings
 from .dataio import UserPrediction
 from .embeddings import flat_token_ids, segment_mean
-from .errors import SingularSystemError
+from .errors import SingularSystemError, UnsupportedBuildError
 
 __all__ = [
     "TrainingMeta",
@@ -226,45 +224,128 @@ class CurvePoint:
     ci_high: float
 
 
-def _flapack_path():
-    """Path of scipy's compiled LAPACK module (``scipy/linalg/_flapack*.so``),
-    or None. ``find_spec`` of a top-level package runs none of its code."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    for root in spec.submodule_search_locations:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+# The Fortran arguments of each routine LOOCV calls: c a character, i an
+# integer, a a float64 array. gfortran passes each character's length after
+# the last argument.
+_LAPACK_ARGS = {
+    "dpotrf": "ciaii",
+    "dpotrs": "ciiaiaii",
+    "dtrtrs": "ccciiaiaii",
+    "dtrttp": "ciaiai",
+    "dtpttr": "ciaaii",
+}
+
+
+def _address(a: np.ndarray) -> int:
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("a LAPACK array must be writeable float64 in Fortran order")
+    return a.ctypes.data
+
+
+def _order(a: np.ndarray) -> int:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a LAPACK system must be square, not {a.shape}")
+    return a.shape[0]
+
+
+def _columns(b: np.ndarray, n: int) -> int:
+    if b.shape[0] != n or b.ndim > 2:
+        raise ValueError(f"a right-hand side of {b.shape} does not fit a system of order {n}")
+    return 1 if b.ndim == 1 else b.shape[1]
+
+
+def _packed_order(packed: np.ndarray, n: int) -> int:
+    if packed.shape != (n * (n + 1) // 2,):
+        raise ValueError(f"{packed.shape} does not hold a packed triangle of order {n}")
+    return n
+
+
+def _info(name: str, info) -> int:
+    """A routine's INFO, raising when LAPACK rejected an argument (INFO < 0)."""
+    if info.value < 0:
+        raise ValueError(f"{name}: LAPACK rejects argument {-info.value}")
+    return info.value
+
+
+class _Lapack:
+    """LOOCV's LAPACK routines, called through ctypes from the OpenBLAS that
+    numpy's own linalg extension links, so a command maps one BLAS library.
+    dpotrf, dpotrs and dtrtrs factor, solve and apply L^-1 through the
+    lower triangle; dtrttp and dtpttr pack and unpack the upper one, as
+    LOOCV holds its moment matrices. Each routine writes its result into an
+    array the caller passes, float64 in Fortran order, whose layout and
+    shape are checked first. ctypes releases the GIL for each call.
+
+    numpy's wheels bundle scipy-openblas, whose symbols are scipy_<name>_64_
+    with 64-bit integers (USE64BITINT in its configuration) and
+    scipy_<name>_ with 32-bit ones. numpy's build config names the build;
+    on any other, or when a symbol is missing, UnsupportedBuildError names
+    it.
+    """
+
+    def __init__(self):
+        build = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        ilp64 = "USE64BITINT" in build.get("openblas configuration", "")
+        label = f"{build.get('name')} {build.get('version')} ({'ILP64' if ilp64 else 'LP64'})"
+        self._int = ctypes.c_int64 if ilp64 else ctypes.c_int32
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(self._int), "a": ctypes.c_void_p}
+        self._routines = {}
+        for name, args in _LAPACK_ARGS.items():
+            symbol = f"scipy_{name}{'_64' if ilp64 else ''}_"
+            routine = getattr(lib, symbol, None) if build.get("name") == "scipy-openblas" else None
+            if routine is None:
+                raise UnsupportedBuildError(
+                    f"numpy's LAPACK build, {label}, has no {symbol}; LOOCV calls "
+                    "LAPACK from the scipy-openblas that numpy's wheels bundle"
+                )
+            routine.argtypes = [kinds[k] for k in args] + [ctypes.c_size_t] * args.count("c")
+            routine.restype = None
+            self._routines[name] = routine
+
+    def _int_ref(self, value: int):
+        return ctypes.byref(self._int(value))
+
+    def dpotrf(self, a: np.ndarray) -> int:
+        """Factor a = LL' in place, L in a's lower triangle; a's upper
+        triangle is neither read nor written. Returns 0, or the order of the
+        first leading minor that is not positive definite."""
+        n, info = self._int_ref(_order(a)), self._int()
+        self._routines["dpotrf"](b"L", n, _address(a), n, ctypes.byref(info), 1)
+        return _info("dpotrf", info)
+
+    def dpotrs(self, factor: np.ndarray, b: np.ndarray) -> None:
+        """Overwrite b with (LL')^-1 b, L being dpotrf's factor."""
+        order = _order(factor)
+        n, nrhs, info = self._int_ref(order), self._int_ref(_columns(b, order)), self._int()
+        self._routines["dpotrs"](b"L", n, nrhs, _address(factor), n, _address(b), n, ctypes.byref(info), 1)
+        _info("dpotrs", info)
+
+    def dtrtrs(self, factor: np.ndarray, b: np.ndarray) -> None:
+        """Overwrite b with L^-1 b, L being dpotrf's factor."""
+        order = _order(factor)
+        n, nrhs, info = self._int_ref(order), self._int_ref(_columns(b, order)), self._int()
+        self._routines["dtrtrs"](b"L", b"N", b"N", n, nrhs, _address(factor), n, _address(b), n,
+                                 ctypes.byref(info), 1, 1, 1)
+        _info("dtrtrs", info)
+
+    def dtrttp(self, a: np.ndarray, packed: np.ndarray) -> None:
+        """Pack a's upper triangle, column by column, into ``packed``."""
+        n, info = self._int_ref(_packed_order(packed, _order(a))), self._int()
+        self._routines["dtrttp"](b"U", n, _address(a), n, _address(packed), ctypes.byref(info), 1)
+        _info("dtrttp", info)
+
+    def dtpttr(self, packed: np.ndarray, a: np.ndarray) -> None:
+        """Unpack ``packed`` into a's upper triangle, as dtrttp packed it."""
+        n, info = self._int_ref(_packed_order(packed, _order(a))), self._int()
+        self._routines["dtpttr"](b"U", n, _address(packed), _address(a), n, ctypes.byref(info), 1)
+        _info("dtpttr", info)
 
 
 @functools.cache
-def _lapack():
-    """scipy's compiled LAPACK module, loaded at LOOCV's first call, once
-    per process. LOOCV takes dpotrf, dpotrs and dtrtrs from it, the routines
-    scipy.linalg's cho_factor, cho_solve and solve_triangular call, and
-    dtrttp and dtpttr, which pack and unpack the triangles it holds its
-    moment matrices in.
-
-    Loading the module by file costs ~4 ms and +2.5 MB RSS, where ``import
-    scipy.linalg`` cost 0.24 s and +24 MB (medians of 10 processes with
-    numpy loaded), most of it scipy's array-API shim importing
-    numpy.testing, numpy.f2py and numpy.ma. The module is named
-    ``postscore._flapack``; no ``scipy`` module is imported. An install
-    without the module file falls back to scipy.linalg.lapack, which holds
-    the same routines.
-    """
-    path = _flapack_path()
-    if path is None:
-        from scipy.linalg import lapack
-
-        return lapack
-    # The last name component selects the module's init function.
-    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
-    spec = importlib.util.spec_from_loader(loader.name, loader)
-    return importlib.util.module_from_spec(spec)
+def _lapack() -> _Lapack:
+    """LOOCV's LAPACK binding, made at LOOCV's first call, once per process."""
+    return _Lapack()
 
 
 def _not_positive_definite(held_out: str, order: int) -> SingularSystemError:
@@ -275,24 +356,24 @@ def _not_positive_definite(held_out: str, order: int) -> SingularSystemError:
 
 
 def _solve_spd(G: np.ndarray, rhs: np.ndarray, held_out: str) -> np.ndarray:
-    """Solve G x = rhs for symmetric positive definite G, as
-    ``cho_solve(cho_factor(G, lower=True, check_finite=False), rhs,
-    check_finite=False)`` does, with the same LAPACK calls and arguments.
+    """Solve G x = rhs for symmetric positive definite G, reading G's lower
+    triangle, as ``cho_solve((np.linalg.cholesky(G), True), rhs)`` does,
+    with the same LAPACK calls on numpy's library. G and rhs are copied,
+    not overwritten.
 
     Raises SingularSystemError naming ``held_out`` (LOOCV's held-out user)
     and the leading minor that is not positive definite.
     """
     # LOOCV solves here each user's r x r system I + K_oo; its group bases
     # are factored by the same dpotrf in _group_predictions, which keeps the
-    # factor for dtrtrs. At one thread scipy's dpotrf beats
-    # np.linalg.cholesky, whose wheel bundles another OpenBLAS (d+1 = 301:
-    # 0.60 vs 1.52 ms, 1001: 16.1 vs 33.4 ms, best of 8-30) and whose factor
-    # differs in the last bits. fit solves once, with numpy's eigh.
-    flapack = _lapack()
-    factor, info = flapack.dpotrf(G, lower=1, clean=0)
+    # factor for dtrtrs. fit solves once, with numpy's eigh.
+    lapack = _lapack()
+    factor = np.array(G, dtype=np.float64, order="F")
+    info = lapack.dpotrf(factor)
     if info > 0:
         raise _not_positive_definite(held_out, info)
-    x, _ = flapack.dpotrs(factor, rhs, lower=1)
+    x = np.array(rhs, dtype=np.float64, order="F")
+    lapack.dpotrs(factor, x)
     return x
 
 
@@ -457,18 +538,26 @@ def _group_predictions(Z, bounds, names, G, out) -> bool:
     factorization and one solve of its own system.
     """
     d1 = Z.shape[1] - 1
-    flapack = _lapack()
+    lapack = _lapack()
     n_sys = d1 * (d1 + 1) // 2
-    factor, info = flapack.dpotrf(flapack.dtpttr(d1, G[:n_sys], uplo="U")[0].T, lower=1, clean=0)
+    unpacked = np.empty((d1, d1), order="F")
+    lapack.dtpttr(G[:n_sys], unpacked)
+    # dtpttr fills the upper triangle, and dpotrf factors the lower one, as
+    # np.linalg.cholesky does: its upper-triangle route rounds otherwise.
+    factor = np.asfortranarray(unpacked.T)
+    info = lapack.dpotrf(factor)
     if info > 0:
         if len(names) > 1:
             return False
         raise _not_positive_definite(names[0], info)
-    theta, _ = flapack.dpotrs(factor, G[n_sys : n_sys + d1], lower=1)
+    theta = G[n_sys : n_sys + d1].copy()
+    lapack.dpotrs(factor, theta)
     e = Z[:, : d1 - 1] @ theta[:-1] + theta[-1]
     r = e.size
     if len(names) > 1:
-        V, _ = flapack.dtrtrs(factor, Z[:, :d1].T, lower=1)
+        # Solved in a copy: a group declined below is redone from Z's rows.
+        V = np.array(Z[:, :d1].T, order="F")
+        lapack.dtrtrs(factor, V)
         K = V.T @ V
         # A base that is nearly singular (d + 1 rows outside the group at
         # lambda = 0, or fewer under a tiny ridge) can still pass dpotrf on a
@@ -517,8 +606,8 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     # entries and its right-hand side the next d+1 (row d+1 up to its
     # diagonal). The packed rows of a C-order symmetric F are LAPACK's "U"
     # column packing of F.T, so dtrttp packs a GEMM result and dtpttr
-    # unpacks a system for dpotrf, which reads only its lower triangle.
-    dtrttp = _lapack().dtrttp
+    # unpacks a system for dpotrf.
+    lapack = _lapack()
     n_packed = d1 * d2 // 2 + d2
     B = math.isqrt(U - 1) + 1
     m = _group_size(d, U, n_rows / U)
@@ -539,7 +628,7 @@ def loo_user_cv(ts: TrainingSet, lam: float = 0.0, sample=None) -> list[UserPred
     def moments(Z, out):
         """Z'Z into ``out``, packed."""
         np.matmul(Z.T, Z, out=full)
-        out[:] = dtrttp(full.T, uplo="U")[0]
+        lapack.dtrttp(full.T, out)
 
     def span(Z, cuts, names, size, before, after):
         """Predictions of the users ``names``, user j's rows being

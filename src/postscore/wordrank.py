@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, TokenIds
+from .embeddings import _CHUNK_BYTES, EmbeddingTable, TokenIds
 from .model import LinearModel, word_scores_array
 
 __all__ = [
@@ -26,10 +26,12 @@ __all__ = [
 ]
 
 
-# Ranked rows are converted to Python values this many at a time, one
+# Ranked rows are converted to Python values about 1 MB at a time, one
 # ``.tolist()`` a column, rather than one numpy scalar a row; rows are still
-# yielded one by one, so the export stays streamed.
-_CHUNK_ROWS = 1 << 16
+# yielded one by one, so the export stays streamed. A row in conversion holds
+# about 120 bytes: an int and two floats in their lists, and numpy's index,
+# score and percentile entries.
+_CHUNK_ROWS = _CHUNK_BYTES // 128
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ from postscore import cli
 
 # The CLI runs BLAS on one thread. Tests call cli.main in-process, after numpy
 # has loaded, so the suite sets the same variables before its first numpy
-# import: otherwise numpy's pool would follow the environment while scipy's,
-# loaded at LOOCV's first solve, would follow whichever test ran main first.
+# import: otherwise numpy's OpenBLAS, which LOOCV calls too, would follow the
+# environment. The scipy the oracles import brings its own OpenBLAS, which
+# reads them when it loads.
 os.environ.update(cli._ONE_BLAS_THREAD)
 
 # The cache of parsed inputs (postscore.cache.load), one entry layout for

@@ -6,8 +6,8 @@ mpmath's incomplete beta at 50 digits, and the post and word scores look each
 token up in ``table.vocab`` on its own and take one plain mean and dot
 product. ``read_vec`` parses a .vec file value by value with Python's
 ``float()``. ``loo_user_cv_full`` is grouped LOOCV's group scheme with
-every moment matrix held whole, solved through scipy.linalg's Cholesky and
-triangular routines. (The naive leave-one-user-out checks retrain from
+every moment matrix held whole, factored by ``np.linalg.cholesky`` and
+solved through scipy.linalg's ``cho_solve`` and ``solve_triangular``. (The naive leave-one-user-out checks retrain from
 scratch per user in the tests themselves.) ``noise_for_ceiling`` inverts synth's analytic
 correlation ceiling, so a test can ask for a dataset with a given one.
 ``tfidf_vocab`` and ``tfidf_vector`` are the tf-idf route on token lists:
@@ -163,15 +163,17 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
     not positive definite or when K has an entry above ``_MAX_LEVERAGE`` on
     its diagonal. Unlike loo_user_cv, it has no check of the rows a group
     leaves outside it: a group that check declines unfactored is factored
-    here, and declined by cho_factor or the leverage bound. Either way each
-    of its users is solved alone between the same sums, so the bits agree.
-    Each base is factored with
-    ``cho_factor(lower=True)``; ``cho_solve`` gives theta and
-    ``solve_triangular`` gives V = L^-1 [X_g, 1]'. User u's predictions are
+    here, and declined by the factorization or the leverage bound. Either
+    way each of its users is solved alone between the same sums, so the
+    bits agree. Each base is factored with ``np.linalg.cholesky``, the
+    dpotrf of numpy's library that LOOCV calls (scipy's ``cho_factor`` runs
+    scipy's own OpenBLAS, whose factor differs in the last bits at most
+    orders); ``cho_solve`` gives theta and ``solve_triangular`` gives
+    V = L^-1 [X_g, 1]'. User u's predictions are
     e_u + K_uo (I + K_oo)^-1 (y_o - e_o), with e = [X_g, 1] theta, K = V'V
     and o the group's other rows.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+    from scipy.linalg import cho_solve, solve_triangular
 
     from postscore.model import _MAX_LEVERAGE, UserPrediction, _group_flops, _group_size
 
@@ -207,8 +209,8 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
         if _group_flops(d, rows) > len(rows) * _group_flops(d, rows[:1]):
             return False
         try:
-            factor = cho_factor(G[:d1, :d1], lower=True, check_finite=False)
-        except LinAlgError:
+            factor = (np.linalg.cholesky(G[:d1, :d1]), True)
+        except np.linalg.LinAlgError:
             if len(names) > 1:
                 return False
             raise
@@ -228,8 +230,7 @@ def loo_user_cv_full(ts, lam=0.0, sample=None):
                 o = np.r_[0:a, b:r]
                 inner = K[np.ix_(o, o)]
                 inner[np.diag_indices(o.size)] += 1.0
-                x = cho_solve(cho_factor(inner, lower=True, check_finite=False), residual[o],
-                              check_finite=False)
+                x = cho_solve((np.linalg.cholesky(inner), True), residual[o], check_finite=False)
                 scores = scores + K[a:b, o] @ x
             predictions.append(UserPrediction(u, float(scores.mean()), b - a))
         return True

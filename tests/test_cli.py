@@ -1243,17 +1243,28 @@ class TestDeterminism:
 
 
 # Runs CLI commands in one fresh interpreter and prints, after each, its exit
-# code, the scipy modules loaded so far and whether numpy is loaded.
+# code, the scipy modules loaded so far, whether numpy is loaded and the
+# OpenBLAS libraries mapped (null on a host without /proc).
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 import postscore, postscore.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-loaded = {"import": [0, scipy_modules(), "numpy" in sys.modules]}
+def openblas_mapped():
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps") as f:
+        paths = {fields[5] for fields in map(str.split, f) if len(fields) > 5}
+    return sorted(os.path.basename(p) for p in paths if "openblas" in os.path.basename(p))
+
+def state(code):
+    return [code, scipy_modules(), "numpy" in sys.modules, openblas_mapped()]
+
+loaded = {"import": state(0)}
 for name, argv in json.loads(sys.argv[1]):
-    loaded[name] = [postscore.cli.main(argv), scipy_modules(), "numpy" in sys.modules]
+    loaded[name] = state(postscore.cli.main(argv))
 print(json.dumps(loaded))
 """
 
@@ -1302,10 +1313,13 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        # LOOCV (evaluate, curve) binds LAPACK from scipy's compiled module
-        # without importing scipy, so no step leaves a scipy module loaded.
+        # LOOCV (evaluate, curve) binds LAPACK from numpy's own OpenBLAS, so
+        # no step leaves a scipy module loaded, and one OpenBLAS is mapped.
         for name in ["import"] + [name for name, _ in steps]:
             assert loaded[name][:2] == [0, []], name
+        for name in ["evaluate", "evaluate_tfidf", "curve"]:
+            mapped = loaded[name][3]
+            assert mapped is None or len(mapped) == 1, (name, mapped)
         assert loaded["import"][2] is False
         assert loaded["featurize"][2] is False
         # train loads numpy, so the probe sees numpy when it is loaded
@@ -1325,7 +1339,7 @@ runpy.run_module("postscore", run_name="__main__", alter_sys=True)
 
 _ENTRY = {"postscore", "postscore.cli", "postscore.dataio", "postscore.errors"}
 _MODEL_ROUTE = _ENTRY | {"postscore.cache", "postscore.embeddings", "postscore.model", "postscore.pipeline"}
-_LOOCV = {"postscore._flapack", "postscore.stats"}
+_LOOCV = {"postscore.stats"}
 
 
 def _subprocess_env():

@@ -58,45 +58,65 @@ def _prediction_bytes(predictions):
 
 
 class TestLapackBinding:
-    """LOOCV's LAPACK binding against scipy.linalg's public routines. The
-    reference import loads scipy's LAPACK module a second time in this
-    process, beside the binding's own load of it."""
+    """LOOCV's ctypes binding of numpy's own LAPACK, against
+    np.linalg.cholesky, which calls the same dpotrf, and scipy.linalg's
+    solves on that factor."""
 
     @pytest.mark.parametrize("d1", [1, 2, 51, 201])
-    def test_bits_equal_cho_factor_and_cho_solve(self, d1):
-        from scipy.linalg import cho_factor, cho_solve
+    def test_bits_equal_numpy_cholesky_and_scipy_solves(self, d1):
+        from scipy.linalg import cho_solve, solve_triangular
 
+        lapack = model_module._lapack()
         G, rhs = _moment_views(d1, d1)
-        ref_factor, lower = cho_factor(G, lower=True, check_finite=False)
-        ref_x = cho_solve((ref_factor, lower), rhs, check_finite=False)
-        factor, info = model_module._lapack().dpotrf(G, lower=1, clean=0)
-        assert info == 0
-        assert factor.tobytes() == ref_factor.tobytes()
+        ref_factor = np.linalg.cholesky(G)
+        factor = np.array(G, order="F")
+        assert lapack.dpotrf(factor) == 0
+        assert np.tril(factor).tobytes() == ref_factor.tobytes()
+        ref_x = cho_solve((ref_factor, True), rhs, check_finite=False)
         assert _solve_spd(G, rhs, "u").tobytes() == ref_x.tobytes()
+        W = np.random.default_rng(d1).standard_normal((d1, 5))
+        V = np.array(W, order="F")
+        lapack.dtrtrs(factor, V)
+        assert V.tobytes() == solve_triangular(ref_factor, W, lower=True, check_finite=False).tobytes()
 
     def test_not_positive_definite_raises(self):
         G = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(SingularSystemError, match="user 'u7'.*order 2.*lambda"):
             _solve_spd(G[:2, :2], G[:2, 2], "u7")
 
-    def test_fallback_without_module_file_gives_same_bits(self, monkeypatch):
-        """One system per user (d=6) and groups of 10 users (d=80), whose
-        steps also take dtrtrs from the module."""
-        from scipy.linalg import lapack
+    @pytest.mark.parametrize("build", [
+        {"name": "scipy-openblas", "version": "0.3.31.188.0",
+         "openblas configuration": "OpenBLAS 0.3.31.188.0 DYNAMIC_ARCH"},
+        {"name": "accelerate", "version": "unknown"},
+    ], ids=["scipy-openblas-lp64", "accelerate"])
+    def test_build_without_the_symbols_exits_3(self, build, tmp_path, monkeypatch, capsys):
+        """numpy's build config names the symbols. A 32-bit-integer
+        scipy-openblas would export scipy_dpotrf_, which this numpy's
+        library does not, and a build of another name is not looked into:
+        evaluate exits 3 at LOOCV's first call, with one line that names the
+        build and no traceback."""
+        from postscore import cli
 
-        G, rhs = _moment_views(3, 51)
-        sets = [_random_grouped(22, n_users=17, posts_per_user=3, d=6),
-                _random_grouped(23, n_users=100, posts_per_user=2, d=80)]
-        assert model_module._group_size(80, 100, 2) == 10
-        bound = _solve_spd(G, rhs, "u")
-        bound_loo = [loo_user_cv(ts, lam=0.1) for ts in sets]
-        monkeypatch.setattr(model_module, "_flapack_path", lambda: None)
-        fallback = model_module._lapack.__wrapped__()  # bypass the per-process cache
-        assert fallback is lapack
-        monkeypatch.setattr(model_module, "_lapack", lambda: fallback)
-        assert _solve_spd(G, rhs, "u").tobytes() == bound.tobytes()
-        for ts, loo in zip(sets, bound_loo):
-            assert _prediction_bytes(loo_user_cv(ts, lam=0.1)) == _prediction_bytes(loo)
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--output-dir", str(data), "--vocab-size", "200", "--dim", "4",
+                         "--topics", "2", "--users", "12", "--posts-per-user", "3",
+                         "--tokens-per-post", "5", "--institutions", "2",
+                         "--users-per-institution", "6"]) == 0
+        capsys.readouterr()
+        monkeypatch.setitem(np.__config__.CONFIG["Build Dependencies"], "lapack", build)
+        model_module._lapack.cache_clear()
+        try:
+            code = cli.main(["evaluate", "--posts", str(data / "posts.jsonl"),
+                             "--labels", str(data / "labels.csv"),
+                             "--embeddings", str(data / "embeddings.vec"),
+                             "--output-dir", str(tmp_path / "eval")])
+        finally:
+            model_module._lapack.cache_clear()  # the next call binds the real build again
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == (f"postscore: unsupported numpy build: numpy's LAPACK build, {build['name']} "
+                       f"{build['version']} (LP64), has no scipy_dpotrf_; LOOCV calls LAPACK from the "
+                       "scipy-openblas that numpy's wheels bundle\n")
 
 
 class TestTrainingSet:
